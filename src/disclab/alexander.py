@@ -13,15 +13,14 @@ with the gauge K(s, 0, .) = 0 and K = 0 outside all supports.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
-from .flows import hamiltonian_path, hofer_length, integrate_points, osc_on_grid, _simpson_weights
-from .grids import GridField2D, square_grid
+from .flows import hamiltonian_path, hofer_length, integrate_points
+from .grids import square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
             member_grid = grid
         else:
             member_grid = square_grid(node_count, extent=1.05 * a)
-        cal = _cal_on(member, member_grid, nt)
-        hofer = _hofer_on(member, member_grid, nt)
+        cal = cal_path(member, member_grid, nt)
+        hofer = hofer_length(member, member_grid, nt)
         if exact:
             mnodes = np.stack(member_grid.nodes(), axis=-1)
             img = member.exact_flow(0.0, 1.0, mnodes)
@@ -314,22 +313,6 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
             method = "support-bound"
         out.append(ShrinkDiagnostics(a, cal, c0, hofer, method))
     return out
-
-
-def _cal_on(H, grid, nt):
-    times = np.linspace(0.0, 1.0, nt)
-    from .calabi import spatial_integral
-
-    vals = np.array([spatial_integral(H, t, grid) for t in times])
-    w = _simpson_weights(nt)
-    return float(np.sum(w * vals) * (times[1] - times[0]))
-
-
-def _hofer_on(H, grid, nt):
-    times = np.linspace(0.0, 1.0, nt)
-    oscs = np.array([osc_on_grid(H, t, grid) for t in times])
-    w = _simpson_weights(nt)
-    return float(np.sum(w * oscs) * (times[1] - times[0]))
 
 
 def sequence_to_csv(diags, path):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .fields import ScalarTimeField
-from .flows import _simpson_weights
+from .flows import time_simpson
 from .grids import DiscDomain, GridField2D, disc_weights, square_grid
 
 
@@ -42,10 +42,7 @@ def cal_path(H, grid=None, nt=129):
     if grid is None:
         grid = square_grid(257)
     _check_supported(H, grid)
-    times = np.linspace(0.0, 1.0, nt)
-    vals = np.array([spatial_integral(H, t, grid) for t in times])
-    w = _simpson_weights(nt)
-    return float(np.sum(w * vals) * (times[1] - times[0]))
+    return time_simpson(lambda t: spatial_integral(H, t, grid), nt)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +98,18 @@ def plaquette_circulation(b1, b2, spacing):
     return spacing * (bottom + right - top - left)
 
 
+def ray_primitives(b1, b2, spacing):
+    """Primitives of the one-form (b1, b2) by trapezoid rays from the grid edge.
+
+    Row rays integrate b1 from the left edge, column rays integrate b2
+    from the bottom edge; both vanish on their starting edge.  For a
+    closed form the two agree up to quadrature error.
+    """
+    rows = cumulative_trapezoid(b1, dx=spacing, axis=0, initial=0.0)
+    cols = cumulative_trapezoid(b2, dx=spacing, axis=1, initial=0.0)
+    return rows, cols
+
+
 def primitive_and_cal_def1(phi, H=None, cal_path_value=None, residual_tol=1e-3,
                            gauge=None):
     """Cal by Definition via the primitive, with all diagnostics.
@@ -121,10 +130,8 @@ def primitive_and_cal_def1(phi, H=None, cal_path_value=None, residual_tol=1e-3,
             f"(residual {residual:.3e} > {residual_tol:.3e}); "
             "the map is not area-preserving at this resolution"
         )
-    # rays from the left edge (outside the support, h = 0 there)
-    h_rows = cumulative_trapezoid(b1, dx=h_sp, axis=0, initial=0.0)
-    # independent family: rays from the bottom edge
-    h_cols = cumulative_trapezoid(b2, dx=h_sp, axis=1, initial=0.0)
+    # both edges lie outside the support, where h = 0
+    h_rows, h_cols = ray_primitives(b1, b2, h_sp)
     path_independence = float(np.max(np.abs(h_rows - h_cols)))
     cal1 = 0.5 * float(np.sum(h_rows)) * h_sp * h_sp
     # second quadrature level from the decimated grid, for the error estimate
@@ -147,8 +154,7 @@ def primitive_and_cal_def1(phi, H=None, cal_path_value=None, residual_tol=1e-3,
 def primitive_potential(phi):
     """The function h with dh = phi^*alpha - alpha, as a grid field."""
     grid = phi.template
-    b1, _ = pullback_defect_form(phi)
-    h_rows = cumulative_trapezoid(b1, dx=grid.spacing, axis=0, initial=0.0)
+    h_rows, _ = ray_primitives(*pullback_defect_form(phi), grid.spacing)
     return grid.with_values(h_rows)
 
 
@@ -178,10 +184,7 @@ class NormalizedField:
 
     def offset_integral(self, t1=1.0, nt=129):
         """int_0^t c(s) ds by Simpson; equals Cal/vol at t = 1."""
-        times = np.linspace(0.0, t1, nt)
-        vals = np.array([self.offset(t) for t in times])
-        w = _simpson_weights(nt)
-        return float(np.sum(w * vals) * (times[1] - times[0]))
+        return time_simpson(self.offset, nt, t1)
 
     def sphere_mean(self, t):
         """Mean over the sphere model; 0 by construction."""

@@ -12,15 +12,7 @@ with X = (Q, P) and y = (q, p), inverted by
 where j(bp1, bp2) = (-bp2, bp1).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    bq: tuple
-    bp: tuple
 
 
 def jmap(p):
@@ -52,18 +44,3 @@ def from_chart(bq, bp):
     bp = np.asarray(bp, dtype=np.float64)
     jp = jmap(bp)
     return bq + 0.5 * jp, bq - 0.5 * jp
-
-
-def to_chart_point(x, y):
-    bq, bp = to_chart(np.asarray(x), np.asarray(y))
-    return ChartPoint(tuple(bq), tuple(bp))
-
-
-def from_chart_point(c):
-    x, y = from_chart(np.asarray(c.bq), np.asarray(c.bp))
-    return tuple(x), tuple(y)
-
-
-def graph_chart(phi_of_y, y):
-    """Chart coordinates of the graph point (phi(y), y)."""
-    return to_chart(phi_of_y, y)

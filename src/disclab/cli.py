@@ -15,10 +15,9 @@ from . import alexander as alx
 from . import calabi as cb
 from . import graphical as gr
 from . import phase as ph
-from .experiments import (EXPERIMENT_IDS, ExperimentConfig, emit_report,
+from .experiments import (EXPERIMENT_IDS, FAMILIES, ExperimentConfig, emit_report,
                           make_family, parse_config, run_experiment)
 from .flows import flow_map
-from .grids import square_grid
 
 
 def _common_flags(p):
@@ -27,8 +26,7 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, help="RNG seed (64-bit)")
     p.add_argument("--grid", type=int, help="grid cells per side (power of two)")
     p.add_argument("--dt", type=float, help="integrator time step")
-    p.add_argument("--family", choices=("radial_bump", "reparam_loop",
-                                        "moving_bump", "twist"))
+    p.add_argument("--family", choices=tuple(FAMILIES))
 
 
 def build_parser():

@@ -38,11 +38,6 @@ class ScalarTimeField:
             self.smoothness_order,
         )
 
-    def shifted_in_time(self, offset_fn):
-        """H(t, x) - c(t) inside the support is not representable here;
-        offsets are carried separately by NormalizedField."""
-        raise NotImplementedError
-
 
 def field_sum(a, b, coeff_a=1.0, coeff_b=1.0):
     radii = [f.support_radius for f in (a, b) if f.support_radius is not None]
@@ -203,11 +198,3 @@ def twist_bump(angle=4.0, rho=0.8, m=4):
     # peak clockwise rotation angle over one time unit is 2*m*amp/rho^2
     amp = angle * rho * rho / (2.0 * m)
     return radial_bump(amp=amp, rho=rho, m=m)
-
-
-BUILTIN_FAMILIES = {
-    "radial_bump": radial_bump,
-    "reparam_loop": loop_bump,
-    "moving_bump": moving_bump,
-    "twist": twist_bump,
-}

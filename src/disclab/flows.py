@@ -6,24 +6,15 @@ centered-difference vector field; symplecticity is monitored, not
 enforced.  Points starting outside the support radius never move.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .fields import ScalarTimeField, SeparableBump, field_sum
-from .grids import GridField2D, square_grid
+from .fields import SeparableBump
+from .grids import GridField2D, centered_diff4, square_grid
 
 DEFAULT_FD_WIDTH = 1e-4
-
-
-class FlowEscapeError(RuntimeError):
-    """A trajectory left the region where its field is defined."""
-
-    def __init__(self, message, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
 
 
 class NewtonError(RuntimeError):
@@ -62,7 +53,6 @@ def _rk4_generic(H, pts, t0, dt, nsteps, h_d):
     x = pts[live].copy()
     half = 0.5 * dt
     sixth = dt / 6.0
-    coverage = getattr(H, "coverage_extent", None)
     for k in range(nsteps):
         t = t0 + k * dt
         k1 = vector_field(H, t, x, h_d)
@@ -70,13 +60,6 @@ def _rk4_generic(H, pts, t0, dt, nsteps, h_d):
         k3 = vector_field(H, t + half, x + half * k2, h_d)
         k4 = vector_field(H, t + dt, x + dt * k3, h_d)
         x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if coverage is not None:
-            r = np.max(np.abs(x))
-            if r > coverage:
-                raise FlowEscapeError(
-                    f"trajectory left the grid coverage |x| <= {coverage} at t = {t + dt}",
-                    last_state=x,
-                )
     pts[live] = x
     return pts
 
@@ -123,6 +106,13 @@ def integrate_flow(H, t0, t1, x0, dt=1e-3, h_d=DEFAULT_FD_WIDTH):
 # PlaneMap
 
 
+def _node_grids(grid, img):
+    """Component grid fields of node images img, shape (n, n, 2) or (n*n, 2)."""
+    shape = grid.values.shape
+    return (grid.with_values(img[..., 0].reshape(shape)),
+            grid.with_values(img[..., 1].reshape(shape)))
+
+
 class PlaneMap:
     """A grid-sampled area-preserving map of the plane, identity outside support."""
 
@@ -141,16 +131,20 @@ class PlaneMap:
 
     @classmethod
     def identity(cls, grid, support_radius=0.8):
+        """The identity, stored as its own inverse."""
         qx, qy = grid.nodes()
-        return cls(grid.with_values(qx), grid.with_values(qy), support_radius)
+        gx, gy = grid.with_values(qx), grid.with_values(qy)
+        return cls(gx, gy, support_radius, inverse_grids=(gx, gy))
+
+    @classmethod
+    def from_node_images(cls, grid, img, support_radius, **kw):
+        """The map sending the nodes of grid to img, shape (n, n, 2) or (n*n, 2)."""
+        return cls(*_node_grids(grid, img), support_radius, **kw)
 
     @classmethod
     def from_function(cls, grid, fn, support_radius, **kw):
-        qx, qy = grid.nodes()
-        pts = np.stack([qx, qy], axis=-1)
-        img = fn(pts)
-        return cls(grid.with_values(img[..., 0]), grid.with_values(img[..., 1]),
-                   support_radius, **kw)
+        return cls.from_node_images(grid, fn(np.stack(grid.nodes(), axis=-1)),
+                                    support_radius, **kw)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -182,8 +176,7 @@ class PlaneMap:
 
         def deriv(vals, axis):
             d = np.gradient(vals, h, axis=axis, edge_order=2)
-            core = (np.roll(vals, -2, axis) - 8 * np.roll(vals, -1, axis)
-                    + 8 * np.roll(vals, 1, axis) - np.roll(vals, 2, axis)) / (-12.0 * h)
+            core = centered_diff4(vals, h, axis)
             sl = [slice(None)] * 2
             sl[axis] = slice(2, -2)
             d[tuple(sl)] = core[tuple(sl)]
@@ -266,29 +259,31 @@ class PlaneMap:
         """Inverse map, from stored backward-flow grids or Newton inversion."""
         if self._inverse_grids is not None:
             ix, iy = self._inverse_grids
-            return PlaneMap(ix, iy, self.support_radius, self.jacobian_tolerance,
-                            inverse_grids=(self.grid_x, self.grid_y))
-        grid = self.template
-        qx, qy = grid.nodes()
-        nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
-        r = np.hypot(nodes[:, 0], nodes[:, 1])
-        inner = r < self.support_radius
-        sol = nodes.copy()
-        sol[inner] = self.newton_invert(nodes[inner])
-        ix = grid.with_values(sol[:, 0].reshape(qx.shape))
-        iy = grid.with_values(sol[:, 1].reshape(qx.shape))
+        else:
+            ix, iy = _node_grids(self.template, self.solve_at_nodes())
         return PlaneMap(ix, iy, self.support_radius, self.jacobian_tolerance,
                         inverse_grids=(self.grid_x, self.grid_y))
+
+    def solve_at_nodes(self, **newton_kw):
+        """y with self(y) = q for every template node q inside the support.
+
+        Nodes outside the support keep y = q.  Returns an (n*n, 2) array
+        in node order; newton_kw is passed to newton_invert.
+        """
+        qx, qy = self.template.nodes()
+        nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
+        inner = np.hypot(nodes[:, 0], nodes[:, 1]) < self.support_radius
+        sol = nodes.copy()
+        sol[inner] = self.newton_invert(nodes[inner], **newton_kw)
+        return sol
 
     def compose(self, other):
         """self after other, sampled on other's grid."""
         grid = other.template
-        qx, qy = grid.nodes()
-        mid = other(np.stack([qx, qy], axis=-1))
-        img = self(mid)
+        img = self(other(np.stack(grid.nodes(), axis=-1)))
         support = max(self.support_radius, other.support_radius)
-        return PlaneMap(grid.with_values(img[..., 0]), grid.with_values(img[..., 1]),
-                        support, self.jacobian_tolerance)
+        return PlaneMap.from_node_images(grid, img, support,
+                                         jacobian_tolerance=self.jacobian_tolerance)
 
     # -- serialization -------------------------------------------------------
 
@@ -326,16 +321,10 @@ def flow_map(H, t, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH, with_inverse=False)
     qx, qy = grid.nodes()
     nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
     img = integrate_points(H, 0.0, t, nodes, dt, h_d)
-    fwd_x = grid.with_values(img[:, 0].reshape(qx.shape))
-    fwd_y = grid.with_values(img[:, 1].reshape(qx.shape))
     inv_grids = None
     if with_inverse:
-        back = integrate_points(H, t, 0.0, nodes, dt, h_d)
-        inv_grids = (
-            grid.with_values(back[:, 0].reshape(qx.shape)),
-            grid.with_values(back[:, 1].reshape(qx.shape)),
-        )
-    return PlaneMap(fwd_x, fwd_y, support, inverse_grids=inv_grids)
+        inv_grids = _node_grids(grid, integrate_points(H, t, 0.0, nodes, dt, h_d))
+    return PlaneMap.from_node_images(grid, img, support, inverse_grids=inv_grids)
 
 
 @dataclass
@@ -369,18 +358,8 @@ def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH,
         inv_grids = None
         if with_inverse:
             back = integrate_points(H, times[k + 1], 0.0, nodes.copy(), dt, h_d)
-            inv_grids = (
-                grid.with_values(back[:, 0].reshape(qx.shape)),
-                grid.with_values(back[:, 1].reshape(qx.shape)),
-            )
-        maps.append(
-            PlaneMap(
-                grid.with_values(pts[:, 0].reshape(qx.shape)),
-                grid.with_values(pts[:, 1].reshape(qx.shape)),
-                support,
-                inverse_grids=inv_grids,
-            )
-        )
+            inv_grids = _node_grids(grid, back)
+        maps.append(PlaneMap.from_node_images(grid, pts, support, inverse_grids=inv_grids))
     return HamiltonianPath(H, list(times), maps)
 
 
@@ -397,6 +376,13 @@ def _simpson_weights(n):
     return w / 3.0
 
 
+def time_simpson(g, nt, t1=1.0):
+    """int_0^t1 g(t) dt by composite Simpson on nt equi-spaced samples."""
+    times = np.linspace(0.0, t1, nt)
+    vals = np.array([g(t) for t in times])
+    return float(np.sum(_simpson_weights(nt) * vals) * (times[1] - times[0]))
+
+
 def osc_on_grid(H, t, grid):
     """max - min of H(t, .) over grid nodes in the closed unit disc."""
     qx, qy = grid.nodes()
@@ -411,10 +397,7 @@ def hofer_length(H, grid=None, nt=129):
     """Hofer length: time integral of the oscillation of H_t (Simpson)."""
     if grid is None:
         grid = square_grid(257)
-    times = np.linspace(0.0, 1.0, nt)
-    oscs = np.array([osc_on_grid(H, t, grid) for t in times])
-    w = _simpson_weights(nt)
-    return float(np.sum(w * oscs) * (times[1] - times[0]))
+    return time_simpson(lambda t: osc_on_grid(H, t, grid), nt)
 
 
 def _c0_one_sided(phi, psi):
@@ -437,19 +420,3 @@ def c0_distance(phi, psi, with_inverses=True):
         psi_inv = psi.inverse()
         d = max(d, _c0_one_sided(phi_inv, psi_inv), _c0_one_sided(psi_inv, phi_inv))
     return d
-
-
-def ham_distance(H, K, grid=None, nt=17, dt=1e-3):
-    """d_ham = C0 path distance + Hofer length of the difference path."""
-    from .calabi import compose_dev
-
-    if grid is None:
-        grid = square_grid(257)
-    path_h = hamiltonian_path(H, nt, grid, dt, with_inverse=True)
-    path_k = hamiltonian_path(K, nt, grid, dt, with_inverse=True)
-    c0 = max(
-        c0_distance(mh, mk)
-        for mh, mk in zip(path_h.maps, path_k.maps)
-    )
-    diff = compose_dev(H, K, flows=(path_h, path_k))
-    return c0 + hofer_length(diff, grid, nt=2 * nt - 1)

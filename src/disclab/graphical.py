@@ -9,15 +9,14 @@ of a closed one-form, recovered node-by-node by Newton inversion of
 kappa; its potential is the generating function of the map.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chart import jmap
-from .calabi import plaquette_circulation
+from .calabi import plaquette_circulation, ray_primitives
 from .flows import NewtonError, PlaneMap
-from .grids import GridField2D, square_grid
+from .grids import GridField2D, centered_diff4, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +75,9 @@ def midpoint_map(phi, a=1.0):
             raise ValueError(f"scale must lie in (0, 1], got {a}")
         lo, hi = grid.extent
         target = square_grid(grid.n, extent=a * hi[0])
-    qx, qy = target.nodes()
-    y = np.stack([qx, qy], axis=-1)
-    img = a * phi(y / a)
-    mid = 0.5 * (y + img)
-    return PlaneMap(
-        target.with_values(mid[..., 0]),
-        target.with_values(mid[..., 1]),
-        a * phi.support_radius,
-    )
+    y = np.stack(target.nodes(), axis=-1)
+    mid = 0.5 * (y + a * phi(y / a))
+    return PlaneMap.from_node_images(target, mid, a * phi.support_radius)
 
 
 def _min_det_inside(kappa):
@@ -168,14 +161,7 @@ class OneFormField:
     def _node_curl(self):
         """d alpha at interior nodes by 4th-order centered stencils."""
         h = self.a1.spacing
-
-        def deriv(vals, axis):
-            return (
-                np.roll(vals, -2, axis) - 8.0 * np.roll(vals, -1, axis)
-                + 8.0 * np.roll(vals, 1, axis) - np.roll(vals, 2, axis)
-            ) / (-12.0 * h)
-
-        curl = deriv(self.a2.values, 0) - deriv(self.a1.values, 1)
+        curl = centered_diff4(self.a2.values, h, 0) - centered_diff4(self.a1.values, h, 1)
         return curl[2:-2, 2:-2]
 
     def symmetry_defect(self, rng=None, n_pairs=256):
@@ -213,12 +199,8 @@ def recover_one_form(phi, delta=1e-3, newton_tol=1e-10):
     kappa = midpoint_map(phi, 1.0)
     grid = kappa.template
     qx, qy = grid.nodes()
-    nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
-    r = np.hypot(nodes[:, 0], nodes[:, 1])
-    inner = r < kappa.support_radius
-    y = nodes.copy()
     try:
-        y[inner] = kappa.newton_invert(nodes[inner], tol=newton_tol)
+        y = kappa.solve_at_nodes(tol=newton_tol)
     except NewtonError as exc:
         raise NewtonError(
             f"one-form recovery failed at chart node {exc.point}", exc.point
@@ -242,8 +224,6 @@ def integrate_generating(alpha, base_value=0.0, circulation_tol=5e-4,
     column-ray family provides the path-independence monitor.  Rejects
     one-forms whose plaquette circulation exceeds circulation_tol.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     residual = alpha.closedness_residual()
     if residual > circulation_tol:
         raise ValueError(
@@ -251,13 +231,9 @@ def integrate_generating(alpha, base_value=0.0, circulation_tol=5e-4,
             "not closed enough to integrate"
         )
     grid = alpha.template
-    h = grid.spacing
-    g_rows = base_value + cumulative_trapezoid(
-        alpha.a1.values, dx=h, axis=0, initial=0.0
-    )
-    g_cols = base_value + cumulative_trapezoid(
-        alpha.a2.values, dx=h, axis=1, initial=0.0
-    )
+    rows, cols = ray_primitives(alpha.a1.values, alpha.a2.values, grid.spacing)
+    g_rows = base_value + rows
+    g_cols = base_value + cols
     path_independence = float(np.max(np.abs(g_rows - g_cols)))
     g = grid.with_values(g_rows)
     if full_output:
@@ -279,15 +255,9 @@ def family_from_one_form(alpha, r):
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"family parameter must lie in [0, 1], got {r}")
     grid = alpha.template
-    qx, qy = grid.nodes()
-    q = np.stack([qx, qy], axis=-1)
-    av = alpha(q)
-    psi_vals = q - 0.5 * r * jmap(av)
-    psi = PlaneMap(
-        grid.with_values(psi_vals[..., 0]),
-        grid.with_values(psi_vals[..., 1]),
-        alpha.support_radius,
-    )
+    q = np.stack(grid.nodes(), axis=-1)
+    psi = PlaneMap.from_node_images(grid, q - 0.5 * r * jmap(alpha(q)),
+                                    alpha.support_radius)
     min_det = _min_det_inside(psi)
     if min_det <= 0.0:
         raise ValueError(
@@ -297,35 +267,20 @@ def family_from_one_form(alpha, r):
         )
     if r == 0.0:
         return PlaneMap.identity(grid, alpha.support_radius)
-    nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
-    rr = np.hypot(nodes[:, 0], nodes[:, 1])
-    inner = rr < alpha.support_radius
-    qsol = nodes.copy()
-    qsol[inner] = psi.newton_invert(nodes[inner])
-    img = 2.0 * qsol - nodes
-    return PlaneMap(
-        grid.with_values(img[:, 0].reshape(qx.shape)),
-        grid.with_values(img[:, 1].reshape(qx.shape)),
-        alpha.support_radius,
-    )
+    img = 2.0 * psi.solve_at_nodes() - q.reshape(-1, 2)
+    return PlaneMap.from_node_images(grid, img, alpha.support_radius)
 
 
 def family_min_det(alpha, r_samples):
     """min over nodes of det d(psi_r) for each r (monotone-bound diagnostic)."""
     grid = alpha.template
-    qx, qy = grid.nodes()
-    q = np.stack([qx, qy], axis=-1)
-    av = alpha(q)
-    out = []
-    for r in r_samples:
-        psi_vals = q - 0.5 * r * jmap(av)
-        psi = PlaneMap(
-            grid.with_values(psi_vals[..., 0]),
-            grid.with_values(psi_vals[..., 1]),
-            alpha.support_radius,
-        )
-        out.append(_min_det_inside(psi))
-    return out
+    q = np.stack(grid.nodes(), axis=-1)
+    jav = jmap(alpha(q))
+    return [
+        _min_det_inside(PlaneMap.from_node_images(grid, q - 0.5 * r * jav,
+                                                  alpha.support_radius))
+        for r in r_samples
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +353,8 @@ def _rescaled_map(phi, a):
     grid = phi.template
     lo, hi = grid.extent
     target = square_grid(grid.n, extent=a * hi[0])
-    ix, iy = phi.node_images()
-    return PlaneMap(
-        target.with_values(a * ix),
-        target.with_values(a * iy),
-        a * phi.support_radius,
-    )
+    img = a * np.stack(phi.node_images(), axis=-1)
+    return PlaneMap.from_node_images(target, img, a * phi.support_radius)
 
 
 def trace_chain_dgada(family, a, h_a, probe_points):

@@ -10,7 +10,7 @@ interpolant reproduces the stored node values exactly.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -194,6 +194,16 @@ def square_grid(n=256, extent=1.05, interpolation_order=3):
     return GridField2D(
         (-extent, -extent), spacing, np.zeros((n, n)), interpolation_order
     )
+
+
+def centered_diff4(values, spacing, axis):
+    """Derivative of node values along axis by the 4th-order centered stencil.
+
+    The stencil wraps around the array ends, so only entries at least two
+    nodes away from the border along axis are valid.
+    """
+    return (np.roll(values, -2, axis) - 8.0 * np.roll(values, -1, axis)
+            + 8.0 * np.roll(values, 1, axis) - np.roll(values, 2, axis)) / (-12.0 * spacing)
 
 
 def sample(grid, fn):

@@ -1,18 +1,9 @@
-"""Kernel backend selection: compiled extension if available, numpy otherwise.
+"""Kernel backend selection: compiled extension if available, numpy otherwise."""
 
-Set DISCLAB_PURE_PYTHON=1 to force the numpy lane (used by the lane
-equivalence tests and the benchmark).
-"""
-
-import os
-
-if os.environ.get("DISCLAB_PURE_PYTHON"):
+try:
+    from . import _kernels as _impl
+except ImportError:
     from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl
-    except ImportError:
-        from . import _kernels_py as _impl
 
 BACKEND = _impl.BACKEND
 rk4_bump_flow = _impl.rk4_bump_flow

@@ -17,13 +17,12 @@ c is the sphere-normalization offset of the Hamiltonian.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calabi import normalize_on_sphere
 from .chart import jmap
-from .fields import ScalarTimeField
 from .flows import flow_map, integrate_points, _simpson_weights
 from .graphical import (OneFormField, integrate_generating, is_graphical,
                         recover_one_form)
@@ -85,6 +84,32 @@ def classical_action(chart_hamiltonian, times, trajectory):
 # basic generating function from lifted trajectories
 
 
+def lifted_action(F, ham, seeds, times, dt):
+    """Lift seeds y along the flow of F; yield (q, p, f, h) at each time.
+
+    q = (phi^u(y) + y) / 2 and p = -j(phi^u(y) - y) are the chart
+    coordinates of the graph point, f = ham(u, phi^u(y)), and h is the
+    action int p . dq - int ham du, both by the trapezoid rule.  seeds has
+    shape (N, 2); times starts at 0.
+    """
+    pts = seeds
+    q = seeds.copy()
+    p = np.zeros_like(seeds)
+    f = ham(0.0, seeds)
+    h = np.zeros(seeds.shape[0])
+    yield q, p, f, h
+    for k in range(len(times) - 1):
+        pts = integrate_points(F, times[k], times[k + 1], pts, dt)
+        cur_q = 0.5 * (pts + seeds)
+        cur_p = -jmap(pts - seeds)
+        cur_f = ham(times[k + 1], pts)
+        du = times[k + 1] - times[k]
+        h = h + 0.5 * np.sum((p + cur_p) * (cur_q - q), axis=1)
+        h = h - 0.5 * du * (f + cur_f)
+        q, p, f = cur_q, cur_p, cur_f
+        yield q, p, f, h
+
+
 @dataclass
 class GraphSamples:
     """Scattered graph of the time-t map with generating-function values."""
@@ -131,26 +156,14 @@ def basic_generating(F, t=1.0, grid=None, dt=1e-3, nu=101, normalized=True,
     else:
         ham = F
     times = np.linspace(0.0, t, nu)
-    pts = flat.copy()
-    action = np.zeros(flat.shape[0])
-    prev_q = flat.copy()                       # q(0) = y
-    prev_p = np.zeros_like(flat)               # p(0) = 0
-    prev_f = ham(0.0, flat)
-    for k in range(nu - 1):
-        pts = integrate_points(F, times[k], times[k + 1], pts, dt)
-        cur_q = 0.5 * (pts + flat)
-        cur_p = -jmap(pts - flat)
-        cur_f = ham(times[k + 1], pts)
-        du = times[k + 1] - times[k]
-        action += 0.5 * np.sum((prev_p + cur_p) * (cur_q - prev_q), axis=1)
-        action -= 0.5 * du * (prev_f + cur_f)
-        prev_q, prev_p, prev_f = cur_q, cur_p, cur_f
+    for q, p, _, h in lifted_action(F, ham, flat, times, dt):
+        pass
     shape = qx.shape
     return GraphSamples(
         seeds,
-        prev_q.reshape(shape + (2,)),
-        prev_p.reshape(shape + (2,)),
-        action.reshape(shape),
+        q.reshape(shape + (2,)),
+        p.reshape(shape + (2,)),
+        h.reshape(shape),
         grid.spacing,
     )
 
@@ -331,26 +344,7 @@ def suspension_check(F, probes=None, nt=41, dt=1e-3, h_q=1e-3, domain=None,
     )
     seeds = (probes[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
     times = np.linspace(0.0, 1.0, nt)
-    pts = seeds.copy()
-    action = np.zeros(seeds.shape[0])
-    hist_q = [0.5 * (pts + seeds)]
-    hist_p = [-jmap(pts - seeds)]
-    hist_h = [action.copy()]
-    hist_f = [nf(0.0, pts)]
-    prev_q, prev_p, prev_f = hist_q[0], hist_p[0], hist_f[0]
-    for k in range(nt - 1):
-        pts = integrate_points(F, times[k], times[k + 1], pts, dt)
-        cur_q = 0.5 * (pts + seeds)
-        cur_p = -jmap(pts - seeds)
-        cur_f = nf(times[k + 1], pts)
-        du = times[k + 1] - times[k]
-        action += 0.5 * np.sum((prev_p + cur_p) * (cur_q - prev_q), axis=1)
-        action -= 0.5 * du * (prev_f + cur_f)
-        hist_q.append(cur_q)
-        hist_p.append(cur_p)
-        hist_h.append(action.copy())
-        hist_f.append(cur_f)
-        prev_q, prev_p, prev_f = cur_q, cur_p, cur_f
+    hist_q, hist_p, hist_f, hist_h = zip(*lifted_action(F, nf, seeds, times, dt))
     hq = np.array(hist_q).reshape(nt, -1, 5, 2)
     hp = np.array(hist_p).reshape(nt, -1, 5, 2)
     hh = np.array(hist_h).reshape(nt, -1, 5)

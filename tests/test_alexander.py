@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import alexander as alx
 from disclab.calabi import cal_path
 from disclab.fields import loop_bump, radial_bump, zero_field
-from disclab.flows import integrate_points
+from disclab.flows import hofer_length, integrate_points
 from disclab.grids import square_grid
 
 
@@ -112,6 +114,20 @@ def test_shrinking_sequence_exact_laws(bump):
               for i in range(1, len(diags))]
     for r in ratios:
         assert r == pytest.approx(4.0, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=20)
+@given(a=st.floats(1.0 / 32.0, 1.0), amp=st.floats(0.01, 0.2), m=st.integers(2, 6))
+def test_shrinking_member_quadratures(a, amp, m):
+    """Member Cal and Hofer length are cal_path and hofer_length; Cal scales as a^4."""
+    H = radial_bump(amp=amp, rho=0.8, m=m)
+    grid = square_grid(65)
+    (member,) = alx.shrinking_calabi_sequence(H, [a], node_count=65, nt=33)
+    base = cal_path(H, grid, 33)
+    assert member.cal == pytest.approx(base, rel=1e-12)
+    assert member.hofer_len == pytest.approx(hofer_length(H, grid, 33) / a**2, rel=1e-12)
+    rescaled = cal_path(alx.rescale(H, a).hamiltonian, square_grid(65, extent=1.05 * a), 33)
+    assert rescaled == pytest.approx(a**4 * base, rel=1e-12)
 
 
 def test_shrinking_sequence_validation(bump):

@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.chart import (ChartPoint, from_chart, from_chart_point, graph_chart,
-                           jmap, to_chart, to_chart_point)
+from disclab.chart import from_chart, jmap, to_chart
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -65,20 +64,3 @@ def test_inverse_uses_half_j():
     x, y = from_chart(bq, bp)
     assert np.allclose(x, bq + 0.5 * jmap(bp))
     assert np.allclose(y, bq - 0.5 * jmap(bp))
-
-
-def test_chart_point_round_trip():
-    cp = to_chart_point((1.0, 2.0), (0.5, -0.5))
-    assert isinstance(cp, ChartPoint)
-    x, y = from_chart_point(cp)
-    assert np.allclose(x, (1.0, 2.0))
-    assert np.allclose(y, (0.5, -0.5))
-
-
-def test_graph_chart_matches_to_chart(rng):
-    y = rng.normal(size=(10, 2))
-    img = y + 0.1
-    bq1, bp1 = graph_chart(img, y)
-    bq2, bp2 = to_chart(img, y)
-    assert np.array_equal(bq1, bq2)
-    assert np.array_equal(bp1, bp2)

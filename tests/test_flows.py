@@ -183,6 +183,21 @@ def test_hamiltonian_path_structure(bump):
     assert path.map_at(0.5) is path.maps[2]
 
 
+def test_path_start_is_its_own_inverse(bump, monkeypatch):
+    grid = square_grid(65)
+    path = hamiltonian_path(bump, nt=3, grid=grid, dt=2e-3, with_inverse=True)
+
+    def no_newton(self, *args, **kwargs):
+        raise AssertionError("the identity map was Newton-inverted")
+
+    monkeypatch.setattr(PlaneMap, "newton_invert", no_newton)
+    nodes = np.stack(grid.nodes(), axis=-1)
+    inv = path.maps[0].inverse()
+    assert np.array_equal(np.stack(inv.node_images(), axis=-1), nodes)
+    # the cubic spline reproduces its node values up to rounding
+    assert np.max(np.abs(inv(nodes) - nodes)) < 1e-15
+
+
 def test_path_endpoint_matches_flow_map(bump):
     grid = square_grid(65)
     path = hamiltonian_path(bump, nt=5, grid=grid, dt=1e-3)
