@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled flow kernel against the pure-numpy fallback.
+"""Benchmark every available flow-kernel lane on one radial-bump flow.
 
-Both lanes run the identical RK4 advance of a bump-family Hamiltonian
-flow over the same point cloud; the script reports wall time per lane,
-the speedup, and the maximum deviation between the two results (which
-should sit at rounding level since the algorithms are identical).
+Each lane runs the same RK4 advance of a radial bump's time-one flow
+over the same point cloud.  Per lane the script reports wall time,
+point-steps per second and the maximum error against the exact rotation
+(`SeparableBump.exact_flow`), so a kernel change shows its accuracy next
+to its speed.  Every other lane is also compared with the numpy lane:
+speedup and maximum deviation (rounding level, since the algorithms are
+identical).
 
 Usage: python3 scripts/benchmark_kernels.py [--points N] [--steps M]
 """
@@ -14,6 +17,8 @@ import time
 
 import numpy as np
 
+from disclab import _kernels_py
+from disclab.fields import radial_bump
 from disclab.kernels import backends
 
 
@@ -40,6 +45,7 @@ def main():
     cx = np.zeros(levels)
     cy = np.zeros(levels)
 
+    exact = radial_bump(amp=amp, rho=rho, m=m).exact_flow(0.0, 1.0, pts)
     lanes = backends()
     print(f"lanes available : {', '.join(sorted(lanes))}")
     print(f"workload        : {args.points} points x {args.steps} RK4 steps")
@@ -54,13 +60,17 @@ def main():
             best = min(best, elapsed)
         results[name] = (best, out)
         rate = args.points * args.steps / best / 1e6
-        print(f"{name:>8} lane : {best:8.3f} s   ({rate:7.1f} M point-steps/s)")
-    if len(results) == 2:
-        t_np, out_np = results["numpy"]
-        t_cy, out_cy = results["cython"]
-        dev = float(np.max(np.abs(out_np - out_cy)))
-        print(f"speedup         : {t_np / t_cy:.1f}x (cython over numpy)")
-        print(f"lane deviation  : {dev:.3e}")
+        err = float(np.max(np.abs(out - exact)))
+        print(f"{name:>8} lane : {best:8.3f} s   ({rate:7.1f} M point-steps/s)"
+              f"   max error vs exact {err:.3e}")
+    base = _kernels_py.BACKEND
+    t_base, out_base = results[base]
+    for name, (elapsed, out) in sorted(results.items()):
+        if name == base:
+            continue
+        dev = float(np.max(np.abs(out - out_base)))
+        print(f"{name:>8} lane : {t_base / elapsed:.1f}x over {base}, "
+              f"deviation {dev:.3e}")
 
 
 if __name__ == "__main__":

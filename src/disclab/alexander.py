@@ -192,7 +192,6 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
     if grid is None:
         grid = square_grid(129)
     qx, qy = grid.nodes()
-    nodes = np.stack([qx, qy], axis=-1)
     times = np.linspace(0.0, 1.0, nt)
     all_values = []
     support = family.support_radius
@@ -210,7 +209,7 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
         ]
         integrands = []
         for k, u in enumerate(times):
-            y = path_mid.maps[k].inverse()(nodes)
+            y = np.stack(path_mid.maps[k].inverse().node_images(), axis=-1)
             val = np.zeros_like(qx)
             for Hs, path_s, coeff in sidearms:
                 val += coeff * Hs(u, path_s.maps[k](y))
@@ -275,11 +274,6 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
         raise ValueError("scales must be strictly decreasing")
     if H.support_radius is None:
         raise ValueError("need a compactly supported Hamiltonian")
-    base_grid = grid if grid is not None else square_grid(node_count)
-    base_cal = cal_path(H, base_grid if grid is not None else None, nt)
-    if abs(base_cal) < 1e-12:
-        raise ValueError("the base path has zero Calabi invariant; "
-                         "the sequence would be trivial")
     exact = isinstance(H, SeparableBump) and H.is_radial()
     out = []
     for a in scales:
@@ -301,6 +295,10 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
         else:
             member_grid = square_grid(node_count, extent=1.05 * a)
         cal = cal_path(member, member_grid, nt)
+        # every member carries the base Calabi invariant (the a^4 law)
+        if abs(cal) < 1e-12:
+            raise ValueError("the base path has zero Calabi invariant; "
+                             "the sequence would be trivial")
         hofer = hofer_length(member, member_grid, nt)
         if exact:
             mnodes = np.stack(member_grid.nodes(), axis=-1)
@@ -356,7 +354,7 @@ def rescaling_k_decomposition(sham, H, s, grid=None):
     acc = np.zeros_like(qx)
     times = sham.t_samples
     for k, u in enumerate(times):
-        y = path.maps[k].inverse()(pts)
+        y = np.stack(path.maps[k].inverse().node_images(), axis=-1)
         ys = y / s
 
         def hbar(z, u=u):

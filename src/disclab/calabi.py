@@ -172,7 +172,8 @@ class NormalizedField:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def offset(self, t):
-        key = round(float(t), 12)
+        # an autonomous base has one offset for every t
+        key = 0.0 if self.base.is_autonomous else round(float(t), 12)
         if key not in self._cache:
             self._cache[key] = (
                 spatial_integral(self.base, key, self.grid) / self.domain.sphere_volume
@@ -197,6 +198,10 @@ class NormalizedField:
     @property
     def support_radius(self):
         return self.base.support_radius
+
+    @property
+    def is_autonomous(self):
+        return self.base.is_autonomous
 
     @property
     def smoothness_order(self):

@@ -18,6 +18,9 @@ import numpy as np
 class ScalarTimeField:
     """H(t, x) wrapping a vectorized evaluator."""
 
+    # a black-box evaluator makes no promise that it ignores t
+    is_autonomous = False
+
     def __init__(self, evaluator, support_radius, smoothness_order=2):
         self._evaluator = evaluator
         self.support_radius = None if support_radius is None else float(support_radius)
@@ -83,6 +86,11 @@ class SeparableBump(ScalarTimeField):
         if self.tau is not None:
             vals = self.tau(t) * vals
         return vals
+
+    @property
+    def is_autonomous(self):
+        """True when H ignores t: tau == 1 and the bump stays at the origin."""
+        return self.tau is None and self.center is None
 
     def tau_at(self, t):
         return 1.0 if self.tau is None else float(self.tau(t))

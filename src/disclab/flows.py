@@ -344,7 +344,15 @@ class HamiltonianPath:
 
 def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH,
                      with_inverse=False):
-    """Integrate the whole path once, storing maps at nt equi-spaced times."""
+    """Integrate the whole path once, storing maps at nt equi-spaced times.
+
+    The forward sweep runs segment by segment between the stored times.
+    With with_inverse=True each map also stores the node images of its
+    inverse.  For an autonomous H, (phi^t)^{-1} = phi^{-t}, so one
+    backward sweep over the same nt - 1 segments, with the same step
+    count per segment, yields every inverse.  Otherwise the flow is
+    re-integrated from each t_k back to 0.
+    """
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
@@ -352,12 +360,16 @@ def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH,
     qx, qy = grid.nodes()
     nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
     pts = nodes.copy()
+    back = nodes
     maps = [PlaneMap.identity(grid, support)]
     for k in range(nt - 1):
         pts = integrate_points(H, times[k], times[k + 1], pts, dt, h_d)
         inv_grids = None
         if with_inverse:
-            back = integrate_points(H, times[k + 1], 0.0, nodes.copy(), dt, h_d)
+            if H.is_autonomous:
+                back = integrate_points(H, times[k + 1], times[k], back, dt, h_d)
+            else:
+                back = integrate_points(H, times[k + 1], 0.0, nodes, dt, h_d)
             inv_grids = _node_grids(grid, back)
         maps.append(PlaneMap.from_node_images(grid, pts, support, inverse_grids=inv_grids))
     return HamiltonianPath(H, list(times), maps)

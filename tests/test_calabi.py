@@ -161,6 +161,26 @@ def test_normalized_field_values(bump):
     assert vals[1] == pytest.approx(-c, rel=1e-12)
 
 
+@pytest.mark.parametrize("H, integrals", [(radial_bump(amp=0.05), 1),
+                                           (loop_bump(amp=0.05), 3)])
+def test_normalized_offset_integrates_once_per_distinct_field(H, integrals,
+                                                              monkeypatch):
+    import disclab.calabi as cb
+
+    calls = []
+    integral = cb.spatial_integral
+
+    def counting(field, t, grid):
+        calls.append(t)
+        return integral(field, t, grid)
+
+    monkeypatch.setattr(cb, "spatial_integral", counting)
+    nf = normalize_on_sphere(H, grid=square_grid(65))
+    offsets = [nf.offset(t) for t in (0.0, 0.25, 0.5, 0.25)]
+    assert len(calls) == integrals
+    assert offsets[1] == offsets[3]
+
+
 def test_flow_normalization_check_small(bump):
     grid = square_grid(129)
     nf = normalize_on_sphere(bump, grid=grid)

@@ -86,6 +86,20 @@ def test_amplified():
     assert K.support_radius == H.support_radius
 
 
+@pytest.mark.parametrize("H, autonomous", [
+    (radial_bump(), True),
+    (radial_bump().scaled(0.5), True),
+    (radial_bump().rescaled(0.5), True),
+    (radial_bump().amplified(3.0), True),
+    (loop_bump(), False),
+    (moving_bump(), False),
+    (radial_bump().reparametrized(lambda t: t * t, lambda t: 2.0 * t), False),
+    (zero_field(), False),
+])
+def test_is_autonomous(H, autonomous):
+    assert H.is_autonomous is autonomous
+
+
 def test_reparametrized_chain_rule():
     H = radial_bump(amp=0.05, rho=0.8, m=4)
     chi = lambda t: t * t

@@ -1,10 +1,14 @@
 """RK4 flows, grid maps, Newton inversion, and the path-space metrics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disclab import kernels
-from disclab.fields import radial_bump, twist_bump, zero_field
+from disclab import _kernels_py, kernels
+from disclab.fields import loop_bump, moving_bump, radial_bump, twist_bump, zero_field
 from disclab.flows import (PlaneMap, _simpson_weights, c0_distance, flow_map,
                            hamiltonian_path, hofer_length, integrate_flow,
                            integrate_points, osc_on_grid, vector_field)
@@ -95,6 +99,50 @@ def test_kernel_lane_equivalence():
                            tau, cz, cz, 0.8)
         results.append(work)
     assert np.max(np.abs(results[0] - results[1])) < 1e-12
+
+
+def _reference_bump_flow(pts, dt, nsteps, h_d, amp, rho, m, tau, support_radius):
+    """RK4 on the four-call centered-difference field: one bump per stencil point."""
+
+    def bump(x, y, amp_tau):
+        u = 1.0 - (x * x + y * y) / (rho * rho)
+        return amp_tau * np.where(u > 0.0, u, 0.0) ** m
+
+    def field(x, y, amp_tau):
+        vx = (bump(x, y + h_d, amp_tau) - bump(x, y - h_d, amp_tau)) * (0.5 / h_d)
+        vy = -(bump(x + h_d, y, amp_tau) - bump(x - h_d, y, amp_tau)) * (0.5 / h_d)
+        return vx, vy
+
+    out = pts.copy()
+    live = pts[:, 0] ** 2 + pts[:, 1] ** 2 < support_radius**2
+    x, y = pts[live, 0].copy(), pts[live, 1].copy()
+    for k in range(nsteps):
+        a0, a1, a2 = (amp * tau[2 * k + j] for j in range(3))
+        k1x, k1y = field(x, y, a0)
+        k2x, k2y = field(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, a1)
+        k3x, k3y = field(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, a1)
+        k4x, k4y = field(x + dt * k3x, y + dt * k3y, a2)
+        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    out[live, 0] = x
+    out[live, 1] = y
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(m=st.integers(2, 6), amp=st.floats(0.01, 0.2),
+       polar=st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)),
+                      min_size=1, max_size=32))
+def test_numpy_kernel_matches_four_call_reference(m, amp, polar):
+    r, angle = np.array(polar).T
+    pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    nsteps, dt = 25, 1e-2
+    tau = np.linspace(0.5, 1.5, 2 * nsteps + 1)
+    cz = np.zeros_like(tau)
+    got = _kernels_py.rk4_bump_flow(pts.copy(), dt, nsteps, 1e-4, amp, 0.8, m,
+                                    tau, cz, cz, 0.8)
+    want = _reference_bump_flow(pts, dt, nsteps, 1e-4, amp, 0.8, m, tau, 0.8)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_generic_evaluator_matches_bump_kernel():
@@ -196,6 +244,49 @@ def test_path_start_is_its_own_inverse(bump, monkeypatch):
     assert np.array_equal(np.stack(inv.node_images(), axis=-1), nodes)
     # the cubic spline reproduces its node values up to rounding
     assert np.max(np.abs(inv(nodes) - nodes)) < 1e-15
+
+
+def _stored_inverse_nodes(path):
+    return [np.stack([v.ravel() for v in m.inverse().node_images()], axis=-1)
+            for m in path.maps]
+
+
+def _reintegrated_inverse_nodes(H, grid, nt, dt):
+    nodes = np.stack([c.ravel() for c in grid.nodes()], axis=-1)
+    return [integrate_points(H, t, 0.0, nodes, dt) for t in np.linspace(0.0, 1.0, nt)]
+
+
+def test_autonomous_inverses_come_from_one_backward_sweep(monkeypatch):
+    H = radial_bump(amp=0.05, rho=0.8, m=4)
+    grid = square_grid(65)
+    steps = []
+    kernel = kernels.rk4_bump_flow
+
+    def counting(pts, dt, nsteps, *args):
+        steps.append(math.copysign(nsteps, dt))
+        return kernel(pts, dt, nsteps, *args)
+
+    monkeypatch.setattr(kernels, "rk4_bump_flow", counting)
+    path = hamiltonian_path(H, nt=17, grid=grid, dt=4e-3, with_inverse=True)
+    monkeypatch.undo()
+    # one segment per stored time in each direction, with equal step counts
+    forward = [n for n in steps if n > 0]
+    backward = [-n for n in steps if n < 0]
+    assert len(forward) == len(backward) == 16
+    assert forward == backward
+    for got, want in zip(_stored_inverse_nodes(path),
+                         _reintegrated_inverse_nodes(H, grid, 17, 4e-3)):
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("family", [loop_bump, moving_bump])
+def test_nonautonomous_inverses_are_reintegrated(family):
+    H = family(amp=0.05)
+    grid = square_grid(65)
+    path = hamiltonian_path(H, nt=5, grid=grid, dt=4e-3, with_inverse=True)
+    for got, want in zip(_stored_inverse_nodes(path),
+                         _reintegrated_inverse_nodes(H, grid, 5, 4e-3)):
+        assert np.array_equal(got, want)
 
 
 def test_path_endpoint_matches_flow_map(bump):
