@@ -13,14 +13,14 @@ with the gauge K(s, 0, .) = 0 and K = 0 outside all supports.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
 from .flows import hamiltonian_path, hofer_length, integrate_points
-from .grids import square_grid
+from .grids import blend, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +131,35 @@ def alexander_family(H, eta=None):
 
 @dataclass
 class SHamiltonian:
-    """K(s, t, .) sampled on grids, gauge K(s,0,.) = 0 and K = 0 near the boundary."""
+    """K(s, t, .) sampled on grids, gauge K(s,0,.) = 0 and K = 0 near the boundary.
+
+    Between samples K is bilinear in (s, t).  spline_filter is linear, so
+    K(s, t, .) is one grid field whose values and spline coefficients
+    blend those of the (up to four) bracketing grids.
+    """
 
     s_samples: np.ndarray
     t_samples: np.ndarray
     values: list  # values[i][k] : GridField2D of K(s_i, t_k, .)
     support_radius: float
+    # the last blended (s, t) and its grid field: RK4 stages repeat times
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, s, t, points):
-        gi = self._interp(self.s_samples, s)
-        gk = self._interp(self.t_samples, t)
-        (i0, wi), (k0, wk) = gi, gk
-        out = 0.0
-        for di, ci in ((0, 1.0 - wi), (1, wi)):
-            for dk, ck in ((0, 1.0 - wk), (1, wk)):
-                coeff = ci * ck
-                if coeff != 0.0:
-                    out = out + coeff * self.values[i0 + di][k0 + dk](points)
-        return out
+        return self.field_at(s, t)(points)
+
+    def field_at(self, s, t):
+        """K(s, t, .) as one grid field."""
+        if self._last is None or self._last[0] != (s, t):
+            (i0, wi), (k0, wk) = self._interp(self.s_samples, s), self._interp(self.t_samples, t)
+            terms = [
+                (ci * ck, self.values[i0 + di][k0 + dk])
+                for di, ci in ((0, 1.0 - wi), (1, wi))
+                for dk, ck in ((0, 1.0 - wk), (1, wk))
+                if ci * ck != 0.0
+            ]
+            self._last = ((s, t), blend(terms))
+        return self._last[1]
 
     @staticmethod
     def _interp(samples, x):
@@ -158,16 +169,17 @@ class SHamiltonian:
         w = (x - samples[idx]) / (samples[idx + 1] - samples[idx])
         return idx, w
 
-    def field_in_t(self, s):
-        """K(s, ., .) as a path Hamiltonian in t (s fixed)."""
-        return ScalarTimeField(
-            lambda t, pts: self(s, t, pts), self.support_radius, 2
-        )
-
     def time_one_field(self):
-        """s -> K(s, 1, .): the Hamiltonian of the end path s -> phi_{H(s)}^1."""
+        """s -> K(s, 1, .): the Hamiltonian of the end path s -> phi_{H(s)}^1.
+
+        On cubic grids the field carries the analytic gradient of its
+        spline; on linear grids flows fall back to finite differences.
+        """
+        gradient = None
+        if self.values[0][0].interpolation_order == 3:
+            gradient = lambda s, pts: self.field_at(s, 1.0).value_and_gradient(pts)[1]
         return ScalarTimeField(
-            lambda s, pts: self(s, 1.0, pts), self.support_radius, 2
+            lambda s, pts: self(s, 1.0, pts), self.support_radius, 2, gradient=gradient
         )
 
     def gauge_defect(self):

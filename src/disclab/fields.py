@@ -16,13 +16,18 @@ import numpy as np
 
 
 class ScalarTimeField:
-    """H(t, x) wrapping a vectorized evaluator."""
+    """H(t, x) wrapping a vectorized evaluator.
+
+    An optional gradient evaluator returns (dH/dq, dH/dp) with shape
+    (..., 2); flows then use it instead of finite differences.
+    """
 
     # a black-box evaluator makes no promise that it ignores t
     is_autonomous = False
 
-    def __init__(self, evaluator, support_radius, smoothness_order=2):
+    def __init__(self, evaluator, support_radius, smoothness_order=2, gradient=None):
         self._evaluator = evaluator
+        self._gradient = gradient
         self.support_radius = None if support_radius is None else float(support_radius)
         self.smoothness_order = int(smoothness_order)
 
@@ -30,9 +35,25 @@ class ScalarTimeField:
         points = np.asarray(points, dtype=np.float64)
         vals = np.asarray(self._evaluator(t, points), dtype=np.float64)
         if self.support_radius is not None:
-            r = np.hypot(points[..., 0], points[..., 1])
-            vals = np.where(r >= self.support_radius, 0.0, vals)
+            vals = np.where(self._outside(points), 0.0, vals)
         return vals
+
+    @property
+    def has_gradient(self):
+        return self._gradient is not None
+
+    def gradient(self, t, points):
+        """(dH/dq, dH/dp) at points of shape (..., 2), zero outside the support."""
+        if self._gradient is None:
+            raise TypeError("this field carries no gradient evaluator")
+        points = np.asarray(points, dtype=np.float64)
+        grad = np.asarray(self._gradient(t, points), dtype=np.float64)
+        if self.support_radius is not None:
+            grad = np.where(self._outside(points)[..., None], 0.0, grad)
+        return grad
+
+    def _outside(self, points):
+        return np.hypot(points[..., 0], points[..., 1]) >= self.support_radius
 
     def scaled(self, factor):
         return ScalarTimeField(

@@ -4,7 +4,12 @@ All fields live on uniform square grids.  A grid node (i, j) sits at
 ``origin + (i*spacing, j*spacing)`` and ``values[i, j]`` stores the sample
 there (x-index first).  Interpolation is linear (order 1) or cubic spline
 (order 3, the default); cubic coefficients are prefiltered so the
-interpolant reproduces the stored node values exactly.
+interpolant reproduces the stored node values exactly.  Grid-backed
+fields differentiate that spline analytically: ``value_and_gradient``
+returns the value and both partials of the cubic interpolant from one
+gather of its 4x4 coefficient taps.  ``blend`` forms a linear combination
+of grid fields by combining their values and spline coefficients, so the
+blend is evaluated once instead of term by term.
 """
 
 import io
@@ -125,6 +130,55 @@ class GridField2D:
             )
         return out.reshape(shape)
 
+    def value_and_gradient(self, points):
+        """Value and gradient of the cubic spline at points of shape (..., 2).
+
+        Returns (value, grad) with grad[..., 0] = df/dx and grad[..., 1] =
+        df/dy.  Both come from one gather of the 4x4 coefficient taps of
+        each point, weighted by the cubic B-spline and its derivative.
+        The value agrees with ``__call__`` up to rounding.  Points off the
+        extent and linear grids raise ValueError: the spline is neither
+        extrapolated nor replaced by a cruder derivative.
+        """
+        if self.interpolation_order != 3:
+            raise ValueError("value_and_gradient needs a cubic (order 3) grid")
+        pts = np.asarray(points, dtype=np.float64)
+        shape = pts.shape[:-1]
+        flat = pts.reshape(-1, 2)
+        if not self.covers(flat):
+            lo, hi = self.extent
+            raise ValueError(f"points leave the grid extent [{lo}, {hi}]")
+        value = np.empty(len(flat))
+        grad = np.empty((len(flat), 2))
+        # blocks bound the 16-taps-per-point temporaries, which the
+        # allocator then reuses instead of mapping fresh pages per call
+        for start in range(0, len(flat), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            value[block], grad[block] = self._spline_block(flat[block])
+        return value.reshape(shape), grad.reshape(shape + (2,))
+
+    def _spline_block(self, flat):
+        """value_and_gradient for an (N, 2) block already known to lie in the extent."""
+        u = (flat.T - self.origin[:, None]) / self.spacing
+        # the last cell is closed: a point on the upper edge sits at t = 1
+        cell = np.minimum(np.floor(u), self.n - 2)
+        t = u - cell
+        powers = np.empty((4,) + t.shape)
+        powers[0] = 1.0
+        powers[1] = t
+        np.multiply(t, t, out=powers[2])
+        np.multiply(powers[2], t, out=powers[3])
+        # w[kind, tap, axis, point]: kind 0 weighs values, kind 1 d/dt
+        w = (_BSPLINE3 @ powers.reshape(4, -1)).reshape((2, 4) + t.shape)
+        # tap j of each axis, reflected by scipy's mirror rule: j -> -j below
+        # the grid, j -> 2(n-1) - j above it
+        j = np.abs(cell.astype(np.intp)[:, None, :] + _TAP_SHIFTS)
+        j = np.minimum(j, 2 * (self.n - 1) - j)
+        taps = np.take(self._spline_coeffs(), j[0][:, None, :] * self.n + j[1][None, :, :])
+        rows = np.einsum("abn,jbn->jan", taps, w[:, :, 1])
+        m = np.einsum("ian,jan->ijn", w[:, :, 0], rows)
+        return m[0, 0], np.stack([m[1, 0], m[0, 1]], axis=-1) / self.spacing
+
     def gradient(self):
         """Centered-difference gradient as two grid fields (one-sided at edges)."""
         gq, gp = np.gradient(self.values, self.spacing, edge_order=2)
@@ -186,6 +240,44 @@ class GridField2D:
             np.array(payload["values"]),
             payload["interpolation_order"],
         )
+
+
+# points per block of GridField2D.value_and_gradient
+_BLOCK = 1024
+
+# Cubic B-spline weights of the taps -1, 0, 1, 2 of a cell as polynomials
+# in the cell fraction t: row (kind, tap) holds the coefficients of
+# 1, t, t^2, t^3 of the weight (kind 0) or of its t-derivative (kind 1).
+_BSPLINE3 = np.array([
+    [1.0, -3.0, 3.0, -1.0], [4.0, 0.0, -6.0, 3.0],
+    [1.0, 3.0, 3.0, -3.0], [0.0, 0.0, 0.0, 1.0],
+    [-3.0, 6.0, -3.0, 0.0], [0.0, -12.0, 9.0, 0.0],
+    [3.0, 6.0, -9.0, 0.0], [0.0, 0.0, 3.0, 0.0],
+]) / 6.0
+
+
+# taps of a cell relative to its lower node, shaped to broadcast over (axis, tap, point)
+_TAP_SHIFTS = np.arange(-1, 3)[:, None]
+
+
+def blend(terms):
+    """The grid field sum(c * f) of terms [(c, f), ...] on one template.
+
+    spline_filter is linear, so the cubic coefficients of the blend are
+    the same combination of the terms' coefficients; the blend therefore
+    costs one spline evaluation however many terms it has.
+    """
+    f0 = terms[0][1]
+    for _, f in terms[1:]:
+        if (f.values.shape != f0.values.shape or f.spacing != f0.spacing
+                or not np.array_equal(f.origin, f0.origin)
+                or f.interpolation_order != f0.interpolation_order):
+            raise ValueError("blend needs fields on one grid template")
+
+    out = f0.with_values(sum(c * f.values for c, f in terms))
+    if out.interpolation_order == 3:
+        out._coeffs = sum(c * f._spline_coeffs() for c, f in terms)
+    return out
 
 
 def square_grid(n=256, extent=1.05, interpolation_order=3):

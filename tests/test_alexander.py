@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from disclab import alexander as alx
 from disclab.calabi import cal_path
-from disclab.fields import loop_bump, radial_bump, zero_field
-from disclab.flows import hofer_length, integrate_points
-from disclab.grids import square_grid
+from disclab.fields import ScalarTimeField, loop_bump, radial_bump, zero_field
+from disclab.flows import hofer_length, integrate_points, vector_field
+from disclab.grids import sample, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,63 @@ def test_s_flow_reaches_end_map(linear_sham):
     fam, sham = linear_sham
     gap = alx.s_flow_check(sham, fam, grid=square_grid(65))
     assert gap < 5e-3
+
+
+def test_blended_s_hamiltonian_equals_per_grid_sum(rng):
+    g = square_grid(33)
+    s_samples, t_samples = np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.5, 1.0])
+    values = [[g.with_values(rng.normal(size=(33, 33))) for _ in t_samples]
+              for _ in s_samples]
+    sham = alx.SHamiltonian(s_samples, t_samples, values, 0.8)
+    pts = rng.uniform(-1.05, 1.05, size=(300, 2))
+    # interior (s, t), a sample s, and s extrapolated below the first sample
+    for s, t in ((0.4, 0.3), (0.5, 0.7), (0.1, 0.8), (0.0, 1.0)):
+        (i0, wi), (k0, wk) = sham._interp(s_samples, s), sham._interp(t_samples, t)
+        reference = sum(
+            ci * ck * values[i0 + di][k0 + dk](pts)
+            for di, ci in ((0, 1.0 - wi), (1, wi))
+            for dk, ck in ((0, 1.0 - wk), (1, wk))
+        )
+        assert np.max(np.abs(sham(s, t, pts) - reference)) < 1e-14
+
+
+def test_time_one_field_gradient_matches_finite_differences(linear_sham, rng):
+    _, sham = linear_sham
+    K1 = sham.time_one_field()
+    fd = ScalarTimeField(lambda s, pts: sham(s, 1.0, pts), sham.support_radius)
+    assert K1.has_gradient and not fd.has_gradient
+    r = 0.85 * np.sqrt(rng.random(400))
+    angle = 2.0 * np.pi * rng.random(400)
+    pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    for s in (0.05, 0.3, 0.5625, 1.0):
+        analytic = vector_field(K1, s, pts)
+        assert np.max(np.abs(analytic - vector_field(fd, s, pts))) < 1e-7
+        assert np.all(analytic[r >= sham.support_radius] == 0.0)
+
+
+def test_time_one_field_of_linear_grids_uses_finite_differences(bump):
+    g = square_grid(65, interpolation_order=1)
+    k = sample(g, lambda pts: bump(0.0, pts))
+    sham = alx.SHamiltonian(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                            [[g, k], [g, k]], bump.support_radius)
+    assert not sham.time_one_field().has_gradient
+
+
+def test_spline_s_flow_is_the_exact_rotation(bump, rng):
+    # K(s, t, .) = t H on 129 nodes, so the s-flow of K(., 1, .) over
+    # s in [0, 1] is the exact time-one rotation of the radial bump
+    g = square_grid(129)
+    zero, k = g, sample(g, lambda pts: bump(0.0, pts))
+    sham = alx.SHamiltonian(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                            [[zero, k], [zero, k]], bump.support_radius)
+    r = np.concatenate([0.75 * np.sqrt(rng.random(180)), 0.8 + 0.2 * rng.random(20)])
+    angle = 2.0 * np.pi * rng.random(200)
+    pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    out = integrate_points(sham.time_one_field(), 0.0, 1.0, pts, dt=2e-3)
+    inside = r < bump.support_radius
+    exact = bump.exact_flow(0.0, 1.0, pts[inside])
+    assert np.max(np.hypot(*(out[inside] - exact).T)) < 5e-6
+    assert np.array_equal(out[~inside], pts[~inside])
 
 
 def test_rescaling_k_decomposition_consistency(bump):

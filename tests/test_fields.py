@@ -46,6 +46,19 @@ def test_field_sum():
     assert S.support_radius == 0.8
 
 
+def test_gradient_is_masked_like_values():
+    grad = lambda t, pts: np.stack([np.full(pts.shape[:-1], t), pts[..., 0]], axis=-1)
+    H = ScalarTimeField(lambda t, pts: np.ones(pts.shape[:-1]), 0.8, gradient=grad)
+    pts = np.array([[0.1, 0.2], [0.9, 0.0], [0.0, -0.8]])
+    assert H.has_gradient
+    assert np.array_equal(H.gradient(0.5, pts), [[0.5, 0.1], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(H(0.5, pts), [1.0, 0.0, 0.0])
+    plain = ScalarTimeField(lambda t, pts: np.ones(pts.shape[:-1]), 0.8)
+    assert not plain.has_gradient and not radial_bump().has_gradient
+    with pytest.raises(TypeError):
+        plain.gradient(0.0, pts)
+
+
 def test_scaled_keeps_structured_family():
     H = radial_bump(amp=0.05, rho=0.8, m=4)
     K = H.scaled(0.5)

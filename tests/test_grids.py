@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disclab.grids import (DiscDomain, GridField2D, disc_weights, integrate_disc,
+from disclab.grids import (DiscDomain, GridField2D, blend, disc_weights, integrate_disc,
                            integrate_plane, sample, square_grid)
 
 
@@ -94,6 +96,114 @@ def test_covers():
     assert g.covers(np.array([[0.9, -0.9]]))
     assert not g.covers(np.array([[1.2, 0.0]]))
     assert g.covers(np.array([[1.2, 0.0]]), margin=0.3)
+
+
+# ---------------------------------------------------------------------------
+# analytic spline gradient
+
+
+def _extent_points(f, rng, count=400):
+    """Points spread over f's extent, with extra ones in the two edge cells
+    of every side, on the edges themselves and at the corners."""
+    lo, hi = f.extent
+    band = 2.0 * f.spacing
+    pts = [rng.uniform(lo, hi, size=(count, 2))]
+    for axis in (0, 1):
+        for near_lo in (True, False):
+            p = rng.uniform(lo, hi, size=(count // 4, 2))
+            p[:, axis] = (rng.uniform(lo[axis], lo[axis] + band, count // 4) if near_lo
+                          else rng.uniform(hi[axis] - band, hi[axis], count // 4))
+            pts.append(p)
+            edge = rng.uniform(lo, hi, size=(8, 2))
+            edge[:, axis] = lo[axis] if near_lo else hi[axis]
+            pts.append(edge)
+    pts.append(np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]]))
+    return np.concatenate(pts)
+
+
+def _centered_fd(f, pts, h=1e-5):
+    """Centered differences of f's interpolant, stencils kept inside the extent.
+
+    Each difference is divided by the distance between its two stencil
+    points as stored, so rounding x +- h at large |x| adds no error.
+    """
+    lo, hi = f.extent
+    pts = np.clip(pts, lo + h, hi - h)
+    grad = []
+    for step in ([h, 0.0], [0.0, h]):
+        up, down = pts + step, pts - step
+        dist = np.hypot(*(up - down).T)
+        grad.append((f(up) - f(down)) / dist)
+    return pts, np.stack(grad, axis=-1)
+
+
+def _check_value_and_gradient(f, pts):
+    value, grad = f.value_and_gradient(pts)
+    assert value.shape == pts.shape[:-1] and grad.shape == pts.shape
+    assert np.max(np.abs(value - f(pts))) < 1e-14
+    inner, fd = _centered_fd(f, pts)
+    assert np.max(np.abs(f.value_and_gradient(inner)[1] - fd)) < 1e-9
+    lo, hi = f.extent
+    for off in ([hi[0] + 1e-9, 0.5 * (lo[1] + hi[1])], [lo[0], lo[1] - 1e-9],
+                [hi[0] + 1.0, hi[1] + 1.0], [np.nan, lo[1]]):
+        with pytest.raises(ValueError):
+            f.value_and_gradient(np.concatenate([pts[:3], [off]]))
+
+
+def test_spline_value_and_gradient_over_the_extent(rng):
+    # even about every edge, as the mirrored spline is, so the spline's
+    # third derivative stays bounded and the FD reference's h^2 bias small
+    g = square_grid(65)
+    lo, hi = g.extent
+    a = math.pi / (hi[0] - lo[0])
+
+    def fn(pts):
+        u, v = pts[..., 0] - lo[0], pts[..., 1] - lo[1]
+        return np.cos(a * u) * np.cos(2.0 * a * v) + 0.3 * np.cos(2.0 * a * u)
+
+    f = sample(g, fn)
+    _check_value_and_gradient(f, _extent_points(f, rng))
+    # and it is the gradient of the sampled function, up to interpolation error
+    inner = rng.uniform(-0.9, 0.9, size=(200, 2))
+    u, v = inner[:, 0] - lo[0], inner[:, 1] - lo[1]
+    exact = np.stack([-a * np.sin(a * u) * np.cos(2 * a * v) - 0.6 * a * np.sin(2 * a * u),
+                      -2 * a * np.cos(a * u) * np.sin(2 * a * v)], axis=-1)
+    assert np.max(np.abs(f.value_and_gradient(inner)[1] - exact)) < 1e-4
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), spacing=st.sampled_from([2.0, 4.0]),
+       origin=st.tuples(st.integers(-64, 64), st.integers(-64, 64)))
+def test_spline_value_and_gradient_on_random_grids(seed, spacing, origin):
+    # The FD reference limits this check, not the spline.  Random node
+    # values make a rough spline, and a spacing of at least 2 keeps the
+    # reference's h^2/6 times third-derivative bias near 2e-10.  A power-of-2
+    # spacing and an integer origin make the stencils' grid coordinates
+    # exact; otherwise their rounding costs up to ulp(64)/h times the slope.
+    rng = np.random.default_rng(seed)
+    f = GridField2D(origin, spacing, rng.uniform(-1.0, 1.0, size=(65, 65)))
+    _check_value_and_gradient(f, _extent_points(f, rng, count=200))
+
+
+def test_value_and_gradient_rejects_linear_grids():
+    f = sample(square_grid(33, interpolation_order=1), lambda pts: pts[..., 0])
+    with pytest.raises(ValueError):
+        f.value_and_gradient(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_blend_is_the_weighted_sum(order, rng):
+    g = square_grid(33, interpolation_order=order)
+    f1 = g.with_values(rng.normal(size=(33, 33)))
+    f2 = g.with_values(rng.normal(size=(33, 33)))
+    b = blend([(0.3, f1), (-1.7, f2)])
+    assert np.array_equal(b.values, 0.3 * f1.values - 1.7 * f2.values)
+    pts = _extent_points(b, rng, count=100)
+    assert np.max(np.abs(b(pts) - (0.3 * f1(pts) - 1.7 * f2(pts)))) < 1e-13
+    # the blended coefficients are those of the blended values
+    assert np.max(np.abs(b(pts) - g.with_values(b.values)(pts))) < 1e-13
+    with pytest.raises(ValueError):
+        blend([(1.0, f1), (1.0, square_grid(33, extent=1.0, interpolation_order=order))])
 
 
 # ---------------------------------------------------------------------------
