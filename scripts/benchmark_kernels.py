@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark every available flow-kernel lane on one radial-bump flow.
+"""Benchmark the bump-flow RK4 kernel on two radial-bump flows.
 
-Each lane runs the same RK4 advance of a radial bump's time-one flow
-over the same point cloud.  Per lane the script reports wall time,
-point-steps per second and the maximum error against the exact rotation
-(`SeparableBump.exact_flow`), so a kernel change shows its accuracy next
-to its speed.  Every other lane is also compared with the numpy lane:
-speedup and maximum deviation (rounding level, since the algorithms are
-identical).
+The kernel (`disclab.kernels.rk4_bump_flow`) advances a radial bump's
+time-one flow over two clouds: a uniform random cloud (30k points by
+default) and the 1,877 live nodes of a 65-node grid, the cloud size of an
+s-Hamiltonian path.  For each cloud the script prints the best wall time,
+M point-steps/s over live points, and the maximum error against the exact
+rotation (`SeparableBump.exact_flow`), so a kernel change shows its
+accuracy next to its speed.
 
-Usage: python3 scripts/benchmark_kernels.py [--points N] [--steps M]
+Usage: PYTHONPATH=src python3 scripts/benchmark_kernels.py [--points N] [--steps M]
 """
 
 import argparse
@@ -17,16 +17,28 @@ import time
 
 import numpy as np
 
-from disclab import _kernels_py
 from disclab.fields import radial_bump
-from disclab.kernels import backends
+from disclab.flows import DEFAULT_FD_WIDTH
+from disclab.grids import square_grid
+from disclab.kernels import rk4_bump_flow
+
+AMP, RHO, M = 0.12, 0.8, 4
 
 
-def run_lane(impl, pts, dt, nsteps, h_d, amp, rho, m, tau, cx, cy, support):
-    work = np.ascontiguousarray(pts.copy())
-    t0 = time.perf_counter()
-    impl.rk4_bump_flow(work, dt, nsteps, h_d, amp, rho, m, tau, cx, cy, support)
-    return time.perf_counter() - t0, work
+def run(pts, nsteps, repeats):
+    """Best wall time, live point-steps/s and max error of one time-one flow."""
+    dt = 1.0 / nsteps
+    tau = np.ones(2 * nsteps + 1)
+    cz = np.zeros_like(tau)
+    best = float("inf")
+    for _ in range(repeats):
+        work = np.ascontiguousarray(pts.copy())
+        t0 = time.perf_counter()
+        rk4_bump_flow(work, dt, nsteps, DEFAULT_FD_WIDTH, AMP, RHO, M, tau, cz, cz, RHO)
+        best = min(best, time.perf_counter() - t0)
+    live = np.count_nonzero(np.hypot(pts[:, 0], pts[:, 1]) < RHO)
+    exact = radial_bump(amp=AMP, rho=RHO, m=M).exact_flow(0.0, 1.0, pts)
+    return best, live, live * nsteps / best, float(np.max(np.abs(work - exact)))
 
 
 def main():
@@ -37,40 +49,16 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
-    pts = rng.uniform(-0.75, 0.75, size=(args.points, 2))
-    dt = 1.0 / args.steps
-    amp, rho, m, support = 0.12, 0.8, 4, 0.8
-    levels = 2 * args.steps + 1
-    tau = np.ones(levels)
-    cx = np.zeros(levels)
-    cy = np.zeros(levels)
-
-    exact = radial_bump(amp=amp, rho=rho, m=m).exact_flow(0.0, 1.0, pts)
-    lanes = backends()
-    print(f"lanes available : {', '.join(sorted(lanes))}")
-    print(f"workload        : {args.points} points x {args.steps} RK4 steps")
-    results = {}
-    for name in sorted(lanes):
-        best = float("inf")
-        for _ in range(args.repeats):
-            elapsed, out = run_lane(
-                lanes[name], pts, dt, args.steps, 1e-4, amp, rho, m,
-                tau, cx, cy, support,
-            )
-            best = min(best, elapsed)
-        results[name] = (best, out)
-        rate = args.points * args.steps / best / 1e6
-        err = float(np.max(np.abs(out - exact)))
-        print(f"{name:>8} lane : {best:8.3f} s   ({rate:7.1f} M point-steps/s)"
-              f"   max error vs exact {err:.3e}")
-    base = _kernels_py.BACKEND
-    t_base, out_base = results[base]
-    for name, (elapsed, out) in sorted(results.items()):
-        if name == base:
-            continue
-        dev = float(np.max(np.abs(out - out_base)))
-        print(f"{name:>8} lane : {t_base / elapsed:.1f}x over {base}, "
-              f"deviation {dev:.3e}")
+    qx, qy = square_grid(65).nodes()
+    clouds = {
+        "random": rng.uniform(-0.75, 0.75, size=(args.points, 2)),
+        "grid-65": np.stack([qx.ravel(), qy.ravel()], axis=-1),
+    }
+    print(f"radial bump amp={AMP} rho={RHO} m={M}, {args.steps} RK4 steps to t = 1")
+    for name, pts in clouds.items():
+        best, live, rate, err = run(pts, args.steps, args.repeats)
+        print(f"{name:>8} : {live:6d} live points  {best:8.3f} s  "
+              f"{rate / 1e6:7.2f} M point-steps/s  max error vs exact {err:.3e}")
 
 
 if __name__ == "__main__":

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"dt must lie in (0, 1e-2], got {self.dt}")
         if self.h_a <= 0.0:
             raise ValueError(f"h_a must be positive, got {self.h_a}")
+        if self.m < 2:
+            raise ValueError(f"m must be >= 2 for a continuous vector field, got {self.m}")
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; choose one of "

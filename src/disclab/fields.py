@@ -4,10 +4,11 @@ A ScalarTimeField evaluates H(t, x) for scalar t and point arrays of shape
 (..., 2), vanishes for |x| >= support_radius, and declares how many
 continuous derivatives it has.  The structured SeparableBump family
 
-    H(t, x) = amp * tau(t) * (1 - |x - c(t)|^2 / rho^2)^m
+    H(t, x) = amp * tau(t) * (1 - |x - c(t)|^2 / rho^2)^m,  m >= 2,
 
-carries enough algebraic structure for the compiled flow kernel and for
-exact rescaling; everything else goes through the generic evaluator path.
+carries enough algebraic structure for the closed-form vector field of the
+bump flow kernel (disclab.kernels) and for exact rescaling; everything
+else goes through the generic evaluator path.
 """
 
 import math
@@ -89,6 +90,9 @@ class SeparableBump(ScalarTimeField):
         self.amp = float(amp)
         self.rho = float(rho)
         self.m = int(m)
+        if self.m < 2:
+            # m = 0 is constant on the support and m = 1 has a discontinuous X_H
+            raise ValueError(f"bump exponent m must be >= 2, got {m}")
         self.tau = tau
         self.center = center
         if support_radius is None:
@@ -122,7 +126,7 @@ class SeparableBump(ScalarTimeField):
         return np.asarray(self.center(t), dtype=np.float64)
 
     def scaled(self, factor):
-        # keep the structured family so flows stay on the compiled kernel
+        # keep the structured family so flows stay on the bump kernel
         return self.amplified(factor)
 
     def rescaled(self, a):

@@ -12,6 +12,7 @@ of grid fields by combining their values and spline coefficients, so the
 blend is evaluated once instead of term by term.
 """
 
+import functools
 import io
 import json
 import math
@@ -305,22 +306,21 @@ def sample(grid, fn):
     return grid.with_values(np.asarray(fn(pts), dtype=np.float64))
 
 
-_WEIGHT_CACHE = {}
-
-
 def disc_weights(grid, radius=1.0, subsample=16):
     """Quadrature weights for integration over the disc |x| <= radius.
 
     Each node owns an h-by-h cell centered at the node; interior cells get
     weight h^2, cells crossing the circle get h^2 times the covered
-    fraction, estimated on a subsample-by-subsample stencil.
+    fraction, estimated on a subsample-by-subsample stencil.  The weights
+    are cached per grid geometry and returned read-only, since callers
+    share them.
     """
-    key = (grid.n, grid.spacing, tuple(grid.origin), radius, subsample)
-    cached = _WEIGHT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    h = grid.spacing
-    qx, qy = grid.nodes()
+    return _disc_weights(grid.n, grid.spacing, tuple(grid.origin), radius, subsample)
+
+
+@functools.lru_cache(maxsize=16)
+def _disc_weights(n, h, origin, radius, subsample):
+    qx, qy = GridField2D(origin, h, np.zeros((n, n))).nodes()
     r = np.hypot(qx, qy)
     half_diag = h * math.sqrt(0.5)
     inside = r <= radius - half_diag
@@ -333,7 +333,7 @@ def disc_weights(grid, radius=1.0, subsample=16):
         sy = qy[bx, by][:, None, None] + h * offs[None, None, :]
         frac = np.mean(np.hypot(sx, sy) <= radius, axis=(1, 2))
         weights[bx, by] = h * h * frac
-    _WEIGHT_CACHE[key] = weights
+    weights.setflags(write=False)
     return weights
 
 

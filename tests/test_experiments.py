@@ -37,6 +37,8 @@ def test_config_defaults():
     {"h_a": -1.0},
     {"family": "unknown"},
     {"tolerances": {"x": -1.0}},
+    {"m": 0},                 # H constant on the support
+    {"m": 1},                 # discontinuous vector field
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):

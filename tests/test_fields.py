@@ -160,6 +160,13 @@ def test_moving_bump_support_validation():
         SeparableBump(amp=1.0, rho=0.25, m=4, center=lambda t: (0.0, 0.0))
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_bump_rejects_low_exponent(m):
+    # m = 0 is constant on the support, m = 1 has a discontinuous X_H
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        SeparableBump(amp=1.0, rho=0.8, m=m)
+
+
 def test_loop_bump_returns_to_start():
     L = loop_bump(amp=0.05, rho=0.8, m=4)
     pts = np.array([[0.3, 0.2]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab import _kernels_py, kernels
+from disclab import kernels
 from disclab.fields import loop_bump, moving_bump, radial_bump, twist_bump, zero_field
 from disclab.flows import (PlaneMap, _simpson_weights, c0_distance, flow_map,
                            hamiltonian_path, hofer_length, integrate_flow,
@@ -38,14 +38,13 @@ def test_rotation_oracle():
 
 
 def test_rk4_fourth_order_convergence():
-    # h_d small enough that the finite-difference bias of the vector
-    # field stays below the dt-error being measured
+    # the bump kernel's field is analytic, so the error is RK4's alone
     H = twist_bump(angle=2.0, rho=0.8, m=4)
     pts = np.array([[0.25, 0.0], [0.45, 0.1], [0.0, 0.55]])
     exact = H.exact_flow(0.0, 1.0, pts)
     err = []
     for dt in (0.05, 0.025):
-        num = integrate_points(H, 0.0, 1.0, pts, dt=dt, h_d=1e-5)
+        num = integrate_points(H, 0.0, 1.0, pts, dt=dt)
         err.append(np.max(np.abs(num - exact)))
     assert err[0] / err[1] >= 14.0
 
@@ -80,48 +79,27 @@ def test_integrate_flow_single_point():
 
 
 # ---------------------------------------------------------------------------
-# kernel lanes
+# bump kernel
 
 
-def test_kernel_lane_equivalence():
-    lanes = kernels.backends()
-    assert "numpy" in lanes
-    if len(lanes) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.7, 0.7, size=(500, 2))
-    tau = np.ones(2 * 200 + 1)
-    cz = np.zeros_like(tau)
-    results = []
-    for impl in lanes.values():
-        work = np.ascontiguousarray(pts.copy())
-        impl.rk4_bump_flow(work, 1.0 / 200, 200, 1e-4, 0.05, 0.8, 4,
-                           tau, cz, cz, 0.8)
-        results.append(work)
-    assert np.max(np.abs(results[0] - results[1])) < 1e-12
+def _reference_bump_flow(pts, dt, nsteps, amp, rho, m, tau, cx, cy, support_radius):
+    """RK4 on the closed-form field of a moving bump, written out independently."""
 
-
-def _reference_bump_flow(pts, dt, nsteps, h_d, amp, rho, m, tau, support_radius):
-    """RK4 on the four-call centered-difference field: one bump per stencil point."""
-
-    def bump(x, y, amp_tau):
-        u = 1.0 - (x * x + y * y) / (rho * rho)
-        return amp_tau * np.where(u > 0.0, u, 0.0) ** m
-
-    def field(x, y, amp_tau):
-        vx = (bump(x, y + h_d, amp_tau) - bump(x, y - h_d, amp_tau)) * (0.5 / h_d)
-        vy = -(bump(x + h_d, y, amp_tau) - bump(x - h_d, y, amp_tau)) * (0.5 / h_d)
-        return vx, vy
+    def field(x, y, lev):
+        dx, dy = x - cx[lev], y - cy[lev]
+        u = 1.0 - (dx * dx + dy * dy) / (rho * rho)
+        # dH/dq = -2 m amp tau / rho^2 * u^(m-1) * dx, and likewise in p
+        g = -2.0 * m * amp * tau[lev] / (rho * rho) * np.where(u > 0.0, u, 0.0) ** (m - 1)
+        return g * dy, -g * dx
 
     out = pts.copy()
     live = pts[:, 0] ** 2 + pts[:, 1] ** 2 < support_radius**2
     x, y = pts[live, 0].copy(), pts[live, 1].copy()
     for k in range(nsteps):
-        a0, a1, a2 = (amp * tau[2 * k + j] for j in range(3))
-        k1x, k1y = field(x, y, a0)
-        k2x, k2y = field(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, a1)
-        k3x, k3y = field(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, a1)
-        k4x, k4y = field(x + dt * k3x, y + dt * k3y, a2)
+        k1x, k1y = field(x, y, 2 * k)
+        k2x, k2y = field(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, 2 * k + 1)
+        k3x, k3y = field(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, 2 * k + 1)
+        k4x, k4y = field(x + dt * k3x, y + dt * k3y, 2 * k + 2)
         x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     out[live, 0] = x
@@ -132,22 +110,32 @@ def _reference_bump_flow(pts, dt, nsteps, h_d, amp, rho, m, tau, support_radius)
 @settings(deadline=None, max_examples=40)
 @given(m=st.integers(2, 6), amp=st.floats(0.01, 0.2),
        polar=st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)),
-                      min_size=1, max_size=32))
-def test_numpy_kernel_matches_four_call_reference(m, amp, polar):
+                      min_size=1, max_size=32),
+       sweep=st.floats(0.0, 0.3), phase=st.floats(0.0, 2.0 * math.pi))
+def test_bump_kernel_matches_closed_form_rk4(m, amp, polar, sweep, phase):
     r, angle = np.array(polar).T
     pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
     nsteps, dt = 25, 1e-2
     tau = np.linspace(0.5, 1.5, 2 * nsteps + 1)
-    cz = np.zeros_like(tau)
-    got = _kernels_py.rk4_bump_flow(pts.copy(), dt, nsteps, 1e-4, amp, 0.8, m,
-                                    tau, cz, cz, 0.8)
-    want = _reference_bump_flow(pts, dt, nsteps, 1e-4, amp, 0.8, m, tau, 0.8)
+    levels = 0.5 * dt * np.arange(2 * nsteps + 1)
+    cx = sweep * np.cos(2.0 * math.pi * levels + phase)
+    cy = sweep * np.sin(2.0 * math.pi * levels + phase)
+    rho = 0.8 - sweep
+    got = kernels.rk4_bump_flow(pts.copy(), dt, nsteps, 1e-4, amp, rho, m, tau, cx, cy, 0.8)
+    want = _reference_bump_flow(pts, dt, nsteps, amp, rho, m, tau, cx, cy, 0.8)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+def test_bump_kernel_matches_exact_rotation_on_grid():
+    qx, qy = square_grid(65).nodes()
+    nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
+    num = integrate_points(BUMP, 0.0, 1.0, nodes, dt=1e-3)
+    assert np.max(np.abs(num - BUMP.exact_flow(0.0, 1.0, nodes))) < 1e-12
+
+
 def test_generic_evaluator_matches_bump_kernel():
-    # the same bump run through the structured kernel and the generic
-    # centered-difference path must agree to integrator accuracy
+    # the same bump run through the closed-form kernel and the generic
+    # 4th-order centered-difference path must agree to integrator accuracy
     from disclab.fields import ScalarTimeField
 
     generic = ScalarTimeField(lambda t, pts: BUMP(t, pts), 0.8, 3)

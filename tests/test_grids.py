@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.grids import (DiscDomain, GridField2D, blend, disc_weights, integrate_disc,
-                           integrate_plane, sample, square_grid)
+from disclab.grids import (DiscDomain, GridField2D, _disc_weights, blend, disc_weights,
+                           integrate_disc, integrate_plane, sample, square_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,14 @@ def test_disc_weights_cached():
     w1 = disc_weights(g)
     w2 = disc_weights(g)
     assert w1 is w2
+
+
+def test_disc_weights_are_read_only():
+    w = disc_weights(square_grid(65))
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    # the cache is bounded
+    assert _disc_weights.cache_info().maxsize is not None
 
 
 def test_integrate_disc_rejects_small_grid():
