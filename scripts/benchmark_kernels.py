@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from disclab.fields import radial_bump
-from disclab.flows import DEFAULT_FD_WIDTH
 from disclab.grids import square_grid
 from disclab.kernels import rk4_bump_flow
 
@@ -34,7 +33,7 @@ def run(pts, nsteps, repeats):
     for _ in range(repeats):
         work = np.ascontiguousarray(pts.copy())
         t0 = time.perf_counter()
-        rk4_bump_flow(work, dt, nsteps, DEFAULT_FD_WIDTH, AMP, RHO, M, tau, cz, cz, RHO)
+        rk4_bump_flow(work, dt, nsteps, None, AMP, RHO, M, tau, cz, cz, RHO)
         best = min(best, time.perf_counter() - t0)
     live = np.count_nonzero(np.hypot(pts[:, 0], pts[:, 1]) < RHO)
     exact = radial_bump(amp=AMP, rho=RHO, m=M).exact_flow(0.0, 1.0, pts)

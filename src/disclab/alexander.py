@@ -172,14 +172,11 @@ class SHamiltonian:
     def time_one_field(self):
         """s -> K(s, 1, .): the Hamiltonian of the end path s -> phi_{H(s)}^1.
 
-        On cubic grids the field carries the analytic gradient of its
-        spline; on linear grids flows fall back to finite differences.
+        The field carries the analytic gradient of its spline.
         """
-        gradient = None
-        if self.values[0][0].interpolation_order == 3:
-            gradient = lambda s, pts: self.field_at(s, 1.0).value_and_gradient(pts)[1]
         return ScalarTimeField(
-            lambda s, pts: self(s, 1.0, pts), self.support_radius, 2, gradient=gradient
+            lambda s, pts: self(s, 1.0, pts), self.support_radius, 2,
+            gradient=lambda s, pts: self.field_at(s, 1.0).value_and_gradient(pts)[1],
         )
 
     def gauge_defect(self):

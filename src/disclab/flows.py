@@ -1,14 +1,14 @@
 """Hamiltonian flows on the disc and the path-space metrics.
 
 Sign convention: Omega = dq^dp and i_{X_H} Omega = dH, so
-X_H = (dH/dp, -dH/dq).  Flows are integrated with classical RK4.  A
-separable bump runs the numpy kernel in disclab.kernels, which evaluates
-X_H in closed form.  Any other field goes through the generic evaluator:
-the vector field comes from the field's own gradient when it carries one
-(grid-backed fields differentiate their cubic spline analytically) and
-from 4th-order centered differences of width h_d otherwise.
-Symplecticity is monitored, not enforced.  Points starting outside the
-support radius never move.
+X_H = (dH/dp, -dH/dq).  Every flow runs through the one classical RK4
+stepper, disclab.kernels.rk4.  A separable bump hands it the closed-form
+X_H of kernels.rk4_bump_flow.  Any other field hands it vector_field,
+which takes the field's own gradient when it carries one (grid-backed
+fields differentiate their cubic spline analytically) and 4th-order
+centered differences of width FD_WIDTH otherwise.  Symplecticity is
+monitored, not enforced.  Points starting outside the support radius
+never move.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,8 @@ from . import kernels
 from .fields import SeparableBump
 from .grids import GridField2D, centered_diff4, square_grid
 
-DEFAULT_FD_WIDTH = 1e-4
+# width of the finite-difference stencil for fields without a gradient
+FD_WIDTH = 1e-4
 
 
 class NewtonError(RuntimeError):
@@ -34,56 +35,31 @@ class NewtonError(RuntimeError):
 # vector field and point integration
 
 
-def vector_field(H, t, points, h_d=DEFAULT_FD_WIDTH):
+def vector_field(H, t, points):
     """X_H = (dH/dp, -dH/dq).
 
-    Uses H.gradient when H carries one (h_d is then unused); a black-box
-    field is differentiated by the 4th-order centered stencil
-    (+-h_d, +-2 h_d), whose bias is O(h_d^4).
+    Uses H.gradient when H carries one; a black-box field is
+    differentiated by the 4th-order centered stencil (+-FD_WIDTH,
+    +-2 FD_WIDTH), whose bias is O(FD_WIDTH^4).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if getattr(H, "has_gradient", False):
         grad = H.gradient(t, pts)
         return np.stack([grad[:, 1], -grad[:, 0]], axis=-1).reshape(np.shape(points))
-    out = np.stack([_fd4_partial(H, t, pts, 1, h_d), -_fd4_partial(H, t, pts, 0, h_d)],
-                   axis=-1)
+    out = np.stack([_fd4_partial(H, t, pts, 1), -_fd4_partial(H, t, pts, 0)], axis=-1)
     return out.reshape(np.shape(points))
 
 
-def _fd4_partial(H, t, pts, axis, h_d):
-    """dH/dx_axis by the 4th-order centered stencil of width h_d."""
+def _fd4_partial(H, t, pts, axis):
+    """dH/dx_axis by the 4th-order centered stencil of width FD_WIDTH."""
     e = np.zeros(2)
-    e[axis] = h_d
+    e[axis] = FD_WIDTH
     return (8.0 * (H(t, pts + e) - H(t, pts - e))
-            - (H(t, pts + 2.0 * e) - H(t, pts - 2.0 * e))) / (12.0 * h_d)
+            - (H(t, pts + 2.0 * e) - H(t, pts - 2.0 * e))) / (12.0 * FD_WIDTH)
 
 
-def _live_mask(H, pts):
-    if H.support_radius is None:
-        return np.ones(pts.shape[0], dtype=bool)
-    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    return r2 < H.support_radius**2
-
-
-def _rk4_generic(H, pts, t0, dt, nsteps, h_d):
-    """Vectorized RK4 on the generic evaluator path; pts modified in place."""
-    live = _live_mask(H, pts)
-    x = pts[live].copy()
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(nsteps):
-        t = t0 + k * dt
-        k1 = vector_field(H, t, x, h_d)
-        k2 = vector_field(H, t + half, x + half * k1, h_d)
-        k3 = vector_field(H, t + half, x + half * k2, h_d)
-        k4 = vector_field(H, t + dt, x + dt * k3, h_d)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    pts[live] = x
-    return pts
-
-
-def _rk4_bump(H, pts, t0, dt, nsteps, h_d):
-    """Run a separable bump through the closed-form kernel; h_d is unused."""
+def _rk4_bump(H, pts, t0, dt, nsteps):
+    """Run a separable bump through the closed-form kernel."""
     levels = t0 + 0.5 * dt * np.arange(2 * nsteps + 1)
     tau = np.array([H.tau_at(t) for t in levels])
     if H.center is None:
@@ -94,11 +70,11 @@ def _rk4_bump(H, pts, t0, dt, nsteps, h_d):
         cx = np.ascontiguousarray(centers[:, 0])
         cy = np.ascontiguousarray(centers[:, 1])
     return kernels.rk4_bump_flow(
-        pts, dt, nsteps, h_d, H.amp, H.rho, H.m, tau, cx, cy, H.support_radius
+        pts, dt, nsteps, None, H.amp, H.rho, H.m, tau, cx, cy, H.support_radius
     )
 
 
-def integrate_points(H, t0, t1, points, dt=1e-3, h_d=DEFAULT_FD_WIDTH):
+def integrate_points(H, t0, t1, points, dt=1e-3):
     """Advance an (N, 2) cloud from time t0 to t1 (either direction)."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -108,16 +84,14 @@ def integrate_points(H, t0, t1, points, dt=1e-3, h_d=DEFAULT_FD_WIDTH):
     nsteps = max(1, round(abs(t1 - t0) / dt))
     step = (t1 - t0) / nsteps
     if isinstance(H, SeparableBump):
-        _rk4_bump(H, pts, t0, step, nsteps, h_d)
-    else:
-        _rk4_generic(H, pts, t0, step, nsteps, h_d)
-    return pts
+        return _rk4_bump(H, pts, t0, step, nsteps)
+    offsets = (0.0, 0.5 * step, step)
 
+    def field(x, y, k, j):
+        v = vector_field(H, t0 + k * step + offsets[j], np.stack([x, y], axis=-1))
+        return v[:, 0], v[:, 1]
 
-def integrate_flow(H, t0, t1, x0, dt=1e-3, h_d=DEFAULT_FD_WIDTH):
-    """Hamiltonian trajectory endpoint for a single starting point."""
-    out = integrate_points(H, t0, t1, np.asarray(x0, dtype=np.float64)[None, :], dt, h_d)
-    return out[0]
+    return kernels.rk4(field, pts, step, nsteps, H.support_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +108,10 @@ def _node_grids(grid, img):
 class PlaneMap:
     """A grid-sampled area-preserving map of the plane, identity outside support."""
 
-    def __init__(self, grid_x, grid_y, support_radius, jacobian_tolerance=1e-5,
-                 inverse_grids=None):
+    def __init__(self, grid_x, grid_y, support_radius, inverse_grids=None):
         self.grid_x = grid_x
         self.grid_y = grid_y
         self.support_radius = float(support_radius)
-        self.jacobian_tolerance = float(jacobian_tolerance)
         self._inverse_grids = inverse_grids
         self._jac_grids = None
 
@@ -279,7 +251,7 @@ class PlaneMap:
             ix, iy = self._inverse_grids
         else:
             ix, iy = _node_grids(self.template, self.solve_at_nodes())
-        return PlaneMap(ix, iy, self.support_radius, self.jacobian_tolerance,
+        return PlaneMap(ix, iy, self.support_radius,
                         inverse_grids=(self.grid_x, self.grid_y))
 
     def solve_at_nodes(self, **newton_kw):
@@ -300,8 +272,7 @@ class PlaneMap:
         grid = other.template
         img = self(other(np.stack(grid.nodes(), axis=-1)))
         support = max(self.support_radius, other.support_radius)
-        return PlaneMap.from_node_images(grid, img, support,
-                                         jacobian_tolerance=self.jacobian_tolerance)
+        return PlaneMap.from_node_images(grid, img, support)
 
     # -- serialization -------------------------------------------------------
 
@@ -314,7 +285,6 @@ class PlaneMap:
             json.dump(
                 {
                     "support_radius": self.support_radius,
-                    "jacobian_tolerance": self.jacobian_tolerance,
                     "n": self.grid_x.n,
                 },
                 fh,
@@ -328,20 +298,21 @@ class PlaneMap:
         gy = GridField2D.from_csv(f"{prefix}_y.csv")
         with open(f"{prefix}.json", encoding="utf-8") as fh:
             meta = json.load(fh)
-        return cls(gx, gy, meta["support_radius"], meta["jacobian_tolerance"])
+        # older sidecars also carry a "jacobian_tolerance" that nothing reads
+        return cls(gx, gy, meta["support_radius"])
 
 
-def flow_map(H, t, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH, with_inverse=False):
+def flow_map(H, t, grid=None, dt=1e-3, with_inverse=False):
     """Sample x -> phi_H^t(x) on the grid as a PlaneMap."""
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
     qx, qy = grid.nodes()
     nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
-    img = integrate_points(H, 0.0, t, nodes, dt, h_d)
+    img = integrate_points(H, 0.0, t, nodes, dt)
     inv_grids = None
     if with_inverse:
-        inv_grids = _node_grids(grid, integrate_points(H, t, 0.0, nodes, dt, h_d))
+        inv_grids = _node_grids(grid, integrate_points(H, t, 0.0, nodes, dt))
     return PlaneMap.from_node_images(grid, img, support, inverse_grids=inv_grids)
 
 
@@ -360,8 +331,7 @@ class HamiltonianPath:
         return self.maps[idx]
 
 
-def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH,
-                     with_inverse=False):
+def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, with_inverse=False):
     """Integrate the whole path once, storing maps at nt equi-spaced times.
 
     The forward sweep runs segment by segment between the stored times.
@@ -381,13 +351,13 @@ def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, h_d=DEFAULT_FD_WIDTH,
     back = nodes
     maps = [PlaneMap.identity(grid, support)]
     for k in range(nt - 1):
-        pts = integrate_points(H, times[k], times[k + 1], pts, dt, h_d)
+        pts = integrate_points(H, times[k], times[k + 1], pts, dt)
         inv_grids = None
         if with_inverse:
             if H.is_autonomous:
-                back = integrate_points(H, times[k + 1], times[k], back, dt, h_d)
+                back = integrate_points(H, times[k + 1], times[k], back, dt)
             else:
-                back = integrate_points(H, times[k + 1], 0.0, nodes, dt, h_d)
+                back = integrate_points(H, times[k + 1], 0.0, nodes, dt)
             inv_grids = _node_grids(grid, back)
         maps.append(PlaneMap.from_node_images(grid, pts, support, inverse_grids=inv_grids))
     return HamiltonianPath(H, list(times), maps)

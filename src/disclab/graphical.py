@@ -60,24 +60,11 @@ def starshape_det(A, r, self_check=True):
 # midpoint map and graphicality
 
 
-def midpoint_map(phi, a=1.0):
-    """kappa_a(y) = (y + a phi(y/a)) / 2 on a grid adapted to the scale.
-
-    At a = 1 this is the midpoint map of phi itself on phi's own grid;
-    for a < 1 the grid shrinks with the rescaled support so that node
-    y = a * y1 corresponds exactly to base node y1.
-    """
+def midpoint_map(phi):
+    """kappa(y) = (y + phi(y)) / 2, the midpoint map of phi on phi's own grid."""
     grid = phi.template
-    if a == 1.0:
-        target = grid
-    else:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"scale must lie in (0, 1], got {a}")
-        lo, hi = grid.extent
-        target = square_grid(grid.n, extent=a * hi[0])
-    y = np.stack(target.nodes(), axis=-1)
-    mid = 0.5 * (y + a * phi(y / a))
-    return PlaneMap.from_node_images(target, mid, a * phi.support_radius)
+    y = np.stack(grid.nodes(), axis=-1)
+    return PlaneMap.from_node_images(grid, 0.5 * (y + phi(y)), phi.support_radius)
 
 
 def _min_det_inside(kappa):
@@ -99,7 +86,7 @@ def is_graphical(phi, delta=1e-3, probe=True):
     sampled certificate of global injectivity on top of the local
     immersion criterion.
     """
-    kappa = midpoint_map(phi, 1.0)
+    kappa = midpoint_map(phi)
     min_det = _min_det_inside(kappa)
     if min_det <= delta:
         return False, min_det
@@ -196,7 +183,7 @@ def recover_one_form(phi, delta=1e-3, newton_tol=1e-10):
         raise ValueError(
             f"map is not graphical (min det d(kappa) = {min_det:.3e} <= {delta})"
         )
-    kappa = midpoint_map(phi, 1.0)
+    kappa = midpoint_map(phi)
     grid = kappa.template
     qx, qy = grid.nodes()
     try:

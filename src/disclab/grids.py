@@ -2,10 +2,10 @@
 
 All fields live on uniform square grids.  A grid node (i, j) sits at
 ``origin + (i*spacing, j*spacing)`` and ``values[i, j]`` stores the sample
-there (x-index first).  Interpolation is linear (order 1) or cubic spline
-(order 3, the default); cubic coefficients are prefiltered so the
-interpolant reproduces the stored node values exactly.  Grid-backed
-fields differentiate that spline analytically: ``value_and_gradient``
+there (x-index first).  Interpolation is always by cubic spline; its
+coefficients are prefiltered so the interpolant reproduces the stored
+node values exactly.  Grid-backed fields differentiate that spline
+analytically: ``value_and_gradient``
 returns the value and both partials of the cubic interpolant from one
 gather of its 4x4 coefficient taps.  ``blend`` forms a linear combination
 of grid fields by combining their values and spline coefficients, so the
@@ -14,7 +14,6 @@ blend is evaluated once instead of term by term.
 
 import functools
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,7 +61,7 @@ class DiscDomain:
 class GridField2D:
     """A scalar field sampled on a uniform n-by-n grid."""
 
-    def __init__(self, origin, spacing, values, interpolation_order=3):
+    def __init__(self, origin, spacing, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be square, got shape {values.shape}")
@@ -70,12 +69,9 @@ class GridField2D:
             raise ValueError(f"grid needs n >= 16, got n = {values.shape[0]}")
         if spacing <= 0.0:
             raise ValueError(f"spacing must be positive, got {spacing}")
-        if interpolation_order not in (1, 3):
-            raise ValueError(f"interpolation_order must be 1 or 3, got {interpolation_order}")
         self.origin = np.asarray(origin, dtype=np.float64).reshape(2)
         self.spacing = float(spacing)
         self.values = values
-        self.interpolation_order = int(interpolation_order)
         self._coeffs = None
 
     @property
@@ -121,14 +117,9 @@ class GridField2D:
         flat = pts.reshape(-1, 2)
         ix = (flat[:, 0] - self.origin[0]) / self.spacing
         iy = (flat[:, 1] - self.origin[1]) / self.spacing
-        if self.interpolation_order == 1:
-            out = ndimage.map_coordinates(
-                self.values, [ix, iy], order=1, mode="nearest"
-            )
-        else:
-            out = ndimage.map_coordinates(
-                self._spline_coeffs(), [ix, iy], order=3, mode="mirror", prefilter=False
-            )
+        out = ndimage.map_coordinates(
+            self._spline_coeffs(), [ix, iy], order=3, mode="mirror", prefilter=False
+        )
         return out.reshape(shape)
 
     def value_and_gradient(self, points):
@@ -138,11 +129,8 @@ class GridField2D:
         df/dy.  Both come from one gather of the 4x4 coefficient taps of
         each point, weighted by the cubic B-spline and its derivative.
         The value agrees with ``__call__`` up to rounding.  Points off the
-        extent and linear grids raise ValueError: the spline is neither
-        extrapolated nor replaced by a cruder derivative.
+        extent raise ValueError: the spline is not extrapolated.
         """
-        if self.interpolation_order != 3:
-            raise ValueError("value_and_gradient needs a cubic (order 3) grid")
         pts = np.asarray(points, dtype=np.float64)
         shape = pts.shape[:-1]
         flat = pts.reshape(-1, 2)
@@ -183,11 +171,10 @@ class GridField2D:
     def gradient(self):
         """Centered-difference gradient as two grid fields (one-sided at edges)."""
         gq, gp = np.gradient(self.values, self.spacing, edge_order=2)
-        mk = lambda v: GridField2D(self.origin, self.spacing, v, self.interpolation_order)
-        return mk(gq), mk(gp)
+        return self.with_values(gq), self.with_values(gp)
 
     def with_values(self, values):
-        return GridField2D(self.origin, self.spacing, values, self.interpolation_order)
+        return GridField2D(self.origin, self.spacing, values)
 
     # -- serialization ----------------------------------------------------
 
@@ -196,7 +183,7 @@ class GridField2D:
             fh.write(f"# n = {self.n}\n")
             fh.write(f"# spacing = {self.spacing!r}\n")
             fh.write(f"# origin = {float(self.origin[0])!r} {float(self.origin[1])!r}\n")
-            fh.write(f"# interpolation_order = {self.interpolation_order}\n")
+            fh.write("# interpolation_order = 3\n")
             np.savetxt(fh, self.values, fmt="%.17e", delimiter=",")
 
     @classmethod
@@ -211,36 +198,12 @@ class GridField2D:
                 meta[key.strip()] = val.strip()
             elif line.strip():
                 body.append(line)
+        order = int(meta.get("interpolation_order", 3))
+        if order != 3:
+            raise ValueError(f"{path}: grid fields are cubic, got interpolation_order {order}")
         values = np.loadtxt(io.StringIO("\n".join(body)), delimiter=",")
         origin = [float(tok) for tok in meta["origin"].split()]
-        return cls(
-            origin,
-            float(meta["spacing"]),
-            values,
-            int(meta.get("interpolation_order", 3)),
-        )
-
-    def to_json(self, path):
-        payload = {
-            "n": self.n,
-            "spacing": self.spacing,
-            "origin": list(self.origin),
-            "interpolation_order": self.interpolation_order,
-            "values": self.values.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            payload["origin"],
-            payload["spacing"],
-            np.array(payload["values"]),
-            payload["interpolation_order"],
-        )
+        return cls(origin, float(meta["spacing"]), values)
 
 
 # points per block of GridField2D.value_and_gradient
@@ -271,22 +234,18 @@ def blend(terms):
     f0 = terms[0][1]
     for _, f in terms[1:]:
         if (f.values.shape != f0.values.shape or f.spacing != f0.spacing
-                or not np.array_equal(f.origin, f0.origin)
-                or f.interpolation_order != f0.interpolation_order):
+                or not np.array_equal(f.origin, f0.origin)):
             raise ValueError("blend needs fields on one grid template")
 
     out = f0.with_values(sum(c * f.values for c, f in terms))
-    if out.interpolation_order == 3:
-        out._coeffs = sum(c * f._spline_coeffs() for c, f in terms)
+    out._coeffs = sum(c * f._spline_coeffs() for c, f in terms)
     return out
 
 
-def square_grid(n=256, extent=1.05, interpolation_order=3):
+def square_grid(n=256, extent=1.05):
     """Empty grid field covering [-extent, extent]^2 with n nodes per side."""
     spacing = 2.0 * extent / (n - 1)
-    return GridField2D(
-        (-extent, -extent), spacing, np.zeros((n, n)), interpolation_order
-    )
+    return GridField2D((-extent, -extent), spacing, np.zeros((n, n)))
 
 
 def centered_diff4(values, spacing, axis):

@@ -137,12 +137,11 @@ class GraphSamples:
         return worst
 
 
-def basic_generating(F, t=1.0, grid=None, dt=1e-3, nu=101, normalized=True,
-                     domain=None):
+def basic_generating(F, t=1.0, grid=None, dt=1e-3, nu=101, domain=None):
     """Lift every grid seed, accumulate the action, return the sampled graph.
 
-    With normalized=True the Hamiltonian in the action integrand is
-    F - c(u) (sphere normalization), which makes the value on the
+    The Hamiltonian in the action integrand is F - c(u) (sphere
+    normalization on the same grid), which makes the value on the
     identity region equal int_0^t c rather than 0.
     """
     if grid is None:
@@ -150,11 +149,7 @@ def basic_generating(F, t=1.0, grid=None, dt=1e-3, nu=101, normalized=True,
     qx, qy = grid.nodes()
     seeds = np.stack([qx, qy], axis=-1)
     flat = seeds.reshape(-1, 2)
-    if normalized:
-        nf = normalize_on_sphere(F, domain)
-        ham = nf
-    else:
-        ham = F
+    ham = normalize_on_sphere(F, domain, grid=grid)
     times = np.linspace(0.0, t, nu)
     for q, p, _, h in lifted_action(F, ham, flat, times, dt):
         pass

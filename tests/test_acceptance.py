@@ -131,7 +131,7 @@ def test_criterion_10_integrator_baselines(capsys):
     pts = np.array([[0.25, 0.0], [0.45, 0.1], [0.0, 0.55]])
     exact = T.exact_flow(0.0, 1.0, pts)
     errs = [
-        np.max(np.abs(integrate_points(T, 0.0, 1.0, pts, dt=dt, h_d=1e-5) - exact))
+        np.max(np.abs(integrate_points(T, 0.0, 1.0, pts, dt=dt) - exact))
         for dt in (0.05, 0.025)
     ]
     order_ratio = errs[0] / errs[1]

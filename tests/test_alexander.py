@@ -256,14 +256,6 @@ def test_time_one_field_gradient_matches_finite_differences(linear_sham, rng):
         assert np.all(analytic[r >= sham.support_radius] == 0.0)
 
 
-def test_time_one_field_of_linear_grids_uses_finite_differences(bump):
-    g = square_grid(65, interpolation_order=1)
-    k = sample(g, lambda pts: bump(0.0, pts))
-    sham = alx.SHamiltonian(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                            [[g, k], [g, k]], bump.support_radius)
-    assert not sham.time_one_field().has_gradient
-
-
 def test_spline_s_flow_is_the_exact_rotation(bump, rng):
     # K(s, t, .) = t H on 129 nodes, so the s-flow of K(., 1, .) over
     # s in [0, 1] is the exact time-one rotation of the radial bump

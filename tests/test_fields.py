@@ -7,7 +7,7 @@ import pytest
 
 from disclab.fields import (ScalarTimeField, SeparableBump, field_sum, loop_bump,
                             moving_bump, radial_bump, twist_bump, zero_field)
-from disclab.flows import integrate_flow
+from disclab.flows import integrate_points
 
 
 ORIGIN = np.zeros((1, 2))
@@ -137,7 +137,7 @@ def test_exact_flow_matches_integrator():
     H = radial_bump(amp=0.05, rho=0.8, m=4)
     for r in (0.15, 0.4, 0.65):
         x0 = np.array([r, 0.0])
-        num = integrate_flow(H, 0.0, 1.0, x0, dt=1e-3)
+        num = integrate_points(H, 0.0, 1.0, x0[None, :], dt=1e-3)[0]
         exact = H.exact_flow(0.0, 1.0, x0[None, :])[0]
         assert np.max(np.abs(num - exact)) < 1e-8
         # with X_H = (H_p, -H_q) a positive bump rotates counterclockwise

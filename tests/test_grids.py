@@ -56,19 +56,17 @@ def test_square_grid_geometry():
     dict(values=np.zeros((8, 8))),                    # too small
     dict(values=np.zeros((20, 30))),                  # not square
     dict(values=np.zeros((20, 20)), spacing=0.0),     # bad spacing
-    dict(values=np.zeros((20, 20)), interpolation_order=2),
+    dict(values=np.zeros((20, 20, 2))),               # not a matrix
 ])
 def test_grid_field_validation(bad):
-    kw = dict(origin=(0.0, 0.0), spacing=0.1, interpolation_order=3)
+    kw = dict(origin=(0.0, 0.0), spacing=0.1)
     kw.update(bad)
     with pytest.raises(ValueError):
-        GridField2D(kw["origin"], kw["spacing"], kw["values"],
-                    kw["interpolation_order"])
+        GridField2D(kw["origin"], kw["spacing"], kw["values"])
 
 
-@pytest.mark.parametrize("order", [1, 3])
-def test_interpolation_reproduces_node_values(order, rng):
-    g = square_grid(33, extent=1.0, interpolation_order=order)
+def test_interpolation_reproduces_node_values(rng):
+    g = square_grid(33, extent=1.0)
     f = sample(g, lambda pts: np.sin(3 * pts[..., 0]) * pts[..., 1])
     qx, qy = f.nodes()
     pts = np.stack([qx, qy], axis=-1)
@@ -185,15 +183,8 @@ def test_spline_value_and_gradient_on_random_grids(seed, spacing, origin):
     _check_value_and_gradient(f, _extent_points(f, rng, count=200))
 
 
-def test_value_and_gradient_rejects_linear_grids():
-    f = sample(square_grid(33, interpolation_order=1), lambda pts: pts[..., 0])
-    with pytest.raises(ValueError):
-        f.value_and_gradient(np.zeros((1, 2)))
-
-
-@pytest.mark.parametrize("order", [1, 3])
-def test_blend_is_the_weighted_sum(order, rng):
-    g = square_grid(33, interpolation_order=order)
+def test_blend_is_the_weighted_sum(rng):
+    g = square_grid(33)
     f1 = g.with_values(rng.normal(size=(33, 33)))
     f2 = g.with_values(rng.normal(size=(33, 33)))
     b = blend([(0.3, f1), (-1.7, f2)])
@@ -203,7 +194,7 @@ def test_blend_is_the_weighted_sum(order, rng):
     # the blended coefficients are those of the blended values
     assert np.max(np.abs(b(pts) - g.with_values(b.values)(pts))) < 1e-13
     with pytest.raises(ValueError):
-        blend([(1.0, f1), (1.0, square_grid(33, extent=1.0, interpolation_order=order))])
+        blend([(1.0, f1), (1.0, square_grid(33, extent=1.0))])
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +257,12 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back.values, f.values)
     assert back.spacing == f.spacing
     assert np.array_equal(back.origin, f.origin)
-    assert back.interpolation_order == f.interpolation_order
 
 
-def test_json_round_trip(tmp_path, rng):
-    g = square_grid(17, extent=0.5, interpolation_order=1)
-    f = g.with_values(rng.normal(size=(17, 17)))
-    path = tmp_path / "field.json"
-    f.to_json(path)
-    back = GridField2D.from_json(path)
-    assert np.array_equal(back.values, f.values)
-    assert back.interpolation_order == 1
+def test_csv_rejects_non_cubic_order(tmp_path):
+    path = tmp_path / "field.csv"
+    square_grid(17, extent=0.5).to_csv(path)
+    text = path.read_text().replace("# interpolation_order = 3", "# interpolation_order = 1")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="interpolation_order 1"):
+        GridField2D.from_csv(path)
