@@ -2,7 +2,7 @@
 
 Modules
 -------
-grids       grid-sampled fields, disc quadrature, the domain model
+grids       grid-sampled fields, disc quadrature, the sphere model
 chart       the flat diagonal chart on the product plane
 fields      time-dependent Hamiltonians and the built-in bump families
 flows       RK4 Hamiltonian flows, grid maps, Hofer/C0 metrics

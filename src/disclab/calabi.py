@@ -16,7 +16,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from .fields import ScalarTimeField
 from .flows import time_simpson
-from .grids import DiscDomain, GridField2D, disc_weights, square_grid
+from .grids import (IDENTITY_AREA, SPHERE_VOLUME, GridField2D, disc_weights,
+                    square_grid)
 
 
 def _check_supported(H, grid):
@@ -167,7 +168,6 @@ class NormalizedField:
     """H - c(t) on the disc, == -c(t) on the identity region of the sphere."""
 
     base: ScalarTimeField
-    domain: DiscDomain
     grid: GridField2D
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -176,7 +176,7 @@ class NormalizedField:
         key = 0.0 if self.base.is_autonomous else round(float(t), 12)
         if key not in self._cache:
             self._cache[key] = (
-                spatial_integral(self.base, key, self.grid) / self.domain.sphere_volume
+                spatial_integral(self.base, key, self.grid) / SPHERE_VOLUME
             )
         return self._cache[key]
 
@@ -189,11 +189,9 @@ class NormalizedField:
 
     def sphere_mean(self, t):
         """Mean over the sphere model; 0 by construction."""
-        disc = spatial_integral(self.base, t, self.grid) - self.offset(t) * (
-            math.pi * self.domain.radius**2
-        )
-        lower = -self.offset(t) * self.domain.identity_area
-        return (disc + lower) / self.domain.sphere_volume
+        disc = spatial_integral(self.base, t, self.grid) - self.offset(t) * math.pi
+        lower = -self.offset(t) * IDENTITY_AREA
+        return (disc + lower) / SPHERE_VOLUME
 
     @property
     def support_radius(self):
@@ -208,13 +206,20 @@ class NormalizedField:
         return self.base.smoothness_order
 
 
-def normalize_on_sphere(H, domain=None, grid=None):
-    if domain is None:
-        domain = DiscDomain(support_radius=H.support_radius or 0.8)
+def normalize_on_sphere(H, grid=None):
+    """H - c(t) with c(t) chosen so that the sphere mean vanishes.
+
+    H must be supported inside the open unit disc, the upper hemisphere
+    of the sphere model.
+    """
     if grid is None:
         grid = square_grid(257)
     _check_supported(H, grid)
-    return NormalizedField(H, domain, grid)
+    if not 0.0 < H.support_radius < 1.0:
+        raise ValueError(
+            f"support radius must lie in (0, 1), got {H.support_radius}"
+        )
+    return NormalizedField(H, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,6 @@ def flow_normalization_check(nf, path, nt=None):
     for t, phi in zip(path.time_samples, path.maps):
         vals = nf(t, phi(pts))
         disc_part = float(np.sum(w * vals))
-        lower_part = -nf.offset(t) * nf.domain.identity_area
+        lower_part = -nf.offset(t) * IDENTITY_AREA
         worst = max(worst, abs(disc_part + lower_part))
     return worst

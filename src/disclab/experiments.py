@@ -21,7 +21,7 @@ from . import phase as ph
 from .chart import jmap
 from .fields import SeparableBump, loop_bump, moving_bump, radial_bump, twist_bump
 from .flows import flow_map, hamiltonian_path, integrate_points, PlaneMap
-from .grids import DiscDomain, square_grid
+from .grids import SPHERE_VOLUME as VOL, square_grid
 
 EXPERIMENT_IDS = tuple(f"E{i}" for i in range(1, 10))
 
@@ -75,10 +75,15 @@ class ExperimentConfig:
         n = self.grid_n
         if n < 64 or (n & (n - 1)) != 0:
             raise ValueError(f"grid_n must be a power of two >= 64, got {n}")
+        for key, kind in _CONFIG_FIELDS.items():
+            if kind is float and not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not 0.0 < self.dt <= 1e-2:
             raise ValueError(f"dt must lie in (0, 1e-2], got {self.dt}")
         if self.h_a <= 0.0:
             raise ValueError(f"h_a must be positive, got {self.h_a}")
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.m < 2:
             raise ValueError(f"m must be >= 2 for a continuous vector field, got {self.m}")
         if self.family not in FAMILIES:
@@ -87,8 +92,8 @@ class ExperimentConfig:
                 f"{', '.join(FAMILIES)}"
             )
         for key, val in self.tolerances.items():
-            if val <= 0.0:
-                raise ValueError(f"tolerance {key} must be positive, got {val}")
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"tol_{key} must be positive and finite, got {val}")
 
     @property
     def nodes(self):
@@ -207,9 +212,6 @@ def emit_report(report, fmt, path):
 
 # ---------------------------------------------------------------------------
 # experiment bodies
-
-
-VOL = DiscDomain().sphere_volume
 
 
 def run_experiment(cfg):

@@ -182,14 +182,21 @@ class PlaneMap:
         j11, j12, j21, j22 = self.jacobian_at_nodes()
         return j11 * j22 - j12 * j21
 
-    def jacobian_defect(self):
-        """Max |det d(phi) - 1| over interior nodes inside the unit disc."""
-        det = self.det_jacobian()
+    def interior_nodes(self, radius):
+        """Mask of the nodes within radius of the origin, two cells from the border.
+
+        Off that border, jacobian_at_nodes uses its 4th-order stencil.
+        """
         qx, qy = self.grid_x.nodes()
-        inside = np.hypot(qx, qy) <= 1.0
+        inside = np.hypot(qx, qy) <= radius
         inside[:2, :] = inside[-2:, :] = False
         inside[:, :2] = inside[:, -2:] = False
-        return float(np.max(np.abs(det[inside] - 1.0)))
+        return inside
+
+    def jacobian_defect(self):
+        """Max |det d(phi) - 1| over interior nodes inside the unit disc."""
+        det = self.det_jacobian()[self.interior_nodes(1.0)]
+        return float(np.max(np.abs(det - 1.0)))
 
     def _jacobian_grids(self):
         if self._jac_grids is None:
@@ -254,17 +261,17 @@ class PlaneMap:
         return PlaneMap(ix, iy, self.support_radius,
                         inverse_grids=(self.grid_x, self.grid_y))
 
-    def solve_at_nodes(self, **newton_kw):
+    def solve_at_nodes(self):
         """y with self(y) = q for every template node q inside the support.
 
         Nodes outside the support keep y = q.  Returns an (n*n, 2) array
-        in node order; newton_kw is passed to newton_invert.
+        in node order.
         """
         qx, qy = self.template.nodes()
         nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
         inner = np.hypot(nodes[:, 0], nodes[:, 1]) < self.support_radius
         sol = nodes.copy()
-        sol[inner] = self.newton_invert(nodes[inner], **newton_kw)
+        sol[inner] = self.newton_invert(nodes[inner])
         return sol
 
     def compose(self, other):

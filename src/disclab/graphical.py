@@ -7,6 +7,10 @@ a diffeomorphism, certified here by a determinant scan plus a sampled
 collision probe.  The graph of a graphical Hamiltonian map is the image
 of a closed one-form, recovered node-by-node by Newton inversion of
 kappa; its potential is the generating function of the map.
+
+`recover_one_form` is the one graphicality gate: it builds kappa once,
+scans it once, and inverts that same kappa.  `is_graphical` runs the
+same scan for callers that only want the verdict.
 """
 
 from dataclasses import dataclass
@@ -18,6 +22,10 @@ from .calabi import plaquette_circulation, ray_primitives
 from .flows import NewtonError, PlaneMap
 from .grids import GridField2D, centered_diff4, square_grid
 
+# kappa counts as a diffeomorphism only where min det d(kappa) exceeds this
+MIN_DET = 1e-3
+# largest plaquette circulation of a one-form that is integrated
+CIRCULATION_TOL = 5e-4
 
 # ---------------------------------------------------------------------------
 # star-shapedness determinant
@@ -39,20 +47,19 @@ class SymmetricMatrix2:
         return np.array([[-self.c, -self.b], [self.a, self.c]])
 
 
-def starshape_det(A, r, self_check=True):
+def starshape_det(A, r):
     """det(I - r jA) = 1 + r^2 (ab - c^2), by closed form.
 
     The direct 2x2 expansion is evaluated as a self-check; a mismatch
     beyond round-off raises.
     """
     closed = 1.0 + r * r * (A.a * A.b - A.c * A.c)
-    if self_check:
-        M = np.eye(2) - r * A.jmatrix()
-        direct = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(direct - closed) > 1e-13 * max(1.0, abs(closed)):
-            raise AssertionError(
-                f"determinant expansion mismatch: {direct} vs {closed}"
-            )
+    M = np.eye(2) - r * A.jmatrix()
+    direct = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if abs(direct - closed) > 1e-13 * max(1.0, abs(closed)):
+        raise AssertionError(
+            f"determinant expansion mismatch: {direct} vs {closed}"
+        )
     return closed
 
 
@@ -68,31 +75,29 @@ def midpoint_map(phi):
 
 
 def _min_det_inside(kappa):
-    det = kappa.det_jacobian()
-    qx, qy = kappa.template.nodes()
-    inside = np.hypot(qx, qy) <= kappa.support_radius
-    inside[:2, :] = inside[-2:, :] = False
-    inside[:, :2] = inside[:, -2:] = False
-    if not inside.any():
-        return 1.0
-    return float(np.min(det[inside]))
+    det = kappa.det_jacobian()[kappa.interior_nodes(kappa.support_radius)]
+    return float(np.min(det)) if det.size else 1.0
 
 
-def is_graphical(phi, delta=1e-3, probe=True):
-    """(graphical?, min det d(kappa)) by determinant scan + collision probe.
+def _scan(phi):
+    """(kappa, graphical?, min det d(kappa)): the one graphicality scan of phi.
 
-    The probe hashes the kappa-images of the grid nodes into half-cell
-    bins and fails if two nodes with distant preimages collide -- a
-    sampled certificate of global injectivity on top of the local
-    immersion criterion.
+    The determinant scan certifies that kappa is a local diffeomorphism
+    inside the support.  Only if it passes does the collision probe run:
+    it hashes the kappa-images of the grid nodes into half-cell bins and
+    fails if two nodes with distant preimages collide -- a sampled
+    certificate of global injectivity.
     """
     kappa = midpoint_map(phi)
     min_det = _min_det_inside(kappa)
-    if min_det <= delta:
-        return False, min_det
-    if probe and _collision_probe(kappa):
-        return False, min_det
-    return True, min_det
+    ok = min_det > MIN_DET and not _collision_probe(kappa)
+    return kappa, ok, min_det
+
+
+def is_graphical(phi):
+    """(graphical?, min det d(kappa)) by determinant scan + collision probe."""
+    _, ok, min_det = _scan(phi)
+    return ok, min_det
 
 
 def _collision_probe(kappa):
@@ -151,15 +156,16 @@ class OneFormField:
         curl = centered_diff4(self.a2.values, h, 0) - centered_diff4(self.a1.values, h, 1)
         return curl[2:-2, 2:-2]
 
-    def symmetry_defect(self, rng=None, n_pairs=256):
+    def symmetry_defect(self):
         """Max |<grad_v alpha, w> - <grad_w alpha, v>| over random node pairs.
 
         For a closed form the gradient matrix of alpha is symmetric; the
         antisymmetric part contracts with (v, w) as d(alpha) times the
-        wedge v ^ w, evaluated here at randomly drawn interior nodes with
-        random unit directions.
+        wedge v ^ w, evaluated here at 256 seeded random interior nodes
+        with random unit directions.
         """
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(0)
+        n_pairs = 256
         curl = self._node_curl()
         flat = curl.ravel()
         idx = rng.integers(0, flat.size, size=n_pairs)
@@ -171,23 +177,24 @@ class OneFormField:
         return float(np.max(np.abs(flat[idx] * wedge)))
 
 
-def recover_one_form(phi, delta=1e-3, newton_tol=1e-10):
+def recover_one_form(phi):
     """alpha with Image(alpha) = Graph(phi): solve kappa(y) = q per node.
 
-    For each chart node q inside the support, the midpoint equation
-    kappa(y) = q is solved by damped Newton (seeded at q); then
-    alpha(q) = -j(phi(y) - y).  Rejects non-graphical input.
+    Rejects non-graphical input after one scan of kappa.  For each chart
+    node q inside the support, the midpoint equation kappa(y) = q is then
+    solved by damped Newton (seeded at q) on that same kappa, and
+    alpha(q) = -j(phi(y) - y).
     """
-    ok, min_det = is_graphical(phi, delta)
+    kappa, ok, min_det = _scan(phi)
     if not ok:
         raise ValueError(
-            f"map is not graphical (min det d(kappa) = {min_det:.3e} <= {delta})"
+            f"map is not graphical (min det d(kappa) = {min_det:.3e}; the scan "
+            f"needs > {MIN_DET} and no collision of distant nodes)"
         )
-    kappa = midpoint_map(phi)
     grid = kappa.template
     qx, qy = grid.nodes()
     try:
-        y = kappa.solve_at_nodes(tol=newton_tol)
+        y = kappa.solve_at_nodes()
     except NewtonError as exc:
         raise NewtonError(
             f"one-form recovery failed at chart node {exc.point}", exc.point
@@ -203,18 +210,17 @@ def recover_one_form(phi, delta=1e-3, newton_tol=1e-10):
     )
 
 
-def integrate_generating(alpha, base_value=0.0, circulation_tol=5e-4,
-                         full_output=False):
+def integrate_generating(alpha, base_value=0.0, full_output=False):
     """g with dg = alpha by ray integration from the grid edge.
 
     g equals base_value on the left edge (outside the support).  The
     column-ray family provides the path-independence monitor.  Rejects
-    one-forms whose plaquette circulation exceeds circulation_tol.
+    one-forms whose plaquette circulation exceeds CIRCULATION_TOL.
     """
     residual = alpha.closedness_residual()
-    if residual > circulation_tol:
+    if residual > CIRCULATION_TOL:
         raise ValueError(
-            f"one-form circulation {residual:.3e} exceeds {circulation_tol:.3e}; "
+            f"one-form circulation {residual:.3e} exceeds {CIRCULATION_TOL:.3e}; "
             "not closed enough to integrate"
         )
     grid = alpha.template
@@ -280,8 +286,6 @@ class TraceChainFamily:
 
     scales: list
     potentials: list          # GridField2D per scale, on the adapted grids
-    one_forms: list           # OneFormField per scale
-    base_map: PlaneMap
 
     def potential_at(self, a):
         idx = self.scales.index(a)
@@ -305,38 +309,35 @@ class TraceChainFamily:
         return worst
 
 
-def trace_chain_family(phi, scales, delta=1e-3):
-    """Recover g_a for each a: midpoint inversion on the a-rescaled graph."""
+def trace_chain_family(phi, scales):
+    """Recover g_a for each a: midpoint inversion on the a-rescaled graph.
+
+    The base map is recovered first, so a non-graphical phi fails before
+    any rescaled member is built; its one-form serves the scale a = 1.
+    """
     scales = [float(a) for a in scales]
     if 1.0 not in scales:
         scales = [1.0] + scales
-    ok, min_det = is_graphical(phi, delta)
-    if not ok:
-        raise ValueError(
-            f"base map not graphical (min det = {min_det:.3e})"
-        )
+    base = recover_one_form(phi)
     potentials = []
-    forms = []
     for a in scales:
-        phi_a = _rescaled_map(phi, a)
-        try:
-            alpha = recover_one_form(phi_a, delta)
-        except ValueError as exc:
-            raise ValueError(
-                f"graphicality lost at scale {a}: {exc}; the midpoint "
-                "criterion is scale-invariant, so the discretization is "
-                "too coarse"
-            ) from exc
-        g = integrate_generating(alpha, base_value=0.0)
-        potentials.append(g)
-        forms.append(alpha)
-    return TraceChainFamily(scales, potentials, forms, phi)
+        if a == 1.0:
+            alpha = base
+        else:
+            try:
+                alpha = recover_one_form(_rescaled_map(phi, a))
+            except ValueError as exc:
+                raise ValueError(
+                    f"graphicality lost at scale {a}: {exc}; the midpoint "
+                    "criterion is scale-invariant, so the discretization is "
+                    "too coarse"
+                ) from exc
+        potentials.append(integrate_generating(alpha, base_value=0.0))
+    return TraceChainFamily(scales, potentials)
 
 
 def _rescaled_map(phi, a):
     """a * phi(y / a) on the grid shrunk by a (node-exact rescaling)."""
-    if a == 1.0:
-        return phi
     grid = phi.template
     lo, hi = grid.extent
     target = square_grid(grid.n, extent=a * hi[0])

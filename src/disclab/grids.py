@@ -1,4 +1,4 @@
-"""Grid-sampled scalar fields on the plane, disc quadrature, and the domain model.
+"""Grid-sampled scalar fields on the plane, disc quadrature, and the sphere model.
 
 All fields live on uniform square grids.  A grid node (i, j) sits at
 ``origin + (i*spacing, j*spacing)`` and ``values[i, j]`` stores the sample
@@ -15,47 +15,15 @@ blend is evaluated once instead of term by term.
 import functools
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class DiscDomain:
-    """Unit disc embedded as the upper hemisphere of a sphere model.
-
-    ``support_radius`` is the radius inside which all Hamiltonians live
-    (the margin to the boundary keeps every map the identity near the
-    disc's edge).  ``sphere_volume`` is the total area of the sphere
-    model; the lower hemisphere is an identity region of area
-    ``sphere_volume - pi``.
-    """
-
-    support_radius: float = 0.8
-    radius: float = 1.0
-    sphere_volume: float = TWO_PI
-
-    def __post_init__(self):
-        if not 0.0 < self.support_radius < self.radius:
-            raise ValueError(
-                f"support_radius must lie in (0, {self.radius}), got {self.support_radius}"
-            )
-        disc_area = math.pi * self.radius**2
-        if self.sphere_volume <= disc_area:
-            raise ValueError(
-                f"sphere_volume must exceed the disc area {disc_area}, got {self.sphere_volume}"
-            )
-
-    @property
-    def disc_area(self):
-        return math.pi * self.radius**2
-
-    @property
-    def identity_area(self):
-        return self.sphere_volume - self.disc_area
+# The sphere model: the unit disc is the upper hemisphere of a sphere of
+# area SPHERE_VOLUME; the lower hemisphere is an identity region, of area
+# IDENTITY_AREA, on which a sphere-normalized Hamiltonian is constant.
+SPHERE_VOLUME = 2.0 * math.pi
+IDENTITY_AREA = SPHERE_VOLUME - math.pi
 
 
 class GridField2D:
@@ -67,9 +35,11 @@ class GridField2D:
             raise ValueError(f"values must be square, got shape {values.shape}")
         if values.shape[0] < 16:
             raise ValueError(f"grid needs n >= 16, got n = {values.shape[0]}")
-        if spacing <= 0.0:
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        if not (math.isfinite(spacing) and spacing > 0.0):
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
         self.origin = np.asarray(origin, dtype=np.float64).reshape(2)
+        if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         self.spacing = float(spacing)
         self.values = values
         self._coeffs = None

@@ -10,9 +10,10 @@ and the action accumulated along the lifted trajectory,
     h = int p . dq - int F(u, phi^u(y)) du,
 
 is the generating function of the graph: dh = p . dq.  The phase function
-of a graphical time slice is the ray-integrated potential of the
-recovered one-form plus the identity-region value int_0^t c(s) ds, where
-c is the sphere-normalization offset of the Hamiltonian.
+of a graphical time-1 map is the ray-integrated potential of the one-form
+that `graphical.recover_one_form` recovers (the one graphicality gate of
+the map) plus the identity-region value int_0^1 c(s) ds, where c is the
+offset that normalizes the Hamiltonian on the sphere model.
 """
 
 import json
@@ -24,9 +25,8 @@ import numpy as np
 from .calabi import normalize_on_sphere
 from .chart import jmap
 from .flows import flow_map, integrate_points, _simpson_weights
-from .graphical import (OneFormField, integrate_generating, is_graphical,
-                        recover_one_form)
-from .grids import DiscDomain, GridField2D, square_grid
+from .graphical import OneFormField, integrate_generating, recover_one_form
+from .grids import SPHERE_VOLUME, GridField2D, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +137,20 @@ class GraphSamples:
         return worst
 
 
-def basic_generating(F, t=1.0, grid=None, dt=1e-3, nu=101, domain=None):
-    """Lift every grid seed, accumulate the action, return the sampled graph.
+def basic_generating(F, grid=None, dt=1e-3, nu=101):
+    """Lift every grid seed to time 1, accumulate the action, return the graph.
 
     The Hamiltonian in the action integrand is F - c(u) (sphere
     normalization on the same grid), which makes the value on the
-    identity region equal int_0^t c rather than 0.
+    identity region equal int_0^1 c rather than 0.
     """
     if grid is None:
         grid = square_grid(257)
     qx, qy = grid.nodes()
     seeds = np.stack([qx, qy], axis=-1)
     flat = seeds.reshape(-1, 2)
-    ham = normalize_on_sphere(F, domain, grid=grid)
-    times = np.linspace(0.0, t, nu)
+    ham = normalize_on_sphere(F, grid=grid)
+    times = np.linspace(0.0, 1.0, nu)
     for q, p, _, h in lifted_action(F, ham, flat, times, dt):
         pass
     shape = qx.shape
@@ -167,29 +167,21 @@ def basic_generating(F, t=1.0, grid=None, dt=1e-3, nu=101, domain=None):
 # phase functions of graphical slices
 
 
-def phase_function_graphical(F, domain=None, t=1.0, grid=None, dt=1e-3,
-                             delta=1e-3):
-    """The phase function f of the time-t graph, on the chart grid.
+def phase_function_graphical(F, grid=None, dt=1e-3):
+    """The phase function f of the time-1 graph, on the chart grid.
 
     f = (ray-integrated potential of the recovered one-form)
-        + int_0^t c(s) ds,
+        + int_0^1 c(s) ds,
     where c is the sphere-normalization offset of F.  The additive value
-    is exactly the constant-chord action on the identity region; at t = 1
-    it equals Cal / vol(sphere).  Rejects a non-graphical slice.
+    is exactly the constant-chord action on the identity region and
+    equals Cal / vol(sphere).  Rejects a non-graphical time-1 map, through
+    the one graphicality scan of `recover_one_form`.
     """
-    if domain is None:
-        domain = DiscDomain(support_radius=F.support_radius or 0.8)
     if grid is None:
         grid = square_grid(257)
-    phi = flow_map(F, t, grid=grid, dt=dt)
-    ok, min_det = is_graphical(phi, delta)
-    if not ok:
-        raise ValueError(
-            f"time-{t} slice is not graphical (min det = {min_det:.3e})"
-        )
-    alpha = recover_one_form(phi, delta)
-    nf = normalize_on_sphere(F, domain, grid=grid)
-    value = nf.offset_integral(t)
+    nf = normalize_on_sphere(F, grid=grid)
+    alpha = recover_one_form(flow_map(F, 1.0, grid=grid, dt=dt))
+    value = nf.offset_integral()
     g = integrate_generating(alpha, base_value=value)
     return g, value, alpha
 
@@ -282,12 +274,13 @@ class HJReport:
     parameter_step: float
 
 
-def hj_residual(family, G, interior_margin=2):
+def hj_residual(family, G):
     """Max |df/da + G(a, q, df)| over interior nodes and parameters.
 
     G is called as G(a, q_points, p_points) with arrays of shape (..., 2).
     Derivatives are centered differences in both the parameter and the
-    grid; needs at least 3 parameter samples.
+    grid; needs at least 3 parameter samples.  Interior nodes are those
+    two cells or more from the border.
     """
     samples = np.asarray(family.parameter_samples, dtype=np.float64)
     if samples.size < 3:
@@ -297,7 +290,6 @@ def hj_residual(family, G, interior_margin=2):
         raise ValueError("parameter samples must be uniform")
     h_a = steps[0]
     worst = 0.0
-    m = interior_margin
     for i in range(1, samples.size - 1):
         f0 = family.fields[i]
         dfda = (family.fields[i + 1].values - family.fields[i - 1].values) / (2 * h_a)
@@ -306,7 +298,7 @@ def hj_residual(family, G, interior_margin=2):
         q = np.stack([qx, qy], axis=-1)
         p = np.stack([d1, d2], axis=-1)
         res = dfda + G(samples[i], q, p)
-        core = res[m:-m, m:-m]
+        core = res[2:-2, 2:-2]
         worst = max(worst, float(np.max(np.abs(core))))
     return HJReport(worst, family.fields[0].spacing, h_a)
 
@@ -315,24 +307,23 @@ def hj_residual(family, G, interior_margin=2):
 # suspension identity
 
 
-def suspension_check(F, probes=None, nt=41, dt=1e-3, h_q=1e-3, domain=None,
-                     rng=None):
+def suspension_check(F, nt=41, dt=1e-3):
     """Max defect of d(h~) against the pulled-back form theta + a dt.
 
     The timewise generating function h~(t, q-seed) is accumulated along
-    lifted trajectories from a stencil of seeds around each probe.  The
+    lifted trajectories from a stencil of seeds (step 1e-3) around each
+    of 8 seeded random probes inside 0.6 of the support radius.  The
     q-components of the defect test dh = p . dq at fixed t; the
     t-component tests dh/dt = p . dq/dt - F(t, phi^t(y)), whose last term
     is the a-coordinate -F of the suspended graph.
     """
     if F.support_radius is None:
         raise ValueError("suspension check needs a compactly supported field")
-    if probes is None:
-        rng = np.random.default_rng(7) if rng is None else rng
-        probes = rng.uniform(-0.6 * F.support_radius, 0.6 * F.support_radius,
-                             size=(8, 2))
-    probes = np.asarray(probes, dtype=np.float64)
-    nf = normalize_on_sphere(F, domain)
+    probes = np.random.default_rng(7).uniform(
+        -0.6 * F.support_radius, 0.6 * F.support_radius, size=(8, 2)
+    )
+    h_q = 1e-3
+    nf = normalize_on_sphere(F)
     # stencil: center, +/- h_q in each axis
     offsets = np.array(
         [[0.0, 0.0], [h_q, 0.0], [-h_q, 0.0], [0.0, h_q], [0.0, -h_q]]
@@ -367,7 +358,7 @@ def suspension_check(F, probes=None, nt=41, dt=1e-3, h_q=1e-3, domain=None,
 # the phase integral over the sphere model
 
 
-def phase_integral(family, domain=None):
+def phase_integral(family):
     """I(a) per member: chart integral extended over the identity region.
 
     I = int (f - value) over the chart + value * vol(sphere); the first
@@ -375,13 +366,11 @@ def phase_integral(family, domain=None):
     constant value on the rest of the sphere model.  Also returns the
     discrete derivative I'(a).
     """
-    if domain is None:
-        domain = DiscDomain()
     out = []
     for idx, f in enumerate(family.fields):
         value = family.value_at(idx)
         bulk = float(np.sum(f.values - value)) * f.spacing**2
-        out.append(bulk + value * domain.sphere_volume)
+        out.append(bulk + value * SPHERE_VOLUME)
     samples = np.asarray(family.parameter_samples, dtype=np.float64)
     if samples.size >= 2:
         deriv = list(np.gradient(np.asarray(out), samples))

@@ -181,6 +181,13 @@ def test_normalized_offset_integrates_once_per_distinct_field(H, integrals,
     assert offsets[1] == offsets[3]
 
 
+def test_normalization_needs_support_inside_the_disc():
+    # rho = 1 clears the 1.05 grid extent, but the unit disc is the upper
+    # hemisphere of the sphere model: the support must stay inside it
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        normalize_on_sphere(radial_bump(rho=1.0), grid=square_grid(257))
+
+
 def test_flow_normalization_check_small(bump):
     grid = square_grid(129)
     nf = normalize_on_sphere(bump, grid=grid)

@@ -1,9 +1,12 @@
 """Experiment configuration, report serialization, and determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab.experiments import (ExperimentConfig, emit_report, make_family,
                                  parse_config, report_to_csv, report_to_json,
@@ -39,10 +42,28 @@ def test_config_defaults():
     {"tolerances": {"x": -1.0}},
     {"m": 0},                 # H constant on the support
     {"m": 1},                 # discontinuous vector field
+    {"h_a": math.nan},
+    {"tolerances": {"x": math.nan}},
+    {"tolerances": {"x": math.inf}},
+    {"amp": math.nan},
+    {"amp": math.inf},
+    {"rho": 0.0},             # E5 would divide by zero
+    {"rho": 1.0},             # support leaves the unit disc
+    {"angle": math.nan},
+    {"sweep": -math.inf},
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("key, val", [
+    ("h_a", math.nan), ("amp", math.inf), ("rho", 0.0), ("angle", math.nan),
+    ("sweep", -math.inf), ("dt", math.nan),
+])
+def test_config_error_names_the_key(key, val):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: val})
 
 
 def test_parse_config(tmp_path):
@@ -71,6 +92,32 @@ def test_parse_config_overrides(tmp_path):
     assert cfg.grid_n == 64
     assert cfg.experiment_id == "E6"
     assert cfg.seed == 2024                    # None override ignored
+
+
+E6_LINES = (
+    "experiment_id = E6",
+    "grid_n = 64",
+    "dt = 1e-2",
+    "seed = 11",
+    "amp = 0.04",
+    "tol_expansion = 1e-13",
+    "tol_spread = 0.5",
+)
+
+
+@pytest.fixture(scope="module")
+def e6_file_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    path.write_text("\n".join(E6_LINES) + "\n")
+    return report_to_json(run_experiment(parse_config(path)))
+
+
+@settings(deadline=None, max_examples=8)
+@given(lines=st.permutations(E6_LINES))
+def test_report_ignores_config_line_order(e6_file_report, tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert report_to_json(run_experiment(parse_config(path))) == e6_file_report
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):

@@ -100,11 +100,15 @@ def test_recovered_form_vanishes_outside_support(bump_form):
     assert np.max(np.abs(bump_form(pts))) == 0.0
 
 
-def test_recover_rejects_non_graphical():
+@pytest.fixture(scope="module")
+def twist_map_129():
     H = twist_bump(angle=4.0, rho=0.8, m=4)
-    phi = flow_map(H, 1.0, grid=square_grid(129), dt=1e-3)
+    return flow_map(H, 1.0, grid=square_grid(129), dt=1e-3)
+
+
+def test_recover_rejects_non_graphical(twist_map_129):
     with pytest.raises(ValueError, match="not graphical"):
-        gr.recover_one_form(phi)
+        gr.recover_one_form(twist_map_129)
 
 
 def test_recover_on_identity_gives_zero(grid65):
@@ -215,6 +219,27 @@ def test_trace_chain_base_member(chain, bump_form):
     g_direct = gr.integrate_generating(bump_form)
     g1 = chain.potential_at(1.0)
     assert np.max(np.abs(g1.values - g_direct.values)) < 1e-12
+
+
+def test_trace_chain_scans_each_member_once(bump_map_129, monkeypatch):
+    # the base map's form serves a = 1: one midpoint map per scale
+    built = []
+    midpoint = gr.midpoint_map
+    monkeypatch.setattr(gr, "midpoint_map",
+                        lambda phi: built.append(phi) or midpoint(phi))
+    fam = gr.trace_chain_family(bump_map_129, [0.5, 0.25])
+    assert fam.scales == [1.0, 0.5, 0.25]
+    assert len(built) == 3
+    assert built[0] is bump_map_129
+
+
+def test_trace_chain_rejects_non_graphical_base(twist_map_129, monkeypatch):
+    def no_rescaling(phi, a):
+        raise AssertionError("rescaled a non-graphical base map")
+
+    monkeypatch.setattr(gr, "_rescaled_map", no_rescaling)
+    with pytest.raises(ValueError, match="not graphical"):
+        gr.trace_chain_family(twist_map_129, [0.5, 0.25])
 
 
 def test_trace_chain_dgada_first_order(bump_map_257, rng):

@@ -1,4 +1,4 @@
-"""Grid fields, disc quadrature, and the domain model."""
+"""Grid fields and disc quadrature."""
 
 import math
 
@@ -7,32 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.grids import (DiscDomain, GridField2D, _disc_weights, blend, disc_weights,
+from disclab.grids import (GridField2D, _disc_weights, blend, disc_weights,
                            integrate_disc, integrate_plane, sample, square_grid)
-
-
-# ---------------------------------------------------------------------------
-# domain model
-
-
-def test_domain_defaults():
-    dom = DiscDomain()
-    assert dom.support_radius == 0.8
-    assert dom.radius == 1.0
-    assert math.isclose(dom.disc_area, math.pi)
-    assert math.isclose(dom.sphere_volume, 2.0 * math.pi)
-    assert math.isclose(dom.identity_area, 2.0 * math.pi - math.pi)
-
-
-@pytest.mark.parametrize("kw", [
-    {"support_radius": 0.0},
-    {"support_radius": 1.0},
-    {"support_radius": -0.3},
-    {"sphere_volume": 3.0},       # below the disc area pi
-])
-def test_domain_rejects_bad_parameters(kw):
-    with pytest.raises(ValueError):
-        DiscDomain(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +33,10 @@ def test_square_grid_geometry():
     dict(values=np.zeros((20, 30))),                  # not square
     dict(values=np.zeros((20, 20)), spacing=0.0),     # bad spacing
     dict(values=np.zeros((20, 20, 2))),               # not a matrix
+    dict(values=np.zeros((20, 20)), spacing=math.nan),
+    dict(values=np.zeros((20, 20)), spacing=math.inf),
+    dict(values=np.zeros((20, 20)), origin=(math.nan, 0.0)),
+    dict(values=np.zeros((20, 20)), origin=(0.0, -math.inf)),
 ])
 def test_grid_field_validation(bad):
     kw = dict(origin=(0.0, 0.0), spacing=0.1)
@@ -265,4 +245,14 @@ def test_csv_rejects_non_cubic_order(tmp_path):
     text = path.read_text().replace("# interpolation_order = 3", "# interpolation_order = 1")
     path.write_text(text)
     with pytest.raises(ValueError, match="interpolation_order 1"):
+        GridField2D.from_csv(path)
+
+
+def test_csv_rejects_non_finite_spacing(tmp_path):
+    path = tmp_path / "field.csv"
+    square_grid(17, extent=0.5).to_csv(path)
+    text = path.read_text().splitlines(keepends=True)
+    text[1] = "# spacing = nan\n"
+    path.write_text("".join(text))
+    with pytest.raises(ValueError, match="spacing"):
         GridField2D.from_csv(path)

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from disclab import graphical as gr
 from disclab import phase as ph
 from disclab.calabi import cal_path
 from disclab.fields import radial_bump, twist_bump, zero_field
 from disclab.graphical import recover_one_form
-from disclab.grids import DiscDomain, square_grid
-
-
-VOL = DiscDomain().sphere_volume
+from disclab.grids import SPHERE_VOLUME, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +88,7 @@ def test_basic_generating_identity_region_value(bump, grid257):
     qx, qy = gs.seeds[..., 0], gs.seeds[..., 1]
     outside = np.hypot(qx, qy) >= 0.9
     vals = gs.h[outside]
-    assert np.max(np.abs(vals - cal / VOL)) < 1e-4
+    assert np.max(np.abs(vals - cal / SPHERE_VOLUME)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +103,7 @@ def bump_phase(bump, grid257):
 def test_phase_value_is_cal_over_vol(bump_phase, bump, grid257):
     _, value, _ = bump_phase
     cal = cal_path(bump, grid257)
-    assert value == pytest.approx(cal / VOL, abs=2e-3)
+    assert value == pytest.approx(cal / SPHERE_VOLUME, abs=2e-3)
 
 
 def test_phase_matches_identity_region(bump_phase):
@@ -127,6 +125,23 @@ def test_lagrangian_selector_matches_recovered_form(bump_phase, bump_map_257):
     core = (slice(4, -4), slice(4, -4))
     assert np.max(np.abs(sigma.a1.values[core] - alpha.a1.values[core])) < 5e-4
     assert np.max(np.abs(sigma.a2.values[core] - alpha.a2.values[core])) < 5e-4
+
+
+def test_phase_scans_the_map_once(monkeypatch):
+    # recover_one_form is the only graphicality gate: one midpoint map and
+    # one collision probe per phase function
+    counts = {"midpoint_map": 0, "_collision_probe": 0}
+    for name in counts:
+        orig = getattr(gr, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(gr, name, counted)
+    ph.phase_function_graphical(radial_bump(amp=0.05, rho=0.8, m=4),
+                                grid=square_grid(65), dt=1e-2)
+    assert counts == {"midpoint_map": 1, "_collision_probe": 1}
 
 
 def test_phase_rejects_non_graphical_slice():
@@ -224,7 +239,7 @@ def test_phase_integral_of_constant_family():
     fam = ph.PhaseFamily([0.0, 0.5, 1.0], [f, f, f], v)
     integrals, deriv = ph.phase_integral(fam)
     for ival in integrals:
-        assert ival == pytest.approx(v * VOL, rel=1e-12)
+        assert ival == pytest.approx(v * SPHERE_VOLUME, rel=1e-12)
     assert np.max(np.abs(deriv)) < 1e-12
 
 
@@ -235,5 +250,5 @@ def test_phase_integral_at_time_one(bump_phase, bump, grid257):
     # the chart integral of the potential cancels the identity-region
     # contribution value * vol: the phase integral vanishes
     cal = cal_path(bump, grid257)
-    assert abs(value * VOL - cal) < 2e-3
+    assert abs(value * SPHERE_VOLUME - cal) < 2e-3
     assert abs(integrals[0]) < 1e-3
