@@ -274,7 +274,9 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
     Diagnostics per member: Calabi invariant, C0 distance of the time-one
     map to the identity, Hofer length.  Each member is measured on a grid
     adapted to its support unless a fixed grid is supplied (which must
-    resolve the support by at least 4 cells).
+    resolve the support by at least 4 cells).  The members of an
+    autonomous bump are autonomous, so their Calabi and Hofer time
+    integrals each take one spatial slice instead of nt.
     """
     scales = [float(a) for a in scales]
     if any(not 0.0 < a <= 1.0 for a in scales):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .fields import ScalarTimeField
-from .flows import time_simpson
+from .flows import time_integral
 from .grids import (IDENTITY_AREA, SPHERE_VOLUME, GridField2D, disc_weights,
                     square_grid)
 
@@ -39,11 +39,15 @@ def spatial_integral(H, t, grid):
 
 
 def cal_path(H, grid=None, nt=129):
-    """Cal^path: double quadrature of H over time and the disc."""
+    """Cal^path: double quadrature of H over time and the disc.
+
+    Simpson on nt time samples; an autonomous H takes the one spatial
+    slice at t = 0.
+    """
     if grid is None:
         grid = square_grid(257)
     _check_supported(H, grid)
-    return time_simpson(lambda t: spatial_integral(H, t, grid), nt)
+    return time_integral(H, lambda t: spatial_integral(H, t, grid), nt)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +188,12 @@ class NormalizedField:
         return self.base(t, points) - self.offset(t)
 
     def offset_integral(self, t1=1.0, nt=129):
-        """int_0^t c(s) ds by Simpson; equals Cal/vol at t = 1."""
-        return time_simpson(self.offset, nt, t1)
+        """int_0^t1 c(s) ds; equals Cal/vol at t1 = 1.
+
+        Simpson on nt samples; an autonomous base takes the one offset
+        c(0).
+        """
+        return time_integral(self, self.offset, nt, t1)
 
     def sphere_mean(self, t):
         """Mean over the sphere model; 0 by construction."""

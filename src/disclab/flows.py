@@ -383,11 +383,19 @@ def _simpson_weights(n):
     return w / 3.0
 
 
-def time_simpson(g, nt, t1=1.0):
-    """int_0^t1 g(t) dt by composite Simpson on nt equi-spaced samples."""
+def time_integral(H, g, nt, t1=1.0):
+    """int_0^t1 g(t) dt for a g that depends on t only through H(t, .).
+
+    An autonomous H gives a constant g, so the integral is t1 * g(0) from
+    one sample.  Otherwise composite Simpson on nt equi-spaced samples.
+    nt is checked either way.
+    """
+    w = _simpson_weights(nt)
+    if H.is_autonomous:
+        return float(t1 * g(0.0))
     times = np.linspace(0.0, t1, nt)
     vals = np.array([g(t) for t in times])
-    return float(np.sum(_simpson_weights(nt) * vals) * (times[1] - times[0]))
+    return float(np.sum(w * vals) * (times[1] - times[0]))
 
 
 def osc_on_grid(H, t, grid):
@@ -401,10 +409,13 @@ def osc_on_grid(H, t, grid):
 
 
 def hofer_length(H, grid=None, nt=129):
-    """Hofer length: time integral of the oscillation of H_t (Simpson)."""
+    """Hofer length: time integral of the oscillation of H_t.
+
+    Simpson on nt samples; an autonomous H takes the one slice at t = 0.
+    """
     if grid is None:
         grid = square_grid(257)
-    return time_simpson(lambda t: osc_on_grid(H, t, grid), nt)
+    return time_integral(H, lambda t: osc_on_grid(H, t, grid), nt)
 
 
 def _c0_one_sided(phi, psi):

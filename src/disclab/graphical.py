@@ -291,6 +291,11 @@ class TraceChainFamily:
         idx = self.scales.index(a)
         return self.potentials[idx]
 
+    def restricted(self, scales):
+        """The sub-family at a = 1 and the given scales, without recovering again."""
+        scales = _with_unit_scale(scales)
+        return TraceChainFamily(scales, [self.potential_at(a) for a in scales])
+
     def scaling_defect(self):
         """Max over scales and nodes of |g_a(a q) - a^2 g_1(q)|.
 
@@ -315,9 +320,7 @@ def trace_chain_family(phi, scales):
     The base map is recovered first, so a non-graphical phi fails before
     any rescaled member is built; its one-form serves the scale a = 1.
     """
-    scales = [float(a) for a in scales]
-    if 1.0 not in scales:
-        scales = [1.0] + scales
+    scales = _with_unit_scale(scales)
     base = recover_one_form(phi)
     potentials = []
     for a in scales:
@@ -334,6 +337,12 @@ def trace_chain_family(phi, scales):
                 ) from exc
         potentials.append(integrate_generating(alpha, base_value=0.0))
     return TraceChainFamily(scales, potentials)
+
+
+def _with_unit_scale(scales):
+    """The scales as floats, with a = 1 put first when missing."""
+    scales = [float(a) for a in scales]
+    return scales if 1.0 in scales else [1.0] + scales
 
 
 def _rescaled_map(phi, a):

@@ -11,7 +11,8 @@ from disclab.calabi import (cal_path, compose_dev, flow_normalization_check,
                             spatial_integral)
 from disclab.fields import (ScalarTimeField, loop_bump, moving_bump,
                             radial_bump, zero_field)
-from disclab.flows import PlaneMap, flow_map, hamiltonian_path
+from disclab.flows import (PlaneMap, _simpson_weights, flow_map,
+                           hamiltonian_path, hofer_length, osc_on_grid)
 from disclab.grids import square_grid
 
 
@@ -50,6 +51,56 @@ def test_cal_path_is_linear(bump, grid257):
     assert cal_path(bump.amplified(3.0), grid257) == pytest.approx(
         3.0 * cal_path(bump, grid257), rel=1e-12
     )
+
+
+# the three time quadratures of a field: (integral, integrand at t)
+TIME_INTEGRALS = {
+    "cal_path": (lambda H, grid, nt: cal_path(H, grid, nt),
+                 lambda H, grid, t: spatial_integral(H, t, grid)),
+    "hofer_length": (lambda H, grid, nt: hofer_length(H, grid, nt),
+                     lambda H, grid, t: osc_on_grid(H, t, grid)),
+    "offset_integral": (
+        lambda H, grid, nt: normalize_on_sphere(H, grid).offset_integral(nt=nt),
+        lambda H, grid, t: spatial_integral(H, t, grid) / (2.0 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_INTEGRALS))
+@pytest.mark.parametrize("H, autonomous", [(radial_bump(amp=0.05), True),
+                                           (loop_bump(amp=0.05), False)])
+def test_time_integral_evaluates_an_autonomous_field_once(name, H, autonomous,
+                                                          monkeypatch):
+    integral, _ = TIME_INTEGRALS[name]
+    calls = []
+    evaluator = H._evaluator
+
+    def counting(t, pts):
+        calls.append(t)
+        return evaluator(t, pts)
+
+    monkeypatch.setattr(H, "_evaluator", counting)
+    integral(H, square_grid(65), 9)
+    assert calls == ([0.0] if autonomous else list(np.linspace(0.0, 1.0, 9)))
+
+
+@pytest.mark.parametrize("name", sorted(TIME_INTEGRALS))
+def test_one_slice_equals_the_simpson_sum(name, bump, grid129):
+    # an autonomous integrand is the same slice at every Simpson node
+    integral, integrand = TIME_INTEGRALS[name]
+    times = np.linspace(0.0, 1.0, 129)
+    vals = np.array([integrand(bump, grid129, t) for t in times])
+    simpson = np.sum(_simpson_weights(129) * vals) * (times[1] - times[0])
+    assert integral(bump, grid129, 129) == pytest.approx(simpson, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(TIME_INTEGRALS))
+@pytest.mark.parametrize("H", [radial_bump(amp=0.05), loop_bump(amp=0.05)],
+                         ids=["autonomous", "loop"])
+@pytest.mark.parametrize("nt", [4, 1])
+def test_time_integral_rejects_bad_sample_counts(name, H, nt):
+    integral, _ = TIME_INTEGRALS[name]
+    with pytest.raises(ValueError, match="odd number of samples"):
+        integral(H, square_grid(65), nt)
 
 
 def test_cal_path_rejects_unsupported(grid257):

@@ -205,3 +205,19 @@ def test_failed_module_error_is_recorded(monkeypatch):
     rep = run_experiment(ExperimentConfig(experiment_id="E2"))
     assert not rep.overall_pass
     assert "boom" in rep.errors["completed"]
+
+
+def test_e8_recovers_each_map_once(monkeypatch):
+    from disclab import graphical as gr
+
+    built = []
+    midpoint = gr.midpoint_map
+    monkeypatch.setattr(gr, "midpoint_map",
+                        lambda phi: built.append(phi.template.extent[1][0]) or midpoint(phi))
+    rep = run_experiment(ExperimentConfig(experiment_id="E8", grid_n=64, dt=1e-2))
+    assert rep.overall_pass
+    # 5 + 9 phase functions for the HJ levels, then one trace chain: the
+    # base map and 9 rescalings, a = 1 and a = 0.5 shared by both families
+    assert len(built) == 24
+    rescaled = [e for e in built if e < 1.05]
+    assert len(rescaled) == len(set(rescaled)) == 9

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from disclab import kernels
 from disclab.fields import loop_bump, moving_bump, radial_bump, twist_bump, zero_field
 from disclab.flows import (PlaneMap, _simpson_weights, c0_distance, flow_map,
-                           hamiltonian_path, hofer_length, integrate_points, osc_on_grid, vector_field)
+                           hamiltonian_path, hofer_length, integrate_points, osc_on_grid,
+                           time_integral, vector_field)
 from disclab.grids import square_grid
 
 
@@ -335,6 +336,28 @@ def test_simpson_weights():
     ts = np.linspace(0.0, 1.0, n)
     w = _simpson_weights(n)
     assert np.sum(w * ts**3) * (ts[1] - ts[0]) == pytest.approx(0.25, rel=1e-14)
+
+
+@pytest.mark.parametrize("H, samples, value", [
+    # an autonomous H: one sample, t1 * g(0)
+    (BUMP, [0.0], 0.5),
+    # otherwise Simpson, exact for the cubic: int_0^0.5 (1 + t^3) dt
+    (loop_bump(amp=0.05), list(np.linspace(0.0, 0.5, 5)), 0.5 + 0.5**4 / 4.0),
+])
+def test_time_integral_samples(H, samples, value):
+    seen = []
+
+    def g(t):
+        seen.append(t)
+        return 1.0 + t**3
+
+    assert time_integral(H, g, 5, t1=0.5) == pytest.approx(value, rel=1e-14)
+    assert seen == samples
+    # nt is checked before either branch samples g
+    for nt in (4, 1):
+        with pytest.raises(ValueError, match="odd number of samples"):
+            time_integral(H, g, nt)
+    assert seen == samples
 
 
 def test_oscillation_and_hofer_length(bump):

@@ -221,6 +221,15 @@ def test_trace_chain_base_member(chain, bump_form):
     assert np.max(np.abs(g1.values - g_direct.values)) < 1e-12
 
 
+def test_trace_chain_restriction_shares_potentials(chain):
+    sub = chain.restricted([0.25])
+    assert sub.scales == [1.0, 0.25]
+    assert sub.potentials[0] is chain.potential_at(1.0)
+    assert sub.potentials[1] is chain.potential_at(0.25)
+    with pytest.raises(ValueError):
+        chain.restricted([0.125])                      # not in the family
+
+
 def test_trace_chain_scans_each_member_once(bump_map_129, monkeypatch):
     # the base map's form serves a = 1: one midpoint map per scale
     built = []
