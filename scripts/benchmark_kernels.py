@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the bump-flow RK4 kernel on two radial-bump flows.
+"""Benchmark the bump-flow RK4 kernel on three radial-bump flows.
 
 The kernel (`disclab.kernels.rk4_bump_flow`) advances a radial bump's
-time-one flow over two clouds: a uniform random cloud (30k points by
-default) and the 1,877 live nodes of a 65-node grid, the cloud size of an
-s-Hamiltonian path.  For each cloud the script prints the best wall time,
-M point-steps/s over live points, and the maximum error against the exact
-rotation (`SeparableBump.exact_flow`), so a kernel change shows its
-accuracy next to its speed.
+time-one flow over three clouds: a uniform random cloud (30k points by
+default), the 1,877 live nodes of a 65-node grid, the cloud size of an
+s-Hamiltonian path, and the 119,521 live nodes of a 513-node grid, the
+acceptance-size cloud that spans several of the kernel's blocks.  The
+first two take --steps RK4 steps, the 513-node grid takes 100.  For each
+cloud the script prints the best wall time, M point-steps/s over live
+points, and the maximum error against the exact rotation
+(`SeparableBump.exact_flow`), so a kernel change shows its accuracy next
+to its speed.
 
 Usage: PYTHONPATH=src python3 scripts/benchmark_kernels.py [--points N] [--steps M]
 """
@@ -48,15 +51,21 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
-    qx, qy = square_grid(65).nodes()
+
+    def grid_cloud(n):
+        qx, qy = square_grid(n).nodes()
+        return np.stack([qx.ravel(), qy.ravel()], axis=-1)
+
+    # (cloud, RK4 steps to t = 1)
     clouds = {
-        "random": rng.uniform(-0.75, 0.75, size=(args.points, 2)),
-        "grid-65": np.stack([qx.ravel(), qy.ravel()], axis=-1),
+        "random": (rng.uniform(-0.75, 0.75, size=(args.points, 2)), args.steps),
+        "grid-65": (grid_cloud(65), args.steps),
+        "grid-513": (grid_cloud(513), 100),
     }
-    print(f"radial bump amp={AMP} rho={RHO} m={M}, {args.steps} RK4 steps to t = 1")
-    for name, pts in clouds.items():
-        best, live, rate, err = run(pts, args.steps, args.repeats)
-        print(f"{name:>8} : {live:6d} live points  {best:8.3f} s  "
+    print(f"radial bump amp={AMP} rho={RHO} m={M}, time-one flows")
+    for name, (pts, steps) in clouds.items():
+        best, live, rate, err = run(pts, steps, args.repeats)
+        print(f"{name:>8} : {live:6d} live points  {steps:5d} steps  {best:8.3f} s  "
               f"{rate / 1e6:7.2f} M point-steps/s  max error vs exact {err:.3e}")
 
 

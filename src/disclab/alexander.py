@@ -196,6 +196,13 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
     if s_samples is None:
         s_samples = np.linspace(0.0625, 1.0, 16)
     s_samples = np.asarray(s_samples, dtype=np.float64)
+    # K is interpolated between bracketing samples in s and in t
+    if s_samples.ndim != 1 or s_samples.size < 2 or np.any(np.diff(s_samples) <= 0.0):
+        raise ValueError(
+            f"s_samples must be at least two increasing values, got {s_samples.tolist()}"
+        )
+    if nt < 2:
+        raise ValueError(f"nt must be at least 2, got {nt}")
     if np.any(s_samples - 2.0 * h_s <= 0.0) or np.any(s_samples > 1.0):
         raise ValueError("s samples must keep s - 2 h_s inside (0, 1]")
     if grid is None:

@@ -123,12 +123,12 @@ def cmd_graphical(args):
     cfg = _config_from_args(args)
     F = make_family(cfg.family, cfg)
     phi = flow_map(F, 1.0, grid=cfg.grid(), dt=cfg.dt)
-    ok, min_det = gr.is_graphical(phi)
-    print(f"graphical : {ok}")
-    print(f"min det   : {min_det:.6e}")
-    if not ok:
+    scanned = gr.scan(phi)
+    print(f"graphical : {scanned.graphical}")
+    print(f"min det   : {scanned.min_det:.6e}")
+    if not scanned.graphical:
         return 1
-    alpha = gr.recover_one_form(phi)
+    alpha = gr.recover_one_form(phi, scanned)
     print(f"closedness residual : {alpha.closedness_residual():.6e}")
     if args.out:
         base = os.path.join(_out_dir(args), f"{cfg.family}_oneform")

@@ -8,7 +8,9 @@ continuous derivatives it has.  The structured SeparableBump family
 
 carries enough algebraic structure for the closed-form vector field of the
 bump flow kernel (disclab.kernels) and for exact rescaling; everything
-else goes through the generic evaluator path.
+else goes through the generic evaluator path.  Its value takes the one
+profile power u^m by repeated multiplication, in place, as the kernel
+takes u^(m-1), and needs no support mask when its center is fixed.
 """
 
 import math
@@ -25,6 +27,8 @@ class ScalarTimeField:
 
     # a black-box evaluator makes no promise that it ignores t
     is_autonomous = False
+    # nor that it vanishes outside the support, so its values are masked
+    _evaluator_masks = False
 
     def __init__(self, evaluator, support_radius, smoothness_order=2, gradient=None):
         self._evaluator = evaluator
@@ -35,7 +39,7 @@ class ScalarTimeField:
     def __call__(self, t, points):
         points = np.asarray(points, dtype=np.float64)
         vals = np.asarray(self._evaluator(t, points), dtype=np.float64)
-        if self.support_radius is not None:
+        if self.support_radius is not None and not self._evaluator_masks:
             vals = np.where(self._outside(points), 0.0, vals)
         return vals
 
@@ -86,6 +90,9 @@ class SeparableBump(ScalarTimeField):
     with clockwise rate u'(r)/r).
     """
 
+    # the evaluator is zero outside the support by itself
+    _evaluator_masks = True
+
     def __init__(self, amp=1.0, rho=0.8, m=4, tau=None, center=None, support_radius=None):
         self.amp = float(amp)
         self.rho = float(rho)
@@ -100,17 +107,41 @@ class SeparableBump(ScalarTimeField):
                 support_radius = rho
             else:
                 raise ValueError("moving bumps must declare their support_radius")
+        elif center is None and support_radius < rho:
+            # the profile vanishes only at r >= rho
+            raise ValueError(
+                f"a fixed bump's support_radius must be >= rho = {rho}, got {support_radius}"
+            )
         super().__init__(self._eval, support_radius, smoothness_order=self.m - 1)
 
     def _eval(self, t, pts):
-        c = np.zeros(2) if self.center is None else np.asarray(self.center(t), dtype=np.float64)
-        dx = pts[..., 0] - c[0]
-        dy = pts[..., 1] - c[1]
-        u = 1.0 - (dx * dx + dy * dy) / (self.rho * self.rho)
-        vals = self.amp * np.where(u > 0.0, u, 0.0) ** self.m
+        """amp * tau(t) * max(u, 0)^m, the power by repeated multiplication, in place.
+
+        A fixed center needs no mask: u <= 0 already means r >= rho.  A
+        moving bump is masked where r^2 >= support_radius^2.
+        """
+        x = pts[..., 0]
+        y = pts[..., 1]
+        if self.center is not None:
+            c = self.center_at(t)
+            x = x - c[0]
+            y = y - c[1]
+        u = np.multiply(x, x, out=np.empty(pts.shape[:-1]))
+        w = np.multiply(y, y, out=np.empty(pts.shape[:-1]))
+        u += w
+        u /= self.rho * self.rho
+        np.subtract(1.0, u, out=u)
+        np.maximum(u, 0.0, out=u)
+        np.multiply(u, u, out=w)
+        for _ in range(self.m - 2):
+            w *= u
+        w *= self.amp
         if self.tau is not None:
-            vals = self.tau(t) * vals
-        return vals
+            w *= self.tau(t)
+        if self.center is not None:
+            x, y = pts[..., 0], pts[..., 1]
+            w[x * x + y * y >= self.support_radius * self.support_radius] = 0.0
+        return w
 
     @property
     def is_autonomous(self):

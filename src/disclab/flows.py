@@ -2,13 +2,14 @@
 
 Sign convention: Omega = dq^dp and i_{X_H} Omega = dH, so
 X_H = (dH/dp, -dH/dq).  Every flow runs through the one classical RK4
-stepper, disclab.kernels.rk4.  A separable bump hands it the closed-form
-X_H of kernels.rk4_bump_flow.  Any other field hands it vector_field,
-which takes the field's own gradient when it carries one (grid-backed
-fields differentiate their cubic spline analytically) and 4th-order
-centered differences of width FD_WIDTH otherwise.  Symplecticity is
-monitored, not enforced.  Points starting outside the support radius
-never move.
+stepper, disclab.kernels.rk4: one in-place loop over blocks of live
+points, with a field callback that writes X_H into the loop's stage
+buffers.  A separable bump hands it the closed-form X_H of
+kernels.rk4_bump_flow.  Any other field hands it vector_field, which
+takes the field's own gradient when it carries one (grid-backed fields
+differentiate their cubic spline analytically) and 4th-order centered
+differences of width FD_WIDTH otherwise.  Symplecticity is monitored, not
+enforced.  Points starting outside the support radius never move.
 """
 
 from dataclasses import dataclass
@@ -87,9 +88,8 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
         return _rk4_bump(H, pts, t0, step, nsteps)
     offsets = (0.0, 0.5 * step, step)
 
-    def field(x, y, k, j):
-        v = vector_field(H, t0 + k * step + offsets[j], np.stack([x, y], axis=-1))
-        return v[:, 0], v[:, 1]
+    def field(z, k, j, out):
+        out[:] = vector_field(H, t0 + k * step + offsets[j], np.stack([z[0], z[1]], axis=-1)).T
 
     return kernels.rk4(field, pts, step, nsteps, H.support_radius)
 

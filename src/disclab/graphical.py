@@ -9,11 +9,14 @@ of a closed one-form, recovered node-by-node by Newton inversion of
 kappa; its potential is the generating function of the map.
 
 `recover_one_form` is the one graphicality gate: it builds kappa once,
-scans it once, and inverts that same kappa.  `is_graphical` runs the
-same scan for callers that only want the verdict.
+scans it once, and inverts that same kappa.  `scan` runs that scan alone
+and its result can be handed to `recover_one_form`, so a caller that
+reports the verdict first still scans once; `is_graphical` keeps only the
+verdict.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +82,16 @@ def _min_det_inside(kappa):
     return float(np.min(det)) if det.size else 1.0
 
 
-def _scan(phi):
-    """(kappa, graphical?, min det d(kappa)): the one graphicality scan of phi.
+class Scan(NamedTuple):
+    """The midpoint map kappa of phi, the scan's verdict, and min det d(kappa)."""
+
+    kappa: PlaneMap
+    graphical: bool
+    min_det: float
+
+
+def scan(phi):
+    """The one graphicality scan of phi.
 
     The determinant scan certifies that kappa is a local diffeomorphism
     inside the support.  Only if it passes does the collision probe run:
@@ -91,12 +102,12 @@ def _scan(phi):
     kappa = midpoint_map(phi)
     min_det = _min_det_inside(kappa)
     ok = min_det > MIN_DET and not _collision_probe(kappa)
-    return kappa, ok, min_det
+    return Scan(kappa, ok, min_det)
 
 
 def is_graphical(phi):
     """(graphical?, min det d(kappa)) by determinant scan + collision probe."""
-    _, ok, min_det = _scan(phi)
+    _, ok, min_det = scan(phi)
     return ok, min_det
 
 
@@ -177,15 +188,16 @@ class OneFormField:
         return float(np.max(np.abs(flat[idx] * wedge)))
 
 
-def recover_one_form(phi):
+def recover_one_form(phi, scanned=None):
     """alpha with Image(alpha) = Graph(phi): solve kappa(y) = q per node.
 
-    Rejects non-graphical input after one scan of kappa.  For each chart
-    node q inside the support, the midpoint equation kappa(y) = q is then
-    solved by damped Newton (seeded at q) on that same kappa, and
-    alpha(q) = -j(phi(y) - y).
+    Rejects non-graphical input after one scan of kappa; scanned, the
+    result of scan(phi), saves a caller that already has it the second
+    scan.  For each chart node q inside the support, the midpoint
+    equation kappa(y) = q is then solved by damped Newton (seeded at q)
+    on that same kappa, and alpha(q) = -j(phi(y) - y).
     """
-    kappa, ok, min_det = _scan(phi)
+    kappa, ok, min_det = scan(phi) if scanned is None else scanned
     if not ok:
         raise ValueError(
             f"map is not graphical (min det d(kappa) = {min_det:.3e}; the scan "

@@ -184,6 +184,18 @@ def test_s_hamiltonian_rejects_bad_samples(bump):
         alx.s_hamiltonian(fam, s_samples=[0.5, 1.1], grid=square_grid(65))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    # one s sample or one t sample leaves nothing to interpolate between
+    ({"s_samples": [0.75]}, "s_samples"),
+    ({"s_samples": [0.75, 0.75]}, "s_samples"),
+    ({"s_samples": [0.5, 0.75], "nt": 1}, "nt"),
+])
+def test_s_hamiltonian_rejects_too_few_samples(bump, kwargs, name):
+    fam = alx.linear_family(bump)
+    with pytest.raises(ValueError, match=name):
+        alx.s_hamiltonian(fam, grid=square_grid(33), **kwargs)
+
+
 def test_s_hamiltonian_of_constant_family_vanishes(bump):
     fam = alx.TwoParameterFamily(lambda s: bump, 0.8)
     sham = alx.s_hamiltonian(fam, s_samples=[0.5, 0.75, 1.0], nt=5,

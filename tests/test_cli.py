@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from disclab import graphical as gr
 from disclab.cli import build_parser, main
 
 
@@ -102,6 +103,39 @@ def test_graphical_nongraphical_exit_1(capsys):
     # default twist angle 0.8 is graphical; no nongraphical family is
     # reachable through the config surface, so this should succeed
     assert code == 0
+
+
+def _count_midpoint_maps(monkeypatch):
+    calls = []
+    orig = gr.midpoint_map
+
+    def counted(phi):
+        calls.append(phi)
+        return orig(phi)
+
+    monkeypatch.setattr(gr, "midpoint_map", counted)
+    return calls
+
+
+def test_graphical_scans_the_map_once(capsys, monkeypatch):
+    # the verdict, min det and the one-form all come from one scan
+    calls = _count_midpoint_maps(monkeypatch)
+    assert run(["graphical", "--grid", "64", "--dt", "1e-2"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "graphical : True" in out
+    assert "closedness residual" in out
+
+
+def test_graphical_rejected_scan_exits_1(capsys, monkeypatch):
+    # a determinant floor no map reaches makes the one scan fail
+    calls = _count_midpoint_maps(monkeypatch)
+    monkeypatch.setattr(gr, "MIN_DET", 10.0)
+    assert run(["graphical", "--grid", "64", "--dt", "1e-2"]) == 1
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "graphical : False" in out
+    assert "closedness residual" not in out
 
 
 def test_phase_smoke(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Built-in Hamiltonian families and their exact algebra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab.fields import (ScalarTimeField, SeparableBump, field_sum, loop_bump,
                             moving_bump, radial_bump, twist_bump, zero_field)
@@ -29,6 +32,43 @@ def test_bump_profile_value():
     pt = np.array([[0.3, 0.0]])
     expected = 2.0 * (1.0 - 0.09 / 0.25) ** 3
     assert H(0.0, pt)[0] == pytest.approx(expected, rel=1e-14)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(2, 6), amp=st.floats(0.01, 2.0), rho=st.floats(0.1, 0.8),
+       t=st.floats(0.0, 1.0), moving=st.booleans(), sweep=st.floats(0.0, 0.5),
+       polar=st.lists(st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 2.0 * math.pi)),
+                      min_size=1, max_size=32))
+def test_bump_value_is_the_profile_power(m, amp, rho, t, moving, sweep, polar):
+    # amp * tau * max(u, 0)^m on the float64 u, within 4 ulp of the exact
+    # product, and exactly 0 at r >= support_radius (r^2 >= R^2 in floats),
+    # also where a moving disc pokes out of the support
+    if moving:
+        center = lambda s: sweep * np.array([math.cos(2.0 * math.pi * s),
+                                             math.sin(2.0 * math.pi * s)])
+        H = SeparableBump(amp=amp, rho=rho, m=m, center=center, support_radius=0.8,
+                          tau=lambda s: 1.0 + 0.5 * math.sin(2.0 * math.pi * s))
+    else:
+        H = SeparableBump(amp=amp, rho=rho, m=m)
+    # plus points on the support circle and past it, toward the center
+    R = H.support_radius
+    r, angle = np.array(polar + [(R, 2.0 * math.pi * t), (1.05 * R, 2.0 * math.pi * t)]).T
+    pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    got = H(t, pts)
+    d = pts - H.center_at(t)
+    u = 1.0 - (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / (H.rho * H.rho)
+    outside = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] >= R * R
+    assert np.all(got[outside] == 0.0)
+    for value, ui in zip(got[~outside], u[~outside]):
+        exact = Fraction(H.amp) * Fraction(H.tau_at(t)) * Fraction(max(ui, 0.0)) ** m
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
+
+
+def test_fixed_bump_support_covers_its_disc():
+    # a fixed bump is nonzero up to r = rho, so a smaller support is refused
+    assert SeparableBump(rho=0.5, support_radius=0.8).support_radius == 0.8
+    with pytest.raises(ValueError, match="support_radius must be >= rho"):
+        SeparableBump(rho=0.8, support_radius=0.5)
 
 
 def test_zero_field():
