@@ -172,11 +172,12 @@ class SHamiltonian:
     def time_one_field(self):
         """s -> K(s, 1, .): the Hamiltonian of the end path s -> phi_{H(s)}^1.
 
-        The field carries the analytic gradient of its spline.
+        The field carries the analytic gradient of its spline, which the
+        blended K grid writes straight into the caller's buffer.
         """
         return ScalarTimeField(
             lambda s, pts: self(s, 1.0, pts), self.support_radius, 2,
-            gradient=lambda s, pts: self.field_at(s, 1.0).value_and_gradient(pts)[1],
+            gradient=lambda s, z, out: self.field_at(s, 1.0).gradient_into(z, out),
         )
 
     def gauge_defect(self):
@@ -212,17 +213,22 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
     all_values = []
     support = family.support_radius
     for s in s_samples:
-        path_mid = hamiltonian_path(family.at(s), nt, grid, dt, with_inverse=True)
+        H_mid = family.at(s)
+        path_mid = hamiltonian_path(H_mid, nt, grid, dt, with_inverse=True)
         if s + h_s <= 1.0:
             # centered stencil
             stencil = [(s + h_s, 0.5 / h_s), (s - h_s, -0.5 / h_s)]
         else:
             # one-sided second-order stencil at the upper end
             stencil = [(s, 1.5 / h_s), (s - h_s, -2.0 / h_s), (s - 2.0 * h_s, 0.5 / h_s)]
-        sidearms = [
-            (family.at(sv), hamiltonian_path(family.at(sv), nt, grid, dt), cv)
-            for sv, cv in stencil
-        ]
+        sidearms = []
+        for sv, cv in stencil:
+            if sv == s:
+                # the forward sweep of path_mid is this sidearm's path
+                sidearms.append((H_mid, path_mid, cv))
+            else:
+                Hs = family.at(sv)
+                sidearms.append((Hs, hamiltonian_path(Hs, nt, grid, dt), cv))
         integrands = []
         for k, u in enumerate(times):
             y = np.stack(path_mid.maps[k].inverse().node_images(), axis=-1)

@@ -33,9 +33,7 @@ def _check_supported(H, grid):
 
 def spatial_integral(H, t, grid):
     """int H(t, .) dA by cell sum (valid: the field vanishes at the grid edge)."""
-    qx, qy = grid.nodes()
-    pts = np.stack([qx, qy], axis=-1)
-    return float(np.sum(H(t, pts)) * grid.spacing**2)
+    return float(np.sum(H(t, grid.node_points())) * grid.spacing**2)
 
 
 def cal_path(H, grid=None, nt=129):

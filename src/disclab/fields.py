@@ -21,8 +21,10 @@ import numpy as np
 class ScalarTimeField:
     """H(t, x) wrapping a vectorized evaluator.
 
-    An optional gradient evaluator returns (dH/dq, dH/dp) with shape
-    (..., 2); flows then use it instead of finite differences.
+    An optional gradient evaluator, gradient(t, z, out), writes (dH/dq,
+    dH/dp) at points z of shape (2, n) into out of shape (2, n), the
+    layout of the RK4 loop's stage buffers; flows then use it instead of
+    finite differences.
     """
 
     # a black-box evaluator makes no promise that it ignores t
@@ -40,7 +42,7 @@ class ScalarTimeField:
         points = np.asarray(points, dtype=np.float64)
         vals = np.asarray(self._evaluator(t, points), dtype=np.float64)
         if self.support_radius is not None and not self._evaluator_masks:
-            vals = np.where(self._outside(points), 0.0, vals)
+            vals = np.where(self._outside(points[..., 0], points[..., 1]), 0.0, vals)
         return vals
 
     @property
@@ -49,16 +51,24 @@ class ScalarTimeField:
 
     def gradient(self, t, points):
         """(dH/dq, dH/dp) at points of shape (..., 2), zero outside the support."""
+        points = np.asarray(points, dtype=np.float64)
+        z = np.ascontiguousarray(points.reshape(-1, 2).T)
+        grad = np.empty_like(z)
+        self.gradient_into(t, z, grad)
+        return grad.T.reshape(points.shape)
+
+    def gradient_into(self, t, z, out):
+        """Write (dH/dq, dH/dp) at points z, shape (2, n), into out, zero outside the support."""
         if self._gradient is None:
             raise TypeError("this field carries no gradient evaluator")
-        points = np.asarray(points, dtype=np.float64)
-        grad = np.asarray(self._gradient(t, points), dtype=np.float64)
+        self._gradient(t, z, out)
         if self.support_radius is not None:
-            grad = np.where(self._outside(points)[..., None], 0.0, grad)
-        return grad
+            outside = self._outside(z[0], z[1])
+            if outside.any():
+                out[:, outside] = 0.0
 
-    def _outside(self, points):
-        return np.hypot(points[..., 0], points[..., 1]) >= self.support_radius
+    def _outside(self, x, y):
+        return np.hypot(x, y) >= self.support_radius
 
     def scaled(self, factor):
         return ScalarTimeField(

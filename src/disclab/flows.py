@@ -3,13 +3,15 @@
 Sign convention: Omega = dq^dp and i_{X_H} Omega = dH, so
 X_H = (dH/dp, -dH/dq).  Every flow runs through the one classical RK4
 stepper, disclab.kernels.rk4: one in-place loop over blocks of live
-points, with a field callback that writes X_H into the loop's stage
-buffers.  A separable bump hands it the closed-form X_H of
-kernels.rk4_bump_flow.  Any other field hands it vector_field, which
-takes the field's own gradient when it carries one (grid-backed fields
-differentiate their cubic spline analytically) and 4th-order centered
-differences of width FD_WIDTH otherwise.  Symplecticity is monitored, not
-enforced.  Points starting outside the support radius never move.
+points, with a field callback that writes X_H into the loop's (2, n)
+stage buffers.  A separable bump hands it the closed-form X_H of
+kernels.rk4_bump_flow.  A field that carries a gradient evaluator
+(grid-backed fields differentiate their cubic spline analytically) writes
+its gradient at the stage points straight into a scratch buffer, from
+which the callback takes X_H.  Any other field is differentiated by
+vector_field's 4th-order centered differences of width FD_WIDTH.
+Symplecticity is monitored, not enforced.  Points starting outside the
+support radius never move.
 """
 
 from dataclasses import dataclass
@@ -45,10 +47,19 @@ def vector_field(H, t, points):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if getattr(H, "has_gradient", False):
-        grad = H.gradient(t, pts)
-        return np.stack([grad[:, 1], -grad[:, 0]], axis=-1).reshape(np.shape(points))
+        z = np.ascontiguousarray(pts.reshape(-1, 2).T)
+        out = np.empty_like(z)
+        _gradient_x_h(H, t, z, np.empty_like(z), out)
+        return out.T.reshape(np.shape(points))
     out = np.stack([_fd4_partial(H, t, pts, 1), -_fd4_partial(H, t, pts, 0)], axis=-1)
     return out.reshape(np.shape(points))
+
+
+def _gradient_x_h(H, t, z, grad, out):
+    """Write X_H at points z, shape (2, n), into out from H's gradient, via grad."""
+    H.gradient_into(t, z, grad)
+    out[0] = grad[1]
+    np.negative(grad[0], out=out[1])
 
 
 def _fd4_partial(H, t, pts, axis):
@@ -88,8 +99,18 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
         return _rk4_bump(H, pts, t0, step, nsteps)
     offsets = (0.0, 0.5 * step, step)
 
-    def field(z, k, j, out):
-        out[:] = vector_field(H, t0 + k * step + offsets[j], np.stack([z[0], z[1]], axis=-1)).T
+    if getattr(H, "has_gradient", False):
+        scratch = {}
+
+        def field(z, k, j, out):
+            n = z.shape[1]
+            if n not in scratch:
+                scratch[n] = np.empty((2, n))
+            _gradient_x_h(H, t0 + k * step + offsets[j], z, scratch[n], out)
+    else:
+        def field(z, k, j, out):
+            out[:] = vector_field(H, t0 + k * step + offsets[j],
+                                  np.stack([z[0], z[1]], axis=-1)).T
 
     return kernels.rk4(field, pts, step, nsteps, H.support_radius)
 

@@ -5,11 +5,14 @@ All fields live on uniform square grids.  A grid node (i, j) sits at
 there (x-index first).  Interpolation is always by cubic spline; its
 coefficients are prefiltered so the interpolant reproduces the stored
 node values exactly.  Grid-backed fields differentiate that spline
-analytically: ``value_and_gradient``
-returns the value and both partials of the cubic interpolant from one
-gather of its 4x4 coefficient taps.  ``blend`` forms a linear combination
-of grid fields by combining their values and spline coefficients, so the
-blend is evaluated once instead of term by term.
+analytically, from one gather of the 4x4 coefficient taps of each point:
+``gradient_into`` writes both partials at (2, n) points, the RK4 loop's
+layout, into a caller's buffer, and ``value_and_gradient`` returns the
+value and gradient at (..., 2) points.  Both run the one B-spline
+evaluation ``_spline_block`` and refuse points off the grid.  ``blend``
+forms a linear combination of grid fields by combining their values and
+spline coefficients, so the blend is evaluated once instead of term by
+term.
 """
 
 import functools
@@ -43,6 +46,7 @@ class GridField2D:
         self.spacing = float(spacing)
         self.values = values
         self._coeffs = None
+        self._node_points = None
 
     @property
     def n(self):
@@ -60,6 +64,18 @@ class GridField2D:
         ayis = self.origin[1] + self.spacing * np.arange(self.n)
         return np.meshgrid(axis, ayis, indexing="ij")
 
+    def node_points(self):
+        """Node coordinates as one (n, n, 2) array, np.stack(self.nodes(), axis=-1).
+
+        Built once per grid, like the spline coefficients, and returned
+        read-only, since callers share it.
+        """
+        if self._node_points is None:
+            pts = np.stack(self.nodes(), axis=-1)
+            pts.setflags(write=False)
+            self._node_points = pts
+        return self._node_points
+
     def axes(self):
         ax = self.origin[0] + self.spacing * np.arange(self.n)
         ay = self.origin[1] + self.spacing * np.arange(self.n)
@@ -67,12 +83,21 @@ class GridField2D:
 
     def covers(self, points, margin=0.0):
         pts = np.asarray(points, dtype=np.float64)
+        return self._covers(pts.reshape(-1, 2).T, margin)
+
+    def _covers(self, z, margin=0.0):
+        """Whether every point of z, shape (2, n), lies in the extent widened by margin.
+
+        One min and one max per axis; a NaN coordinate fails the comparison.
+        """
+        if z.shape[1] == 0:
+            return True
         lo, hi = self.extent
+        zmin = z.min(axis=1)
+        zmax = z.max(axis=1)
         return bool(
-            np.all(pts[..., 0] >= lo[0] - margin)
-            and np.all(pts[..., 0] <= hi[0] + margin)
-            and np.all(pts[..., 1] >= lo[1] - margin)
-            and np.all(pts[..., 1] <= hi[1] + margin)
+            zmin[0] >= lo[0] - margin and zmax[0] <= hi[0] + margin
+            and zmin[1] >= lo[1] - margin and zmax[1] <= hi[1] + margin
         )
 
     def _spline_coeffs(self):
@@ -96,29 +121,51 @@ class GridField2D:
         """Value and gradient of the cubic spline at points of shape (..., 2).
 
         Returns (value, grad) with grad[..., 0] = df/dx and grad[..., 1] =
-        df/dy.  Both come from one gather of the 4x4 coefficient taps of
-        each point, weighted by the cubic B-spline and its derivative.
-        The value agrees with ``__call__`` up to rounding.  Points off the
-        extent raise ValueError: the spline is not extrapolated.
+        df/dy, from the same evaluation as ``gradient_into``.  The value
+        agrees with ``__call__`` up to rounding.  Points off the extent
+        raise ValueError: the spline is not extrapolated.
         """
         pts = np.asarray(points, dtype=np.float64)
         shape = pts.shape[:-1]
-        flat = pts.reshape(-1, 2)
-        if not self.covers(flat):
+        z = pts.reshape(-1, 2).T
+        self._check_extent(z)
+        value = np.empty(z.shape[1])
+        grad = np.empty(z.shape)
+        self._spline_blocks(z, grad, value)
+        return value.reshape(shape), grad.T.reshape(shape + (2,))
+
+    def gradient_into(self, z, out):
+        """Write df/dx and df/dy of the cubic spline at points z, shape (2, n), into out.
+
+        out has shape (2, n): out[0] = df/dx, out[1] = df/dy.  Points off
+        the extent raise ValueError before anything is written.
+        """
+        self._check_extent(z)
+        self._spline_blocks(z, out)
+
+    def _check_extent(self, z):
+        if not self._covers(z):
             lo, hi = self.extent
             raise ValueError(f"points leave the grid extent [{lo}, {hi}]")
-        value = np.empty(len(flat))
-        grad = np.empty((len(flat), 2))
+
+    def _spline_blocks(self, z, grad, value=None):
+        """Gradient (and value) at (2, n) points known to lie in the extent."""
         # blocks bound the 16-taps-per-point temporaries, which the
         # allocator then reuses instead of mapping fresh pages per call
-        for start in range(0, len(flat), _BLOCK):
+        for start in range(0, z.shape[1], _BLOCK):
             block = slice(start, start + _BLOCK)
-            value[block], grad[block] = self._spline_block(flat[block])
-        return value.reshape(shape), grad.reshape(shape + (2,))
+            m = self._spline_block(z[:, block])
+            if value is not None:
+                value[block] = m[0, 0]
+            np.divide(m[1, 0], self.spacing, out=grad[0, block])
+            np.divide(m[0, 1], self.spacing, out=grad[1, block])
 
-    def _spline_block(self, flat):
-        """value_and_gradient for an (N, 2) block already known to lie in the extent."""
-        u = (flat.T - self.origin[:, None]) / self.spacing
+    def _spline_block(self, z):
+        """The spline sums m at (2, N) points known to lie in the extent.
+
+        m[0, 0] is the value; m[1, 0] and m[0, 1] are d/dx and d/dy in grid units.
+        """
+        u = (z - self.origin[:, None]) / self.spacing
         # the last cell is closed: a point on the upper edge sits at t = 1
         cell = np.minimum(np.floor(u), self.n - 2)
         t = u - cell
@@ -129,14 +176,20 @@ class GridField2D:
         np.multiply(powers[2], t, out=powers[3])
         # w[kind, tap, axis, point]: kind 0 weighs values, kind 1 d/dt
         w = (_BSPLINE3 @ powers.reshape(4, -1)).reshape((2, 4) + t.shape)
-        # tap j of each axis, reflected by scipy's mirror rule: j -> -j below
-        # the grid, j -> 2(n-1) - j above it
-        j = np.abs(cell.astype(np.intp)[:, None, :] + _TAP_SHIFTS)
-        j = np.minimum(j, 2 * (self.n - 1) - j)
-        taps = np.take(self._spline_coeffs(), j[0][:, None, :] * self.n + j[1][None, :, :])
+        c = cell.astype(np.intp)
+        if c.min() >= 1 and c.max() <= self.n - 3:
+            # every tap lies on the grid: flat index of tap (a, b) is
+            # (cx + a) n + (cy + b)
+            index = (c[0] * self.n + c[1]) + (_TAP_SHIFTS * self.n + _TAP_SHIFTS.T)[:, :, None]
+        else:
+            # a cell touches an edge: reflect its taps by scipy's mirror
+            # rule, j -> -j below the grid, j -> 2(n-1) - j above it
+            j = np.abs(c[:, None, :] + _TAP_SHIFTS)
+            j = np.minimum(j, 2 * (self.n - 1) - j)
+            index = j[0][:, None, :] * self.n + j[1][None, :, :]
+        taps = np.take(self._spline_coeffs(), index)
         rows = np.einsum("abn,jbn->jan", taps, w[:, :, 1])
-        m = np.einsum("ian,jan->ijn", w[:, :, 0], rows)
-        return m[0, 0], np.stack([m[1, 0], m[0, 1]], axis=-1) / self.spacing
+        return np.einsum("ian,jan->ijn", w[:, :, 0], rows)
 
     def gradient(self):
         """Centered-difference gradient as two grid fields (one-sided at edges)."""
@@ -176,7 +229,7 @@ class GridField2D:
         return cls(origin, float(meta["spacing"]), values)
 
 
-# points per block of GridField2D.value_and_gradient
+# points per block of the spline evaluation in GridField2D._spline_blocks
 _BLOCK = 1024
 
 # Cubic B-spline weights of the taps -1, 0, 1, 2 of a cell as polynomials

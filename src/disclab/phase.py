@@ -104,7 +104,9 @@ def lifted_action(F, ham, seeds, times, dt):
         cur_p = -jmap(pts - seeds)
         cur_f = ham(times[k + 1], pts)
         du = times[k + 1] - times[k]
-        h = h + 0.5 * np.sum((p + cur_p) * (cur_q - q), axis=1)
+        # p . dq as the sum of its two columns: np.sum over a length-2 axis
+        # is many times slower and gives the same bits
+        h = h + 0.5 * np.add(*((p + cur_p) * (cur_q - q)).T)
         h = h - 0.5 * du * (f + cur_f)
         q, p, f = cur_q, cur_p, cur_f
         yield q, p, f, h

@@ -208,6 +208,23 @@ def test_s_hamiltonian_of_constant_family_vanishes(bump):
     assert sham.gauge_defect() == 0.0
 
 
+@pytest.mark.parametrize("s_samples, paths", [([0.5, 1.0], 6), ([0.25, 0.5], 6)])
+def test_s_hamiltonian_reuses_the_mid_path_at_the_upper_end(bump, monkeypatch, s_samples, paths):
+    # every sample takes its mid path and two centered sidearms; at s = 1
+    # the one-sided stencil's sidearm at s itself is the mid path's sweep
+    calls = []
+    integrate = alx.hamiltonian_path
+
+    def counting(H, *args, **kwargs):
+        calls.append(H)
+        return integrate(H, *args, **kwargs)
+
+    monkeypatch.setattr(alx, "hamiltonian_path", counting)
+    alx.s_hamiltonian(alx.linear_family(bump), s_samples=s_samples, nt=3,
+                      grid=square_grid(33), dt=0.05)
+    assert len(calls) == paths
+
+
 @pytest.fixture(scope="module")
 def linear_sham(bump):
     fam = alx.linear_family(bump)

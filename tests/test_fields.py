@@ -87,7 +87,10 @@ def test_field_sum():
 
 
 def test_gradient_is_masked_like_values():
-    grad = lambda t, pts: np.stack([np.full(pts.shape[:-1], t), pts[..., 0]], axis=-1)
+    def grad(t, z, out):
+        out[0] = t
+        out[1] = z[0]
+
     H = ScalarTimeField(lambda t, pts: np.ones(pts.shape[:-1]), 0.8, gradient=grad)
     pts = np.array([[0.1, 0.2], [0.9, 0.0], [0.0, -0.8]])
     assert H.has_gradient

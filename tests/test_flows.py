@@ -218,10 +218,11 @@ def test_spline_field_path_bits_match_unblocked_loop(t0, t1):
 
     grid = square_grid(65)
     spline = grid.with_values(BUMP(0.0, np.stack(grid.nodes(), axis=-1)))
-    H = ScalarTimeField(
-        lambda t, pts: (1.0 + t) * spline(pts), 0.8, 2,
-        gradient=lambda t, pts: (1.0 + t) * spline.value_and_gradient(pts)[1],
-    )
+    def gradient(t, z, out):
+        spline.gradient_into(z, out)
+        out *= 1.0 + t
+
+    H = ScalarTimeField(lambda t, pts: (1.0 + t) * spline(pts), 0.8, 2, gradient=gradient)
     pts = _cloud_past_one_block(11)
     dt = 1e-2
     got = integrate_points(H, t0, t1, pts, dt=dt)
@@ -237,6 +238,142 @@ def test_spline_field_path_bits_match_unblocked_loop(t0, t1):
     want = _unblocked_rk4(field, pts.copy(), step, nsteps, H.support_radius)
     assert np.max(np.abs(want - pts)) > 1e-4
     assert np.array_equal(got, want)
+
+
+# The gradient callback of integrate_points for a spline-backed field as it
+# was before gradients were written into the stage buffers, kept verbatim:
+# vector_field -> ScalarTimeField.gradient -> GridField2D.value_and_gradient.
+
+_HEAD_BSPLINE3 = np.array([
+    [1.0, -3.0, 3.0, -1.0], [4.0, 0.0, -6.0, 3.0],
+    [1.0, 3.0, 3.0, -3.0], [0.0, 0.0, 0.0, 1.0],
+    [-3.0, 6.0, -3.0, 0.0], [0.0, -12.0, 9.0, 0.0],
+    [3.0, 6.0, -9.0, 0.0], [0.0, 0.0, 3.0, 0.0],
+]) / 6.0
+_HEAD_TAP_SHIFTS = np.arange(-1, 3)[:, None]
+_HEAD_BLOCK = 1024
+
+
+def _head_covers(self, points, margin=0.0):
+    pts = np.asarray(points, dtype=np.float64)
+    lo, hi = self.extent
+    return bool(
+        np.all(pts[..., 0] >= lo[0] - margin)
+        and np.all(pts[..., 0] <= hi[0] + margin)
+        and np.all(pts[..., 1] >= lo[1] - margin)
+        and np.all(pts[..., 1] <= hi[1] + margin)
+    )
+
+
+def _head_value_and_gradient(self, points):
+    pts = np.asarray(points, dtype=np.float64)
+    shape = pts.shape[:-1]
+    flat = pts.reshape(-1, 2)
+    if not _head_covers(self, flat):
+        lo, hi = self.extent
+        raise ValueError(f"points leave the grid extent [{lo}, {hi}]")
+    value = np.empty(len(flat))
+    grad = np.empty((len(flat), 2))
+    for start in range(0, len(flat), _HEAD_BLOCK):
+        block = slice(start, start + _HEAD_BLOCK)
+        value[block], grad[block] = _head_spline_block(self, flat[block])
+    return value.reshape(shape), grad.reshape(shape + (2,))
+
+
+def _head_spline_block(self, flat):
+    u = (flat.T - self.origin[:, None]) / self.spacing
+    cell = np.minimum(np.floor(u), self.n - 2)
+    t = u - cell
+    powers = np.empty((4,) + t.shape)
+    powers[0] = 1.0
+    powers[1] = t
+    np.multiply(t, t, out=powers[2])
+    np.multiply(powers[2], t, out=powers[3])
+    w = (_HEAD_BSPLINE3 @ powers.reshape(4, -1)).reshape((2, 4) + t.shape)
+    j = np.abs(cell.astype(np.intp)[:, None, :] + _HEAD_TAP_SHIFTS)
+    j = np.minimum(j, 2 * (self.n - 1) - j)
+    taps = np.take(self._spline_coeffs(), j[0][:, None, :] * self.n + j[1][None, :, :])
+    rows = np.einsum("abn,jbn->jan", taps, w[:, :, 1])
+    m = np.einsum("ian,jan->ijn", w[:, :, 0], rows)
+    return m[0, 0], np.stack([m[1, 0], m[0, 1]], axis=-1) / self.spacing
+
+
+def _head_time_one_gradient(sham, s, points):
+    # ScalarTimeField.gradient of SHamiltonian.time_one_field()
+    points = np.asarray(points, dtype=np.float64)
+    grad = np.asarray(_head_value_and_gradient(sham.field_at(s, 1.0), points)[1],
+                      dtype=np.float64)
+    if sham.support_radius is not None:
+        outside = np.hypot(points[..., 0], points[..., 1]) >= sham.support_radius
+        grad = np.where(outside[..., None], 0.0, grad)
+    return grad
+
+
+def _head_integrate_time_one(sham, t0, t1, points, dt):
+    pts = np.array(points, dtype=np.float64, order="C", ndmin=2, copy=True)
+    nsteps = max(1, round(abs(t1 - t0) / dt))
+    step = (t1 - t0) / nsteps
+    offsets = (0.0, 0.5 * step, step)
+
+    def vector_field(t, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        grad = _head_time_one_gradient(sham, t, pts)
+        return np.stack([grad[:, 1], -grad[:, 0]], axis=-1).reshape(np.shape(points))
+
+    def field(z, k, j, out):
+        out[:] = vector_field(t0 + k * step + offsets[j], np.stack([z[0], z[1]], axis=-1)).T
+
+    return kernels.rk4(field, pts, step, nsteps, sham.support_radius)
+
+
+def _time_one_sham(grid, support_radius):
+    # K(s, t, .) = t H with H the standard bump sampled on grid
+    from disclab.alexander import SHamiltonian
+
+    k = grid.with_values(BUMP(0.0, np.stack(grid.nodes(), axis=-1)))
+    zero = grid.with_values(np.zeros_like(k.values))
+    return SHamiltonian(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                        [[zero, k], [zero, k]], support_radius)
+
+
+@pytest.mark.parametrize("case", ["interior", "edge cells"])
+def test_spline_time_one_flow_bits_match_stacked_callback(case):
+    rng = np.random.default_rng(29)
+    if case == "interior":
+        # live points whose cells all keep their taps on the grid, frozen
+        # ones outside the support, and live ones so close to its edge that
+        # RK4 stage points leave it, where the gradient is zeroed
+        sham = _time_one_sham(square_grid(129), 0.5)
+        r = np.concatenate([0.5 * np.sqrt(rng.random(1800)), 0.5 + 0.5 * rng.random(200),
+                            np.full(40, 0.5 - 1e-9)])
+        angle = 2.0 * np.pi * rng.random(r.size)
+        pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+        t1, dt = 1.0, 1e-2
+    else:
+        # a grid of extent 0.85 and a support radius of 0.84: live points
+        # reach the edge cells, whose taps are mirror-reflected, and the
+        # points in the corners of the square are frozen
+        grid = square_grid(33, extent=0.85)
+        sham = _time_one_sham(grid, 0.84)
+        pts = rng.uniform(-0.845, 0.845, size=(2500, 2))
+        lo, _ = grid.extent
+        cells = np.floor((pts - lo) / grid.spacing)
+        live = np.hypot(pts[:, 0], pts[:, 1]) < 0.84
+        assert np.any(live & np.any((cells < 1) | (cells > grid.n - 3), axis=1))
+        t1, dt = 0.1, 1e-2
+    live = np.hypot(pts[:, 0], pts[:, 1]) < sham.support_radius
+    assert live.sum() > 1024 and not live.all()
+    got = integrate_points(sham.time_one_field(), 0.0, t1, pts, dt=dt)
+    want = _head_integrate_time_one(sham, 0.0, t1, pts, dt)
+    assert np.max(np.abs(want - pts)) > 1e-3
+    assert np.array_equal(got, want)
+    # vector_field and ScalarTimeField.gradient keep their values too
+    K1 = sham.time_one_field()
+    stage = got[live]
+    assert np.array_equal(K1.gradient(0.5, stage), _head_time_one_gradient(sham, 0.5, stage))
+    grad = _head_time_one_gradient(sham, 0.5, stage)
+    assert np.array_equal(vector_field(K1, 0.5, stage),
+                          np.stack([grad[:, 1], -grad[:, 0]], axis=-1))
 
 
 def test_bump_kernel_matches_exact_rotation_on_grid():
@@ -271,10 +408,10 @@ def test_generic_path_stage_times_match_bump_kernel(t0, t1):
     center = lambda t: 0.3 * np.array([math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)])
     H = SeparableBump(amp=amp, rho=rho, m=m, tau=tau, center=center, support_radius=0.8)
 
-    def gradient(t, pts):
-        d = pts - center(t)
-        u = np.maximum(1.0 - np.sum(d * d, axis=-1) / (rho * rho), 0.0)
-        return (-2.0 * m * amp * tau(t) / (rho * rho) * u ** (m - 1))[..., None] * d
+    def gradient(t, z, out):
+        d = z - center(t)[:, None]
+        u = np.maximum(1.0 - np.sum(d * d, axis=0) / (rho * rho), 0.0)
+        np.multiply(-2.0 * m * amp * tau(t) / (rho * rho) * u ** (m - 1), d, out=out)
 
     generic = ScalarTimeField(H, 0.8, gradient=gradient)
     r = np.linspace(0.05, 0.75, 8)

@@ -163,6 +163,61 @@ def test_spline_value_and_gradient_on_random_grids(seed, spacing, origin):
     _check_value_and_gradient(f, _extent_points(f, rng, count=200))
 
 
+def test_gradient_into_is_value_and_gradients_gradient(rng):
+    # one evaluation behind both: the (2, n) buffer path gives the same bits,
+    # over the interior and the mirror-reflected edge cells, in one block
+    # and across several
+    f = GridField2D((-1.3, 0.4), 0.05, rng.normal(size=(40, 40)))
+    for pts in (_extent_points(f, rng, count=600), _extent_points(f, rng, count=20)):
+        out = np.empty((2, len(pts)))
+        f.gradient_into(np.ascontiguousarray(pts.T), out)
+        assert np.array_equal(out.T, f.value_and_gradient(pts)[1])
+    # points near one edge only, away from the others, so the taps of that
+    # edge alone decide whether a block is reflected: the value is still
+    # the mirrored spline's
+    lo, hi = f.extent
+    for axis in (0, 1):
+        for side in (lo[axis], hi[axis] - 1.5 * f.spacing):
+            pts = rng.uniform(lo + 2.0 * f.spacing, hi - 2.0 * f.spacing, size=(50, 2))
+            pts[:, axis] = rng.uniform(side, side + 1.5 * f.spacing, 50)
+            assert np.max(np.abs(f.value_and_gradient(pts)[0] - f(pts))) < 1e-14
+    # an interior point gets the same bits whether or not its block also
+    # holds an edge cell, whose taps are reflected
+    inner = rng.uniform(f.extent[0] + 3 * f.spacing, f.extent[1] - 3 * f.spacing, size=(50, 2))
+    edge = np.concatenate([inner, [f.extent[0]]])
+    assert np.array_equal(f.value_and_gradient(inner)[1], f.value_and_gradient(edge)[1][:-1])
+
+
+def test_extent_is_closed_at_the_upper_corner():
+    f = GridField2D((-0.7, 0.3), 0.1, np.arange(400.0).reshape(20, 20) ** 0.5)
+    _, hi = f.extent
+    corner = hi[None, :].copy()
+    value, grad = f.value_and_gradient(corner)
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+    out = np.empty((2, 1))
+    f.gradient_into(corner.T.copy(), out)
+    assert np.array_equal(out.T, grad)
+    for axis in (0, 1):
+        past = corner.copy()
+        past[0, axis] = np.nextafter(past[0, axis], np.inf)
+        with pytest.raises(ValueError):
+            f.value_and_gradient(past)
+        out = np.full((2, 1), 7.0)
+        with pytest.raises(ValueError):
+            f.gradient_into(past.T.copy(), out)
+        # refused before anything is written
+        assert np.all(out == 7.0)
+
+
+def test_node_points_are_built_once_and_read_only():
+    g = square_grid(33)
+    pts = g.node_points()
+    assert np.array_equal(pts, np.stack(g.nodes(), axis=-1))
+    assert g.node_points() is pts
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 1.0
+
+
 def test_blend_is_the_weighted_sum(rng):
     g = square_grid(33)
     f1 = g.with_values(rng.normal(size=(33, 33)))
