@@ -16,10 +16,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
-from .flows import hamiltonian_path, hofer_length, integrate_points
+from .flows import PlaneMap, hamiltonian_path, hofer_length, integrate_points, sweep_nodes
 from .grids import blend, square_grid
 
 
@@ -189,10 +190,16 @@ class SHamiltonian:
 def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
     """Measure the s-Hamiltonian K of a two-parameter family from its flows.
 
-    For each s, three paths are integrated (at s - h_s, s, s + h_s); the
-    s-derivative of H(s, u, phi_s^u(y)) is taken by centered differences
-    and pushed to x = phi_s^u(y) via the stored inverse maps, then
-    integrated over u by the trapezoid rule.
+    For each s the s-derivative of H(s, u, phi_s^u(y)) is taken by a
+    finite-difference stencil in s: centered, on the paths at s + h_s and
+    s - h_s, or one-sided and second order at the upper end, on the paths
+    at s, s - h_s and s - 2 h_s.  It is pushed to x = phi_s^u(y) through
+    the inverse of the mid path at s, and integrated over u by the
+    trapezoid rule.  The sweeps of one s sample step together
+    (flows.sweep_nodes): the mid path only backward, for its inverse,
+    unless its forward sweep is the one-sided stencil's arm at s.  The
+    integrand is evaluated only at the nodes inside the support and at the
+    grid corner that pins the gauge; K is zero at every other node.
     """
     if s_samples is None:
         s_samples = np.linspace(0.0625, 1.0, 16)
@@ -208,44 +215,49 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
         raise ValueError("s samples must keep s - 2 h_s inside (0, 1]")
     if grid is None:
         grid = square_grid(129)
-    qx, qy = grid.nodes()
     times = np.linspace(0.0, 1.0, nt)
-    all_values = []
     support = family.support_radius
+    nodes = grid.node_points().reshape(-1, 2)
+    # sel holds node 0, the grid corner that pins the gauge, and every node
+    # inside the support; K is zero at the others
+    sel = np.union1d([0], np.flatnonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < support))
+    all_values = []
     for s in s_samples:
         H_mid = family.at(s)
-        path_mid = hamiltonian_path(H_mid, nt, grid, dt, with_inverse=True)
         if s + h_s <= 1.0:
             # centered stencil
             stencil = [(s + h_s, 0.5 / h_s), (s - h_s, -0.5 / h_s)]
         else:
             # one-sided second-order stencil at the upper end
             stencil = [(s, 1.5 / h_s), (s - h_s, -2.0 / h_s), (s - 2.0 * h_s, 0.5 / h_s)]
-        sidearms = []
-        for sv, cv in stencil:
-            if sv == s:
-                # the forward sweep of path_mid is this sidearm's path
-                sidearms.append((H_mid, path_mid, cv))
-            else:
-                Hs = family.at(sv)
-                sidearms.append((Hs, hamiltonian_path(Hs, nt, grid, dt), cv))
-        integrands = []
-        for k, u in enumerate(times):
-            y = np.stack(path_mid.maps[k].inverse().node_images(), axis=-1)
-            val = np.zeros_like(qx)
-            for Hs, path_s, coeff in sidearms:
-                val += coeff * Hs(u, path_s.maps[k](y))
-            integrands.append(val)
-        integrands = np.array(integrands)
-        from scipy.integrate import cumulative_trapezoid
-
-        K = cumulative_trapezoid(integrands, times, axis=0, initial=0.0)
-        # gauge: pin K to zero at the grid corner, outside every support
-        K -= K[:, :1, :1]
-        outside = np.hypot(qx, qy) >= support
-        K[:, outside] = 0.0
+        # the arm at s itself is the mid path's forward sweep
+        arms = [(H_mid if sv == s else family.at(sv), cv) for sv, cv in stencil]
+        # sweep 0 is the mid path's backward sweep, for y = (phi_s^u)^{-1}(x)
+        sweeps = [(H_mid, True)] + [(Hs, False) for Hs, _ in arms]
+        integrand = np.empty((nt, sel.size))
+        integrand[0] = _s_integrand(arms, times[0], grid, [nodes] * len(arms), nodes[sel])
+        for k, imgs in enumerate(sweep_nodes(sweeps, nt, grid, dt), start=1):
+            integrand[k] = _s_integrand(arms, times[k], grid, imgs[1:], imgs[0][sel])
+        K_sel = cumulative_trapezoid(integrand, times, axis=0, initial=0.0)
+        # the gauge: K = 0 at the corner, sel[0]
+        K_sel -= K_sel[:, :1]
+        K = np.zeros((nt, nodes.shape[0]))
+        K[:, sel] = K_sel
+        K = K.reshape((nt,) + grid.values.shape)
         all_values.append([grid.with_values(K[k]) for k in range(nt)])
     return SHamiltonian(s_samples, times, all_values, support)
+
+
+def _s_integrand(arms, u, grid, images, y):
+    """sum of c * H_s(u, phi_s^u(y)) over the stencil's arms (H_s, c).
+
+    images holds each arm's node images phi_s^u(nodes).
+    """
+    val = np.zeros(len(y))
+    for (Hs, coeff), img in zip(arms, images):
+        phi = PlaneMap.from_node_images(grid, img, Hs.support_radius)
+        val += coeff * Hs(u, phi(y))
+    return val
 
 
 def s_flow_check(sham, family, dt=2e-3, grid=None):

@@ -21,15 +21,16 @@ import numpy as np
 class ScalarTimeField:
     """H(t, x) wrapping a vectorized evaluator.
 
-    An optional gradient evaluator, gradient(t, z, out), writes (dH/dq,
-    dH/dp) at points z of shape (2, n) into out of shape (2, n), the
-    layout of the RK4 loop's stage buffers; flows then use it instead of
-    finite differences.
+    A compactly supported field calls its evaluator only at the points
+    inside the support and is zero at the others.  An optional gradient
+    evaluator, gradient(t, z, out), writes (dH/dq, dH/dp) at points z of
+    shape (2, n) into out of shape (2, n), the layout of the RK4 loop's
+    stage buffers; flows then use it instead of finite differences.
     """
 
     # a black-box evaluator makes no promise that it ignores t
     is_autonomous = False
-    # nor that it vanishes outside the support, so its values are masked
+    # nor that it vanishes outside the support, so it runs only inside it
     _evaluator_masks = False
 
     def __init__(self, evaluator, support_radius, smoothness_order=2, gradient=None):
@@ -40,9 +41,11 @@ class ScalarTimeField:
 
     def __call__(self, t, points):
         points = np.asarray(points, dtype=np.float64)
-        vals = np.asarray(self._evaluator(t, points), dtype=np.float64)
-        if self.support_radius is not None and not self._evaluator_masks:
-            vals = np.where(self._outside(points[..., 0], points[..., 1]), 0.0, vals)
+        if self.support_radius is None or self._evaluator_masks:
+            return np.asarray(self._evaluator(t, points), dtype=np.float64)
+        inside = ~self._outside(points[..., 0], points[..., 1])
+        vals = np.zeros(points.shape[:-1])
+        vals[inside] = self._evaluator(t, points[inside])
         return vals
 
     @property

@@ -12,6 +12,12 @@ which the callback takes X_H.  Any other field is differentiated by
 vector_field's 4th-order centered differences of width FD_WIDTH.
 Symplecticity is monitored, not enforced.  Points starting outside the
 support radius never move.
+
+sweep_nodes steps the grid nodes of several flows together through the
+stored times of a path, forward or backward, one segment at a time;
+hamiltonian_path is its case of one Hamiltonian.  The small clouds of
+several autonomous bumps of one exponent take one kernel call per
+segment, with per-point amp, rho and support radius.
 """
 
 from dataclasses import dataclass
@@ -86,15 +92,24 @@ def _rk4_bump(H, pts, t0, dt, nsteps):
     )
 
 
-def integrate_points(H, t0, t1, points, dt=1e-3):
-    """Advance an (N, 2) cloud from time t0 to t1 (either direction)."""
+def _check_dt(dt):
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+
+
+def _steps(t0, t1, dt):
+    """Step count and signed step of the RK4 run from t0 to t1."""
+    nsteps = max(1, round(abs(t1 - t0) / dt))
+    return nsteps, (t1 - t0) / nsteps
+
+
+def integrate_points(H, t0, t1, points, dt=1e-3):
+    """Advance an (N, 2) cloud from time t0 to t1 (either direction)."""
+    _check_dt(dt)
     pts = np.array(points, dtype=np.float64, order="C", ndmin=2, copy=True)
     if t1 == t0:
         return pts
-    nsteps = max(1, round(abs(t1 - t0) / dt))
-    step = (t1 - t0) / nsteps
+    nsteps, step = _steps(t0, t1, dt)
     if isinstance(H, SeparableBump):
         return _rk4_bump(H, pts, t0, step, nsteps)
     offsets = (0.0, 0.5 * step, step)
@@ -288,8 +303,7 @@ class PlaneMap:
         Nodes outside the support keep y = q.  Returns an (n*n, 2) array
         in node order.
         """
-        qx, qy = self.template.nodes()
-        nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
+        nodes = self.template.node_points().reshape(-1, 2)
         inner = np.hypot(nodes[:, 0], nodes[:, 1]) < self.support_radius
         sol = nodes.copy()
         sol[inner] = self.newton_invert(nodes[inner])
@@ -335,8 +349,7 @@ def flow_map(H, t, grid=None, dt=1e-3, with_inverse=False):
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
-    qx, qy = grid.nodes()
-    nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
+    nodes = grid.node_points().reshape(-1, 2)
     img = integrate_points(H, 0.0, t, nodes, dt)
     inv_grids = None
     if with_inverse:
@@ -359,36 +372,105 @@ class HamiltonianPath:
         return self.maps[idx]
 
 
+def sweep_nodes(sweeps, nt, grid, dt):
+    """Step the grid nodes of several flows together through nt equi-spaced times.
+
+    sweeps is a list of (H, backward) pairs.  A forward sweep carries the
+    nodes to phi_H^t(nodes), a backward one to (phi_H^t)^{-1}(nodes).
+    Yields, for t_k with k = 1, ..., nt - 1, the list of the sweeps'
+    (n*n, 2) node images at t_k, fresh arrays each segment.
+
+    When more than one Hamiltonian is swept, every one is an autonomous
+    SeparableBump of one exponent m, and their live nodes fit in one
+    kernel block, each segment is one kernels.rk4_bump_flow call on the
+    concatenated clouds, with per-point amp, rho and support radius.  A
+    backward sweep then runs forward in time with its amp negated, which
+    flips X_H exactly.  Otherwise every sweep takes its own
+    integrate_points per segment: for an autonomous H, (phi^t)^{-1} =
+    phi^{-t}, so a backward sweep steps from t_{k+1} to t_k with the
+    forward step count; for any other H it re-integrates from t_{k+1}
+    back to 0.
+    """
+    _check_dt(dt)
+    times = np.linspace(0.0, 1.0, nt)
+    nodes = grid.node_points().reshape(-1, 2)
+    clouds = [nodes] * len(sweeps)
+    bump = _batched_bumps(sweeps, nodes)
+    for k in range(nt - 1):
+        t0, t1 = times[k], times[k + 1]
+        if bump is not None:
+            clouds = _bump_segment(bump, clouds, t1 - t0, dt)
+        else:
+            clouds = [_segment(H, backward, cloud, nodes, t0, t1, dt)
+                      for (H, backward), cloud in zip(sweeps, clouds)]
+        yield clouds
+
+
+def _batched_bumps(sweeps, nodes):
+    """m and per-point amp, rho and support when the sweeps share kernel calls, else None.
+
+    Per-point constants cost the kernel more per point-step than scalar
+    ones, so a shared call pays only by saving the per-call work of small
+    clouds: the sweeps' live points must fit in one kernel block.
+    """
+    hams = [H for H, _ in sweeps]
+    # a lone Hamiltonian keeps a call per sweep, backward ones with dt < 0
+    if (len({id(H) for H in hams}) < 2
+            or not all(isinstance(H, SeparableBump) and H.is_autonomous for H in hams)
+            or len({H.m for H in hams}) > 1):
+        return None
+    r2 = nodes[:, 0] * nodes[:, 0] + nodes[:, 1] * nodes[:, 1]
+    if sum(np.count_nonzero(r2 < H.support_radius**2) for H in hams) > kernels.BLOCK:
+        return None
+
+    def per_point(values):
+        return np.repeat(np.array(values, dtype=np.float64), len(nodes))
+
+    return (hams[0].m,
+            per_point([-H.amp if backward else H.amp for H, backward in sweeps]),
+            per_point([H.rho for H in hams]),
+            per_point([H.support_radius for H in hams]))
+
+
+def _bump_segment(bump, clouds, span, dt):
+    """One kernel call advancing every cloud of autonomous bumps by span."""
+    m, amp, rho, support = bump
+    nsteps, step = _steps(0.0, span, dt)
+    pts = np.concatenate(clouds)
+    tau = np.ones(2 * nsteps + 1)
+    center = np.zeros_like(tau)
+    kernels.rk4_bump_flow(pts, step, nsteps, None, amp, rho, m, tau, center, center, support)
+    return np.split(pts, len(clouds))
+
+
+def _segment(H, backward, cloud, nodes, t0, t1, dt):
+    """Advance one sweep's cloud from its image at t0 to its image at t1."""
+    if not backward:
+        return integrate_points(H, t0, t1, cloud, dt)
+    if H.is_autonomous:
+        return integrate_points(H, t1, t0, cloud, dt)
+    return integrate_points(H, t1, 0.0, nodes, dt)
+
+
 def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, with_inverse=False):
     """Integrate the whole path once, storing maps at nt equi-spaced times.
 
-    The forward sweep runs segment by segment between the stored times.
-    With with_inverse=True each map also stores the node images of its
-    inverse.  For an autonomous H, (phi^t)^{-1} = phi^{-t}, so one
-    backward sweep over the same nt - 1 segments, with the same step
-    count per segment, yields every inverse.  Otherwise the flow is
-    re-integrated from each t_k back to 0.
+    The forward sweep of sweep_nodes runs segment by segment between the
+    stored times.  With with_inverse=True each map also stores the node
+    images of its inverse, from a backward sweep: one sweep over the same
+    nt - 1 segments for an autonomous H, a re-integration from each t_k
+    back to 0 otherwise.
     """
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
-    times = np.linspace(0.0, 1.0, nt)
-    qx, qy = grid.nodes()
-    nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
-    pts = nodes.copy()
-    back = nodes
+    sweeps = [(H, False), (H, True)] if with_inverse else [(H, False)]
     maps = [PlaneMap.identity(grid, support)]
-    for k in range(nt - 1):
-        pts = integrate_points(H, times[k], times[k + 1], pts, dt)
-        inv_grids = None
-        if with_inverse:
-            if H.is_autonomous:
-                back = integrate_points(H, times[k + 1], times[k], back, dt)
-            else:
-                back = integrate_points(H, times[k + 1], 0.0, nodes, dt)
-            inv_grids = _node_grids(grid, back)
-        maps.append(PlaneMap.from_node_images(grid, pts, support, inverse_grids=inv_grids))
-    return HamiltonianPath(H, list(times), maps)
+    for imgs in sweep_nodes(sweeps, nt, grid, dt):
+        inv_grids = _node_grids(grid, imgs[1]) if with_inverse else None
+        maps.append(PlaneMap.from_node_images(grid, imgs[0], support,
+                                              inverse_grids=inv_grids))
+    return HamiltonianPath(H, list(np.linspace(0.0, 1.0, nt)), maps)
 
 
 # ---------------------------------------------------------------------------

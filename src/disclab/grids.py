@@ -10,9 +10,9 @@ analytically, from one gather of the 4x4 coefficient taps of each point:
 layout, into a caller's buffer, and ``value_and_gradient`` returns the
 value and gradient at (..., 2) points.  Both run the one B-spline
 evaluation ``_spline_block`` and refuse points off the grid.  ``blend``
-forms a linear combination of grid fields by combining their values and
-spline coefficients, so the blend is evaluated once instead of term by
-term.
+forms a linear combination of grid fields by combining their spline
+coefficients, so the blend is evaluated once instead of term by term;
+its node values are summed only if something reads them.
 """
 
 import functools
@@ -252,17 +252,36 @@ def blend(terms):
 
     spline_filter is linear, so the cubic coefficients of the blend are
     the same combination of the terms' coefficients; the blend therefore
-    costs one spline evaluation however many terms it has.
+    costs one spline evaluation however many terms it has.  Its node
+    values are summed only when read: evaluation needs the coefficients
+    alone.
     """
     f0 = terms[0][1]
     for _, f in terms[1:]:
-        if (f.values.shape != f0.values.shape or f.spacing != f0.spacing
+        if (f.n != f0.n or f.spacing != f0.spacing
                 or not np.array_equal(f.origin, f0.origin)):
             raise ValueError("blend needs fields on one grid template")
+    return _Blend(terms)
 
-    out = f0.with_values(sum(c * f.values for c, f in terms))
-    out._coeffs = sum(c * f._spline_coeffs() for c, f in terms)
-    return out
+
+class _Blend(GridField2D):
+    """A blend of grid fields whose node values are summed on first read."""
+
+    def __init__(self, terms):
+        f0 = terms[0][1]
+        self.origin = f0.origin
+        self.spacing = f0.spacing
+        self._terms = terms
+        self._coeffs = sum(c * f._spline_coeffs() for c, f in terms)
+        self._node_points = None
+
+    @property
+    def n(self):
+        return self._coeffs.shape[0]
+
+    @functools.cached_property
+    def values(self):
+        return sum(c * f.values for c, f in self._terms)
 
 
 def square_grid(n=256, extent=1.05):

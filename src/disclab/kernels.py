@@ -16,10 +16,21 @@ Hamiltonian vector field X_H = (dH/dp, -dH/dq) has the closed form
 
 so each RK4 stage takes one profile power, by repeated multiplication,
 and no finite differences.  A bump whose center stays at the origin skips
-the subtraction.  The constant -2 m amp / rho^2 is folded into the
-tabulated tau levels once per call.  The field is continuous for m >= 2,
-which SeparableBump enforces.
+the subtraction.  The field is continuous for m >= 2, which
+SeparableBump enforces.
+
+amp, rho and support_radius may each be a scalar or a per-point (N,)
+array, so the clouds of several autonomous bumps of one m step together
+in one call.  Scalar constants fold -2 m amp / rho^2 into the tabulated
+tau levels once per call.  Per-point constants ride with the live points
+through the blocks instead, and each stage multiplies the per-point
+-2 m amp / rho^2 by its tau level (not at all where tau is 1): the same
+product, so a cloud's bits do not depend on what it shares a call with.
+Negating amp flips X_H exactly, which lets a backward sweep join a
+forward one.
 """
+
+import functools
 
 import numpy as np
 
@@ -29,13 +40,16 @@ BACKEND = "numpy"
 BLOCK = 16384
 
 
-def rk4(field, pts, dt, nsteps, support_radius):
+def rk4(field, pts, dt, nsteps, support_radius, aux=None):
     """Advance pts (N, 2) in place through nsteps classical RK4 steps of size dt.
 
     field(z, k, j, out) writes the field's two components at the points
     z, shape (2, n), into out, shape (2, n), j in {0, 1, 2} half-steps
-    into step k.  Points starting at radius >= support_radius are frozen;
-    None freezes none.
+    into step k.  aux, shape (P, N), holds per-point field constants:
+    they are gathered with the live points, and field also receives the
+    block's (P, n) columns as the keyword a.  Points starting at radius
+    >= support_radius, a scalar or an (N,) array, are frozen; None
+    freezes none.
     """
     x0 = pts[:, 0]
     y0 = pts[:, 1]
@@ -45,23 +59,25 @@ def rk4(field, pts, dt, nsteps, support_radius):
         # integer indices gather and scatter faster than a boolean mask
         live = np.flatnonzero(x0 * x0 + y0 * y0 < support_radius * support_radius)
     z_all = np.stack([x0[live], y0[live]])
+    aux_all = None if aux is None else aux[:, live]
     half = 0.5 * dt
     sixth = dt / 6.0
     bufs = np.empty((5, 2, min(BLOCK, z_all.shape[1])))
     for b in range(0, z_all.shape[1], BLOCK):
         z = z_all[:, b:b + BLOCK]
+        f = field if aux_all is None else functools.partial(field, a=aux_all[:, b:b + BLOCK])
         k1, k2, k3, k4, s = bufs[:, :, :z.shape[1]]
         for k in range(nsteps):
-            field(z, k, 0, k1)
+            f(z, k, 0, k1)
             np.multiply(k1, half, out=s)
             s += z
-            field(s, k, 1, k2)
+            f(s, k, 1, k2)
             np.multiply(k2, half, out=s)
             s += z
-            field(s, k, 1, k3)
+            f(s, k, 1, k3)
             np.multiply(k3, dt, out=s)
             s += z
-            field(s, k, 2, k4)
+            f(s, k, 2, k4)
             # z += sixth * (k1 + 2 (k2 + k3) + k4), in this order
             k2 += k3
             k2 *= 2.0
@@ -78,23 +94,39 @@ def rk4_bump_flow(pts, dt, nsteps, h_d, amp, rho, m, tau, cx, cy, support_radius
     """Advance pts (N, 2) in place through nsteps RK4 steps of a separable bump.
 
     tau, cx and cy hold the time factor and the bump center at the
-    2*nsteps + 1 half-step levels.  Points starting at radius >=
+    2*nsteps + 1 half-step levels.  amp, rho and support_radius are
+    scalars or per-point (N,) arrays.  Points starting at radius >=
     support_radius are frozen.  h_d is accepted for a stable signature
     and ignored: the field is analytic.
     """
+    tau = np.asarray(tau, dtype=np.float64)
     inv_rho2 = 1.0 / (rho * rho)
-    coef = (-2.0 * m * amp * inv_rho2) * np.asarray(tau, dtype=np.float64)
+    c0 = -2.0 * m * amp * inv_rho2
+    if np.ndim(c0):
+        # per point: inv_rho2 and c0 ride with the live points
+        aux = np.stack(np.broadcast_arrays(inv_rho2, c0))
+    else:
+        aux = None
+        coef = c0 * tau
     centers = np.stack([cx, cy], axis=-1)[:, :, None]
     # x - 0.0 == x, so a center fixed at the origin is skipped bit-exactly
     fixed = np.count_nonzero(centers) == 0
     scratch = {}
 
-    def field(z, k, j, out):
+    def field(z, k, j, out, a=None):
         lev = 2 * k + j
         n = z.shape[1]
         if n not in scratch:
-            scratch[n] = (np.empty((2, n)), np.empty(n), np.empty(n))
-        d, u, w = scratch[n]
+            scratch[n] = (np.empty((2, n)), np.empty(n), np.empty(n), np.empty(n))
+        d, u, w, c = scratch[n]
+        if a is None:
+            inv, c = inv_rho2, coef[lev]
+        elif tau[lev] == 1.0:
+            # c0 * 1.0 == c0
+            inv, c = a[0], a[1]
+        else:
+            inv = a[0]
+            np.multiply(a[1], tau[lev], out=c)
         if fixed:
             d = z
         else:
@@ -102,18 +134,18 @@ def rk4_bump_flow(pts, dt, nsteps, h_d, amp, rho, m, tau, cx, cy, support_radius
         np.multiply(d[0], d[0], out=u)
         np.multiply(d[1], d[1], out=w)
         u += w
-        u *= inv_rho2
+        u *= inv
         np.subtract(1.0, u, out=u)
         np.maximum(u, 0.0, out=u)
-        # w = coef * u^(m-1), the power by repeated multiplication
+        # w = c * u^(m-1), the power by repeated multiplication
         if m == 2:
-            np.multiply(u, coef[lev], out=w)
+            np.multiply(u, c, out=w)
         else:
             np.multiply(u, u, out=w)
             for _ in range(m - 3):
                 w *= u
-            w *= coef[lev]
+            w *= c
         np.multiply(d[::-1], w, out=out)
         np.negative(out[1], out=out[1])
 
-    return rk4(field, pts, dt, nsteps, support_radius)
+    return rk4(field, pts, dt, nsteps, support_radius, aux)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from disclab import alexander as alx
+from disclab import kernels
 from disclab.calabi import cal_path
 from disclab.fields import ScalarTimeField, loop_bump, radial_bump, zero_field
-from disclab.flows import hofer_length, integrate_points, vector_field
+from disclab.flows import hamiltonian_path, hofer_length, integrate_points, vector_field
 from disclab.grids import sample, square_grid
 
 
@@ -208,21 +210,94 @@ def test_s_hamiltonian_of_constant_family_vanishes(bump):
     assert sham.gauge_defect() == 0.0
 
 
-@pytest.mark.parametrize("s_samples, paths", [([0.5, 1.0], 6), ([0.25, 0.5], 6)])
-def test_s_hamiltonian_reuses_the_mid_path_at_the_upper_end(bump, monkeypatch, s_samples, paths):
-    # every sample takes its mid path and two centered sidearms; at s = 1
-    # the one-sided stencil's sidearm at s itself is the mid path's sweep
-    calls = []
-    integrate = alx.hamiltonian_path
+@pytest.mark.parametrize("s_samples, calls", [([0.5, 1.0], 6), ([0.25, 0.5], 6)])
+def test_s_hamiltonian_reuses_the_mid_path_at_the_upper_end(bump, monkeypatch, s_samples, calls):
+    # one kernel call per segment per s sample.  A centered sample steps 3
+    # sweeps (the mid path backward and two sidearms); at s = 1 the
+    # one-sided stencil's arm at s is the mid path's forward sweep, so 4
+    seen = []
+    kernel = kernels.rk4_bump_flow
 
-    def counting(H, *args, **kwargs):
-        calls.append(H)
-        return integrate(H, *args, **kwargs)
+    def counting(pts, dt, nsteps, *args):
+        support = args[-1]
+        live = np.count_nonzero(pts[:, 0] ** 2 + pts[:, 1] ** 2 < support * support)
+        seen.append((len(pts), dt, live * nsteps))
+        return kernel(pts, dt, nsteps, *args)
 
-    monkeypatch.setattr(alx, "hamiltonian_path", counting)
-    alx.s_hamiltonian(alx.linear_family(bump), s_samples=s_samples, nt=3,
-                      grid=square_grid(33), dt=0.05)
-    assert len(calls) == paths
+    monkeypatch.setattr(kernels, "rk4_bump_flow", counting)
+    grid = square_grid(33)
+    alx.s_hamiltonian(alx.linear_family(bump), s_samples=s_samples, nt=4, grid=grid, dt=0.05)
+    assert len(seen) == calls
+    nodes = grid.node_points().reshape(-1, 2)
+    live = np.count_nonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < bump.support_radius)
+    # 3 segments per sample, of round((1/3) / 0.05) = 7 steps each
+    sweeps = [3 if s < 1.0 else 4 for s in s_samples for _ in range(3)]
+    assert [n for n, _, _ in seen] == [k * len(nodes) for k in sweeps]
+    assert [steps for _, _, steps in seen] == [k * live * 7 for k in sweeps]
+    # backward sweeps ride along with their amp negated
+    assert all(dt > 0.0 for _, dt, _ in seen)
+
+
+# s_hamiltonian as it stood when each s sample made separate hamiltonian_path
+# sweeps and evaluated its integrand at every node, kept verbatim.
+
+
+def _swept_path_s_hamiltonian(family, s_samples, nt, grid, dt, h_s=1e-3):
+    qx, qy = grid.nodes()
+    times = np.linspace(0.0, 1.0, nt)
+    all_values = []
+    support = family.support_radius
+    for s in s_samples:
+        H_mid = family.at(s)
+        path_mid = hamiltonian_path(H_mid, nt, grid, dt, with_inverse=True)
+        if s + h_s <= 1.0:
+            # centered stencil
+            stencil = [(s + h_s, 0.5 / h_s), (s - h_s, -0.5 / h_s)]
+        else:
+            # one-sided second-order stencil at the upper end
+            stencil = [(s, 1.5 / h_s), (s - h_s, -2.0 / h_s), (s - 2.0 * h_s, 0.5 / h_s)]
+        sidearms = []
+        for sv, cv in stencil:
+            if sv == s:
+                # the forward sweep of path_mid is this sidearm's path
+                sidearms.append((H_mid, path_mid, cv))
+            else:
+                Hs = family.at(sv)
+                sidearms.append((Hs, hamiltonian_path(Hs, nt, grid, dt), cv))
+        integrands = []
+        for k, u in enumerate(times):
+            y = np.stack(path_mid.maps[k].inverse().node_images(), axis=-1)
+            val = np.zeros_like(qx)
+            for Hs, path_s, coeff in sidearms:
+                val += coeff * Hs(u, path_s.maps[k](y))
+            integrands.append(val)
+        integrands = np.array(integrands)
+        K = cumulative_trapezoid(integrands, times, axis=0, initial=0.0)
+        # gauge: pin K to zero at the grid corner, outside every support
+        K -= K[:, :1, :1]
+        outside = np.hypot(qx, qy) >= support
+        K[:, outside] = 0.0
+        all_values.append([grid.with_values(K[k]) for k in range(nt)])
+    return all_values
+
+
+@pytest.mark.parametrize("family, n", [
+    (lambda: alx.linear_family(radial_bump(0.05, 0.8, 4)), 65),
+    (lambda: alx.alexander_family(radial_bump(0.05, 0.8, 4)), 65),
+    # every sweep takes its own integrate_points: a non-autonomous family,
+    # and clouds whose live nodes overflow one kernel block
+    (lambda: alx.linear_family(loop_bump(0.05)), 33),
+    (lambda: alx.linear_family(radial_bump(0.05, 0.8, 4)), 129),
+], ids=["linear", "alexander", "loop", "linear-past-one-block"])
+def test_s_hamiltonian_bits_match_swept_paths(family, n):
+    fam = family()
+    kw = dict(s_samples=np.array([0.5, 0.75, 1.0]), nt=5, grid=square_grid(n), dt=1e-2)
+    got = alx.s_hamiltonian(fam, **kw)
+    want = _swept_path_s_hamiltonian(fam, **kw)
+    for got_row, want_row in zip(got.values, want, strict=True):
+        for g, w in zip(got_row, want_row, strict=True):
+            assert np.array_equal(g.values, w.values)
+    assert max(np.max(np.abs(g.values)) for g in got.values[-1]) > 1e-3
 
 
 @pytest.fixture(scope="module")

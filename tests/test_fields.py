@@ -102,6 +102,20 @@ def test_gradient_is_masked_like_values():
         plain.gradient(0.0, pts)
 
 
+def test_evaluator_runs_only_inside_the_support():
+    seen = []
+
+    def evaluator(t, pts):
+        seen.append(pts.copy())
+        return pts[..., 0] + 2.0 * pts[..., 1]
+
+    H = ScalarTimeField(evaluator, 0.8)
+    pts = np.array([[[0.1, 0.2], [0.9, 0.0]], [[0.0, -0.8], [-0.3, 0.5]]])
+    assert np.array_equal(H(0.0, pts), [[0.5, 0.0], [0.0, 0.7]])
+    assert np.array_equal(seen[0], [[0.1, 0.2], [-0.3, 0.5]])
+    assert H(0.0, [0.9, 0.0]).shape == ()
+
+
 def test_scaled_keeps_structured_family():
     H = radial_bump(amp=0.05, rho=0.8, m=4)
     K = H.scaled(0.5)

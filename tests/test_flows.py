@@ -1,6 +1,7 @@
 """RK4 flows, grid maps, Newton inversion, and the path-space metrics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from disclab import kernels
 from disclab.fields import loop_bump, moving_bump, radial_bump, twist_bump, zero_field
 from disclab.flows import (PlaneMap, _simpson_weights, c0_distance, flow_map,
                            hamiltonian_path, hofer_length, integrate_points, osc_on_grid,
-                           time_integral, vector_field)
+                           sweep_nodes, time_integral, vector_field)
 from disclab.grids import square_grid
 
 
@@ -207,6 +208,38 @@ def test_bump_kernel_bits_match_unblocked_loop(m, moving, dt):
     want = _unblocked_rk4_bump_flow(pts.copy(), *args)
     assert np.max(np.abs(want - pts)) > 1e-3
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
+@pytest.mark.parametrize("dt", [1e-2, -1e-2])
+def test_per_point_bump_kernel_bits_match_per_cloud_calls(m, moving, dt):
+    # three clouds, each past one block, with their own amp (one negated),
+    # rho and support radius, in one call and in three scalar calls
+    clouds = [_cloud_past_one_block(seed) for seed in (m, m + 10, m + 20)]
+    amps, rhos, supports = (0.3, -0.2, 0.5), (0.8, 0.45, 0.6), (0.8, 0.7, 0.75)
+    nsteps = 4
+    levels = 0.5 * dt * np.arange(2 * nsteps + 1)
+    tau = 1.0 + 0.4 * np.sin(3.0 * levels)
+    if moving:
+        cx, cy = 0.1 * np.cos(5.0 * levels), 0.1 * np.sin(5.0 * levels)
+    else:
+        cx = cy = np.zeros_like(levels)
+    sizes = [len(c) for c in clouds]
+    per_point = [np.repeat(v, sizes) for v in (amps, rhos, supports)]
+    pts = np.concatenate(clouds)
+    assert np.count_nonzero(np.sum(pts * pts, axis=-1) < per_point[2] ** 2) > 2 * kernels.BLOCK
+    got = kernels.rk4_bump_flow(pts.copy(), dt, nsteps, None, per_point[0], per_point[1], m,
+                                tau, cx, cy, per_point[2])
+    want = np.concatenate([
+        kernels.rk4_bump_flow(c.copy(), dt, nsteps, None, a, r, m, tau, cx, cy, sr)
+        for c, a, r, sr in zip(clouds, amps, rhos, supports)])
+    assert np.max(np.abs(want - pts)) > 1e-3
+    assert np.array_equal(got, want)
+    # a scalar among per-point arrays broadcasts
+    one = kernels.rk4_bump_flow(pts.copy(), dt, nsteps, None, per_point[0], 0.8, m,
+                                tau, cx, cy, 0.8)
+    assert np.array_equal(one[:sizes[0]], want[:sizes[0]])
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 0.05), (0.6, 0.55)])
@@ -568,6 +601,35 @@ def test_nonautonomous_inverses_are_reintegrated(family):
     for got, want in zip(_stored_inverse_nodes(path),
                          _reintegrated_inverse_nodes(H, grid, 5, 4e-3)):
         assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=20)
+@given(m=st.integers(2, 6), amp=st.floats(0.01, 0.1), rho=st.floats(0.3, 0.8),
+       nt=st.integers(2, 5))
+def test_batched_backward_sweep_inverts_the_forward_one(m, amp, rho, nt):
+    # phi^-t o phi^t = id for an autonomous bump on a 65-node grid.  A second
+    # Hamiltonian makes the sweeps share one kernel call per segment, the
+    # backward one with its amp negated; each still equals its own
+    # integrate_points bit for bit
+    H, G = radial_bump(amp, rho, m), radial_bump(amp, rho, m)
+    grid = square_grid(65)
+    nodes = grid.node_points().reshape(-1, 2)
+    dt = 1e-2
+    times = np.linspace(0.0, 1.0, nt)
+    with mock.patch.object(kernels, "rk4_bump_flow", wraps=kernels.rk4_bump_flow) as kernel:
+        images = list(sweep_nodes([(H, True), (G, False)], nt, grid, dt))
+    assert kernel.call_count == nt - 1
+    back = fwd = nodes
+    for k, (b_img, f_img) in enumerate(images):
+        back = integrate_points(H, times[k + 1], times[k], back, dt)
+        fwd = integrate_points(G, times[k], times[k + 1], fwd, dt)
+        assert np.array_equal(b_img, back)
+        assert np.array_equal(f_img, fwd)
+    # RK4's global error is O((omega dt)^4 omega t) at the peak rotation rate
+    omega = 2.0 * m * amp / rho**2
+    tol = (omega * dt) ** 4 * omega + 1e-12
+    assert np.max(np.abs(integrate_points(H, 0.0, 1.0, back, dt) - nodes)) < tol
+    assert np.max(np.abs(integrate_points(H, 1.0, 0.0, fwd, dt) - nodes)) < tol
 
 
 def test_path_endpoint_matches_flow_map(bump):

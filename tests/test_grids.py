@@ -232,6 +232,21 @@ def test_blend_is_the_weighted_sum(rng):
         blend([(1.0, f1), (1.0, square_grid(33, extent=1.0))])
 
 
+def test_blend_sums_values_only_when_read(rng):
+    # evaluation and gradients need only the blended spline coefficients
+    g = square_grid(33)
+    f1 = g.with_values(rng.normal(size=(33, 33)))
+    f2 = g.with_values(rng.normal(size=(33, 33)))
+    b = blend([(0.3, f1), (-1.7, f2)])
+    pts = _extent_points(b, rng, count=100)
+    b(pts)
+    b.gradient_into(np.ascontiguousarray(pts.T), np.empty((2, len(pts))))
+    assert b.n == 33 and "values" not in vars(b)
+    assert np.array_equal(b.values, 0.3 * f1.values - 1.7 * f2.values)
+    assert np.array_equal(b._spline_coeffs(),
+                          0.3 * f1._spline_coeffs() - 1.7 * f2._spline_coeffs())
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
