@@ -16,6 +16,12 @@ the 1,000 points of the `spline_flow` benchmark workload (900 inside the
 disc of radius 0.75, 100 in the annulus outside the support) and the
 7,449 live nodes of a 129-node grid, the cloud of catalog E7.
 
+The lift rows step the 7,449 live nodes of a 129-node grid, the seeds
+that catalog E4's graph lift moves, through the bump's 100 stored times
+to t = 1, one RK4 step each: once as one segmented run
+(`flows.integrate_segments`) and once as 100 chained
+`flows.integrate_points` calls.
+
 For each cloud the script prints the best wall time, M point-steps/s over
 live points, and the maximum error against the exact rotation
 (`SeparableBump.exact_flow`), so a change shows its accuracy next to its
@@ -31,12 +37,13 @@ import numpy as np
 
 from disclab.alexander import SHamiltonian
 from disclab.fields import radial_bump
-from disclab.flows import integrate_points
+from disclab.flows import integrate_points, integrate_segments
 from disclab.grids import sample, square_grid
 from disclab.kernels import rk4_bump_flow
 
 AMP, RHO, M = 0.12, 0.8, 4
 SPLINE_STEPS = 500
+LIFT_TIMES = 100
 
 
 def bump_flow(pts, nsteps):
@@ -54,6 +61,21 @@ def spline_flow(bump):
     field = SHamiltonian(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                          [[zero, k], [zero, k]], RHO).time_one_field()
     return lambda pts, nsteps: integrate_points(field, 0.0, 1.0, pts, dt=1.0 / nsteps)
+
+
+def lift(bump, segmented):
+    """The time-one flow of the bump through nsteps stored times, one step apart."""
+    def flow(pts, nsteps):
+        times = np.linspace(0.0, 1.0, nsteps + 1)
+        if segmented:
+            for cloud in integrate_segments(bump, times, pts, dt=1.0 / nsteps):
+                pass
+            return cloud.T
+        for t0, t1 in zip(times[:-1], times[1:]):
+            pts = integrate_points(bump, t0, t1, pts, dt=1.0 / nsteps)
+        return pts
+
+    return flow
 
 
 def run(flow, pts, nsteps, repeats):
@@ -90,13 +112,18 @@ def main():
     workload = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
 
     # (flow, cloud, RK4 steps to t = 1)
-    splines = spline_flow(radial_bump(amp=AMP, rho=RHO, m=M))
+    bump = radial_bump(amp=AMP, rho=RHO, m=M)
+    splines = spline_flow(bump)
+    nodes = grid_cloud(129)
+    seeds = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) < RHO]
     clouds = {
         "random": (bump_flow, random, args.steps),
         "grid-65": (bump_flow, grid_cloud(65), args.steps),
         "grid-513": (bump_flow, grid_cloud(513), 100),
         "spline-1000": (splines, workload, SPLINE_STEPS),
-        "spline-grid-129": (splines, grid_cloud(129), SPLINE_STEPS),
+        "spline-grid-129": (splines, nodes, SPLINE_STEPS),
+        "lift-segmented": (lift(bump, True), seeds, LIFT_TIMES),
+        "lift-chained": (lift(bump, False), seeds, LIFT_TIMES),
     }
     print(f"radial bump amp={AMP} rho={RHO} m={M}, time-one flows")
     for name, (flow, pts, steps) in clouds.items():

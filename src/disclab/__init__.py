@@ -9,7 +9,7 @@ flows       RK4 Hamiltonian flows, grid maps, Hofer/C0 metrics
 calabi      the Calabi invariant by both definitions, path algebra
 alexander   rescaling isotopies, s-Hamiltonians, the shrinking sequence
 graphical   midpoint-map graphicality, one-form recovery, star-shape bound
-phase       classical actions, generating and phase functions, HJ residuals
+phase       lifted actions, generating and phase functions, HJ residuals
 experiments catalog E1-E9 and report emission
 cli         the `disclab` command
 """

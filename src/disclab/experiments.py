@@ -376,15 +376,8 @@ def _e6(cfg, measured, expected, passed):
         samples = np.vstack([samples, batch[keep]])
     samples = samples[:n_samples]
     r = np.linspace(0.0, 1.0, 101)
-    disc = samples[:, 0] * samples[:, 1] - samples[:, 2] ** 2
-    closed = 1.0 + r[None, :] ** 2 * disc[:, None]
-    # direct 2x2 expansion of det(I - r jA)
-    a, b, c = samples.T
-    m11 = 1.0 + r[None, :] * c[:, None]
-    m12 = r[None, :] * b[:, None]
-    m21 = -r[None, :] * a[:, None]
-    m22 = 1.0 - r[None, :] * c[:, None]
-    direct = m11 * m22 - m12 * m21
+    a, b, c = samples.T[:, :, None]
+    closed, direct = gr.starshape_expansions(gr.SymmetricMatrix2(a, b, c), r[None, :])
     failures = int(np.sum(np.min(direct, axis=1) <= 0.0))
     mismatch = float(np.max(np.abs(direct - closed)))
     measured["failures"] = float(failures)

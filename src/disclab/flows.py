@@ -13,6 +13,12 @@ vector_field's 4th-order centered differences of width FD_WIDTH.
 Symplecticity is monitored, not enforced.  Points starting outside the
 support radius never move.
 
+integrate_points runs one cloud from t0 to t1 as one segment of
+kernels.rk4.  integrate_segments runs a cloud through a list of stored
+times in one stepper run, one segment per pair of consecutive times, each
+with the step size and stage times integrate_points would give it, and
+hands back the cloud at every stored time.
+
 sweep_nodes steps the grid nodes of several flows together through the
 stored times of a path, forward or backward, one segment at a time;
 hamiltonian_path is its case of one Hamiltonian.  The small clouds of
@@ -76,8 +82,8 @@ def _fd4_partial(H, t, pts, axis):
             - (H(t, pts + 2.0 * e) - H(t, pts - 2.0 * e))) / (12.0 * FD_WIDTH)
 
 
-def _rk4_bump(H, pts, t0, dt, nsteps):
-    """Run a separable bump through the closed-form kernel."""
+def _bump_levels(H, t0, dt, nsteps):
+    """A separable bump's tau and center coordinates at the half-step levels of an RK4 run."""
     levels = t0 + 0.5 * dt * np.arange(2 * nsteps + 1)
     tau = np.array([H.tau_at(t) for t in levels])
     if H.center is None:
@@ -87,6 +93,12 @@ def _rk4_bump(H, pts, t0, dt, nsteps):
         centers = np.array([H.center_at(t) for t in levels])
         cx = np.ascontiguousarray(centers[:, 0])
         cy = np.ascontiguousarray(centers[:, 1])
+    return tau, cx, cy
+
+
+def _rk4_bump(H, pts, t0, dt, nsteps):
+    """Run a separable bump through the closed-form kernel."""
+    tau, cx, cy = _bump_levels(H, t0, dt, nsteps)
     return kernels.rk4_bump_flow(
         pts, dt, nsteps, None, H.amp, H.rho, H.m, tau, cx, cy, H.support_radius
     )
@@ -109,9 +121,21 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
     pts = np.array(points, dtype=np.float64, order="C", ndmin=2, copy=True)
     if t1 == t0:
         return pts
+    if isinstance(H, SeparableBump):
+        nsteps, step = _steps(t0, t1, dt)
+        return _rk4_bump(H, pts, t0, step, nsteps)
+    return kernels.rk4_points(pts, [_rk4_segment(H, t0, t1, dt)], H.support_radius)
+
+
+def _rk4_segment(H, t0, t1, dt):
+    """(field, step, nsteps): the kernels.rk4 segment that integrate_points steps from t0 to t1."""
+    if t1 == t0:
+        # a span of length zero takes no step
+        return None, 0.0, 0
     nsteps, step = _steps(t0, t1, dt)
     if isinstance(H, SeparableBump):
-        return _rk4_bump(H, pts, t0, step, nsteps)
+        field, _ = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps))
+        return field, step, nsteps
     offsets = (0.0, 0.5 * step, step)
 
     if getattr(H, "has_gradient", False):
@@ -127,7 +151,30 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
             out[:] = vector_field(H, t0 + k * step + offsets[j],
                                   np.stack([z[0], z[1]], axis=-1)).T
 
-    return kernels.rk4(field, pts, step, nsteps, H.support_radius)
+    return field, step, nsteps
+
+
+def integrate_segments(H, times, points, dt=1e-3):
+    """Advance an (N, 2) cloud through the given times in one RK4 run.
+
+    Yields, for k = 1, ..., len(times) - 1, the cloud at times[k] in the
+    stepper's (2, N) layout: one array, which the next segment
+    overwrites.  Each segment is stepped as integrate_points(H, times[k-1],
+    times[k], ...) steps it, with the same step size and stage times, so
+    a bump's cloud has the bits of those chained calls.  The live points
+    are those inside the support at times[0]; a chained call would test
+    again at each times[k], which differs only where a field that is not
+    exactly zero off its support lets rounding carry a point across it.
+    """
+    _check_dt(dt)
+    pts = np.array(points, dtype=np.float64, ndmin=2)
+    cloud = np.stack([pts[:, 0], pts[:, 1]])
+    live = kernels.live_points(pts, H.support_radius)
+    z_all = cloud[:, live]
+    segments = (_rk4_segment(H, t0, t1, dt) for t0, t1 in zip(times[:-1], times[1:]))
+    for _ in kernels.rk4(segments, z_all):
+        cloud[:, live] = z_all
+        yield cloud
 
 
 # ---------------------------------------------------------------------------

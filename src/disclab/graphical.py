@@ -50,16 +50,28 @@ class SymmetricMatrix2:
         return np.array([[-self.c, -self.b], [self.a, self.c]])
 
 
+def starshape_expansions(A, r):
+    """det(I - r jA) by closed form, 1 + r^2 (ab - c^2), and by the direct 2x2 expansion.
+
+    A's entries and r may be scalars or arrays that broadcast together;
+    both results have their broadcast shape.
+    """
+    a, b, c = A.a, A.b, A.c
+    closed = 1.0 + r * r * (a * b - c * c)
+    # I - r jA = [[1 + r c, r b], [-r a, 1 - r c]]
+    direct = (1.0 + r * c) * (1.0 - r * c) - (r * b) * (-r * a)
+    return closed, direct
+
+
 def starshape_det(A, r):
     """det(I - r jA) = 1 + r^2 (ab - c^2), by closed form.
 
-    The direct 2x2 expansion is evaluated as a self-check; a mismatch
-    beyond round-off raises.
+    A's entries and r may be arrays, as in starshape_expansions.  The
+    direct 2x2 expansion is evaluated as a self-check; a mismatch beyond
+    round-off raises.
     """
-    closed = 1.0 + r * r * (A.a * A.b - A.c * A.c)
-    M = np.eye(2) - r * A.jmatrix()
-    direct = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(direct - closed) > 1e-13 * max(1.0, abs(closed)):
+    closed, direct = starshape_expansions(A, r)
+    if np.any(np.abs(direct - closed) > 1e-13 * np.maximum(1.0, np.abs(closed))):
         raise AssertionError(
             f"determinant expansion mismatch: {direct} vs {closed}"
         )

@@ -1,4 +1,4 @@
-"""Classical actions, generating functions of graphs, and phase functions.
+"""Lifted actions, generating functions of graphs, and phase functions.
 
 In the flat chart the graph of the time-t map of a Hamiltonian path is
 parametrized over seeds y by
@@ -9,7 +9,12 @@ and the action accumulated along the lifted trajectory,
 
     h = int p . dq - int F(u, phi^u(y)) du,
 
-is the generating function of the graph: dh = p . dq.  The phase function
+is the generating function of the graph: dh = p . dq.  The seeds are
+lifted together in one RK4 run through every stored time.  A seed
+outside the support never moves, and the sphere-normalized Hamiltonian
+is -c(u) there, so all such frozen seeds share one action: the grid
+lift steps only the seeds the flow moves, plus one frozen
+representative.  The phase function
 of a graphical time-1 map is the ray-integrated potential of the one-form
 that `graphical.recover_one_form` recovers (the one graphicality gate of
 the map) plus the identity-region value int_0^1 c(s) ds, where c is the
@@ -23,61 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calabi import normalize_on_sphere
-from .chart import jmap
-from .flows import flow_map, integrate_points, _simpson_weights
+from .flows import flow_map, integrate_segments
 from .graphical import OneFormField, integrate_generating, recover_one_form
 from .grids import SPHERE_VOLUME, GridField2D, square_grid
-
-
-# ---------------------------------------------------------------------------
-# classical action
-
-
-@dataclass
-class ActionRecord:
-    """A sampled cotangent trajectory and its classical action."""
-
-    times: np.ndarray
-    trajectory: np.ndarray   # shape (nt, 4): (q1, q2, p1, p2) per sample
-    action: float
-
-
-def lift_to_chart(F):
-    """F as a chart Hamiltonian: value at the x-point q + j(p)/2 of the pair."""
-
-    def chart_eval(t, q, p):
-        return F(t, q + 0.5 * jmap(p))
-
-    return chart_eval
-
-
-def classical_action(chart_hamiltonian, times, trajectory):
-    """int p . dq (trapezoid) minus int H dt (Simpson) along the samples.
-
-    times must be uniform with an odd sample count matching the
-    trajectory; anything else is a sampling mismatch and is rejected.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    traj = np.asarray(trajectory, dtype=np.float64)
-    if traj.ndim != 2 or traj.shape[1] != 4 or traj.shape[0] != times.size:
-        raise ValueError(
-            f"trajectory samples {traj.shape} do not match times {times.shape}"
-        )
-    if times.size < 3 or times.size % 2 == 0:
-        raise ValueError("need an odd number of samples >= 3 for the quadrature")
-    steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-12:
-        raise ValueError("time samples must be uniform")
-    q = traj[:, :2]
-    p = traj[:, 2:]
-    pdq = float(np.sum(0.5 * np.sum((p[:-1] + p[1:]) * np.diff(q, axis=0), axis=1)))
-    hvals = np.array(
-        [chart_hamiltonian(t, q[k], p[k]) for k, t in enumerate(times)],
-        dtype=np.float64,
-    )
-    w = _simpson_weights(times.size)
-    hint = float(np.sum(w * hvals) * steps[0])
-    return ActionRecord(times, traj, pdq - hint)
 
 
 # ---------------------------------------------------------------------------
@@ -90,26 +43,29 @@ def lifted_action(F, ham, seeds, times, dt):
     q = (phi^u(y) + y) / 2 and p = -j(phi^u(y) - y) are the chart
     coordinates of the graph point, f = ham(u, phi^u(y)), and h is the
     action int p . dq - int ham du, both by the trapezoid rule.  seeds has
-    shape (N, 2); times starts at 0.
+    shape (N, 2); times starts at 0.  The seeds take one RK4 run through
+    every time (flows.integrate_segments), and the action is accumulated
+    in the stepper's (2, N) layout; q and p are yielded as (N, 2) views.
     """
-    pts = seeds
-    q = seeds.copy()
-    p = np.zeros_like(seeds)
+    seeds = np.asarray(seeds, dtype=np.float64)
+    y = np.stack([seeds[:, 0], seeds[:, 1]])
+    q = y.copy()
+    p = np.zeros_like(y)
     f = ham(0.0, seeds)
     h = np.zeros(seeds.shape[0])
-    yield q, p, f, h
-    for k in range(len(times) - 1):
-        pts = integrate_points(F, times[k], times[k + 1], pts, dt)
-        cur_q = 0.5 * (pts + seeds)
-        cur_p = -jmap(pts - seeds)
-        cur_f = ham(times[k + 1], pts)
-        du = times[k + 1] - times[k]
-        # p . dq as the sum of its two columns: np.sum over a length-2 axis
-        # is many times slower and gives the same bits
-        h = h + 0.5 * np.add(*((p + cur_p) * (cur_q - q)).T)
+    yield q.T, p.T, f, h
+    for k, x in enumerate(integrate_segments(F, times, seeds, dt), start=1):
+        cur_q = 0.5 * (x + y)
+        # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
+        d = x - y
+        cur_p = np.stack([d[1], -d[0]])
+        cur_f = ham(times[k], x.T)
+        du = times[k] - times[k - 1]
+        pdq = (p + cur_p) * (cur_q - q)
+        h = h + 0.5 * (pdq[0] + pdq[1])
         h = h - 0.5 * du * (f + cur_f)
         q, p, f = cur_q, cur_p, cur_f
-        yield q, p, f, h
+        yield q.T, p.T, f, h
 
 
 @dataclass
@@ -139,12 +95,34 @@ class GraphSamples:
         return worst
 
 
+def _lift_order(seeds, support_radius):
+    """The seeds (N, 2) to lift, and the mask of the frozen ones.
+
+    A seed is frozen where the RK4 loop's test and the field's mask both
+    put it outside the support.  The seeds the loop moves come first, in
+    one run, then the others that are not frozen, then one frozen
+    representative, if any.
+    """
+    x = seeds[:, 0]
+    y = seeds[:, 1]
+    out = x * x + y * y >= support_radius * support_radius
+    frozen = out & (np.hypot(x, y) >= support_radius)
+    lifted = np.concatenate([np.flatnonzero(~out), np.flatnonzero(out & ~frozen),
+                             np.flatnonzero(frozen)[:1]])
+    return lifted, frozen
+
+
 def basic_generating(F, grid=None, dt=1e-3, nu=101):
-    """Lift every grid seed to time 1, accumulate the action, return the graph.
+    """Lift the grid seeds to time 1, accumulate the action, return the graph.
 
     The Hamiltonian in the action integrand is F - c(u) (sphere
     normalization on the same grid), which makes the value on the
-    identity region equal int_0^1 c rather than 0.
+    identity region equal int_0^1 c rather than 0.  A seed outside the
+    support never moves and sees the one value -c(u) that the
+    normalized field takes there, so every such frozen seed has q = y,
+    p = 0 and the same action.  Only the other seeds and one frozen
+    representative are lifted, in one RK4 run; the representative's p
+    and h are copied to every frozen seed.
     """
     if grid is None:
         grid = square_grid(257)
@@ -153,14 +131,24 @@ def basic_generating(F, grid=None, dt=1e-3, nu=101):
     flat = seeds.reshape(-1, 2)
     ham = normalize_on_sphere(F, grid=grid)
     times = np.linspace(0.0, 1.0, nu)
-    for q, p, _, h in lifted_action(F, ham, flat, times, dt):
+    lifted, frozen = _lift_order(flat, F.support_radius)
+    for q, p, _, h in lifted_action(F, ham, flat[lifted], times, dt):
         pass
+    q_all = flat.copy()
+    p_all = np.empty_like(flat)
+    h_all = np.empty(len(flat))
+    if frozen.any():
+        p_all[frozen] = p[-1]
+        h_all[frozen] = h[-1]
+    q_all[lifted] = q
+    p_all[lifted] = p
+    h_all[lifted] = h
     shape = qx.shape
     return GraphSamples(
         seeds,
-        q.reshape(shape + (2,)),
-        p.reshape(shape + (2,)),
-        h.reshape(shape),
+        q_all.reshape(shape + (2,)),
+        p_all.reshape(shape + (2,)),
+        h_all.reshape(shape),
         grid.spacing,
     )
 

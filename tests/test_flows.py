@@ -356,7 +356,7 @@ def _head_integrate_time_one(sham, t0, t1, points, dt):
     def field(z, k, j, out):
         out[:] = vector_field(t0 + k * step + offsets[j], np.stack([z[0], z[1]], axis=-1)).T
 
-    return kernels.rk4(field, pts, step, nsteps, sham.support_radius)
+    return kernels.rk4_points(pts, [(field, step, nsteps)], sham.support_radius)
 
 
 def _time_one_sham(grid, support_radius):
@@ -453,6 +453,54 @@ def test_generic_path_stage_times_match_bump_kernel(t0, t1):
     b = integrate_points(generic, t0, t1, pts, dt=0.02)
     assert np.max(np.abs(a - pts)) > 0.05
     assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def _segment_field(name):
+    """A field of each kind the segmented RK4 run builds its segments for."""
+    from disclab.fields import ScalarTimeField
+
+    if name == "fixed":
+        return twist_bump(angle=2.0)
+    if name == "moving":
+        return moving_bump(amp=0.2)
+    if name == "loop":
+        return loop_bump(amp=0.2)
+    grid = square_grid(65)
+    spline = grid.with_values(BUMP(0.0, np.stack(grid.nodes(), axis=-1)))
+    if name == "spline":
+        def gradient(t, z, out):
+            spline.gradient_into(z, out)
+            out *= 4.0 + t
+
+        return ScalarTimeField(lambda t, pts: (4.0 + t) * spline(pts), 0.8, 2,
+                               gradient=gradient)
+    return ScalarTimeField(lambda t, pts: (4.0 + t) * BUMP(0.0, pts), 0.8, 3)
+
+
+# uneven spans, so the segments differ in step size and count, and one
+# span of length zero, which integrate_points does not step
+SEGMENT_TIMES = [0.0, 0.013, 0.05, 0.05, 0.052, 0.1]
+
+
+@pytest.mark.parametrize("name", ["fixed", "moving", "loop", "spline", "black_box"])
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_segmented_run_bits_match_chained_calls(name, backward):
+    from disclab.flows import integrate_segments
+
+    H = _segment_field(name)
+    times = 0.6 - np.array(SEGMENT_TIMES) if backward else 0.3 + np.array(SEGMENT_TIMES)
+    if name in ("spline", "black_box"):
+        pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3000, 2))
+    else:
+        # live points past one block
+        pts = _cloud_past_one_block(5)
+    clouds = [c.T.copy() for c in integrate_segments(H, times, pts, dt=1e-2)]
+    assert len(clouds) == len(times) - 1
+    cur = pts
+    for k, got in enumerate(clouds, start=1):
+        cur = integrate_points(H, times[k - 1], times[k], cur, dt=1e-2)
+        assert np.array_equal(got, cur)
+    assert np.max(np.abs(cur - pts)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

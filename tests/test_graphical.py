@@ -27,6 +27,20 @@ def test_starshape_closed_forms():
     assert gr.starshape_det(off, 0.5) == pytest.approx(1.0 - 0.25)
 
 
+def test_starshape_det_takes_arrays():
+    # one call over broadcast arrays gives the bits of the scalar calls
+    a, b, c = np.random.default_rng(3).normal(size=(3, 20, 1))
+    rs = np.linspace(0.0, 1.0, 11)
+    dets = gr.starshape_det(gr.SymmetricMatrix2(a, b, c), rs[None, :])
+    assert dets.shape == (20, 11)
+    want = [[gr.starshape_det(gr.SymmetricMatrix2(float(x), float(y), float(z)), float(r))
+             for r in rs] for x, y, z in zip(a[:, 0], b[:, 0], c[:, 0])]
+    assert np.array_equal(dets, want)
+    closed, direct = gr.starshape_expansions(gr.SymmetricMatrix2(a, b, c), rs[None, :])
+    assert np.array_equal(closed, dets)
+    assert np.max(np.abs(direct - closed)) < 1e-13 * np.max(np.abs(closed))
+
+
 def test_jmatrix_structure():
     A = gr.SymmetricMatrix2(1.0, 2.0, 3.0)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -1,67 +1,17 @@
-"""Classical actions, generating/phase functions, HJ residuals, suspension."""
-
-import math
+"""Lifted actions, generating/phase functions, HJ residuals, suspension."""
 
 import numpy as np
 import pytest
 
 from disclab import graphical as gr
 from disclab import phase as ph
-from disclab.calabi import cal_path
-from disclab.fields import radial_bump, twist_bump, zero_field
+from disclab.calabi import cal_path, normalize_on_sphere
+from disclab.chart import jmap
+from disclab.experiments import ExperimentConfig, make_family
+from disclab.fields import SeparableBump, loop_bump, radial_bump, twist_bump, zero_field
+from disclab.flows import integrate_points
 from disclab.graphical import recover_one_form
 from disclab.grids import SPHERE_VOLUME, square_grid
-
-
-# ---------------------------------------------------------------------------
-# classical action
-
-
-def test_action_of_resting_chord():
-    times = np.linspace(0.0, 1.0, 5)
-    traj = np.tile([0.3, 0.1, 0.0, 0.0], (5, 1))
-    rec = ph.classical_action(lambda t, q, p: 0.0, times, traj)
-    assert rec.action == 0.0
-
-
-def test_action_of_straight_chord_is_p_dot_dq():
-    times = np.linspace(0.0, 1.0, 9)
-    q = np.stack([times, np.zeros_like(times)], axis=-1) * 0.4
-    p = np.tile([0.7, -0.2], (9, 1))
-    traj = np.concatenate([q, p], axis=1)
-    rec = ph.classical_action(lambda t, q, p: 0.0, times, traj)
-    assert rec.action == pytest.approx(0.7 * 0.4, rel=1e-12)
-
-
-def test_action_subtracts_hamiltonian_integral():
-    times = np.linspace(0.0, 1.0, 9)
-    traj = np.tile([0.0, 0.0, 0.0, 0.0], (9, 1))
-    rec = ph.classical_action(lambda t, q, p: t * t, times, traj)
-    assert rec.action == pytest.approx(-1.0 / 3.0, rel=1e-12)
-
-
-def test_action_sampling_rejections():
-    times = np.linspace(0.0, 1.0, 5)
-    good = np.zeros((5, 4))
-    with pytest.raises(ValueError):
-        ph.classical_action(lambda t, q, p: 0.0, times, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        ph.classical_action(lambda t, q, p: 0.0, times, np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        ph.classical_action(lambda t, q, p: 0.0,
-                            np.linspace(0.0, 1.0, 4), np.zeros((4, 4)))
-    bad_times = np.array([0.0, 0.1, 0.5, 0.7, 1.0])
-    with pytest.raises(ValueError):
-        ph.classical_action(lambda t, q, p: 0.0, bad_times, good)
-
-
-def test_lift_to_chart():
-    F = lambda t, pts: pts[..., 0]
-    lifted = ph.lift_to_chart(F)
-    q = np.array([0.3, 0.0])
-    p = np.array([0.0, 0.2])
-    # x = q + j(p)/2 = (0.3 - 0.1, 0.0)
-    assert lifted(0.0, q, p) == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +39,94 @@ def test_basic_generating_identity_region_value(bump, grid257):
     outside = np.hypot(qx, qy) >= 0.9
     vals = gs.h[outside]
     assert np.max(np.abs(vals - cal / SPHERE_VOLUME)) < 1e-4
+
+
+# lifted_action and basic_generating as they stood before the grid lift
+# skipped the frozen seeds and took one RK4 run, copied verbatim: every seed
+# is lifted, with one integrate_points call per stored time.
+
+
+def _head_lifted_action(F, ham, seeds, times, dt):
+    pts = seeds
+    q = seeds.copy()
+    p = np.zeros_like(seeds)
+    f = ham(0.0, seeds)
+    h = np.zeros(seeds.shape[0])
+    yield q, p, f, h
+    for k in range(len(times) - 1):
+        pts = integrate_points(F, times[k], times[k + 1], pts, dt)
+        cur_q = 0.5 * (pts + seeds)
+        cur_p = -jmap(pts - seeds)
+        cur_f = ham(times[k + 1], pts)
+        du = times[k + 1] - times[k]
+        # p . dq as the sum of its two columns: np.sum over a length-2 axis
+        # is many times slower and gives the same bits
+        h = h + 0.5 * np.add(*((p + cur_p) * (cur_q - q)).T)
+        h = h - 0.5 * du * (f + cur_f)
+        q, p, f = cur_q, cur_p, cur_f
+        yield q, p, f, h
+
+
+def _head_basic_generating(F, grid=None, dt=1e-3, nu=101):
+    if grid is None:
+        grid = square_grid(257)
+    qx, qy = grid.nodes()
+    seeds = np.stack([qx, qy], axis=-1)
+    flat = seeds.reshape(-1, 2)
+    ham = normalize_on_sphere(F, grid=grid)
+    times = np.linspace(0.0, 1.0, nu)
+    for q, p, _, h in _head_lifted_action(F, ham, flat, times, dt):
+        pass
+    shape = qx.shape
+    return ph.GraphSamples(
+        seeds,
+        q.reshape(shape + (2,)),
+        p.reshape(shape + (2,)),
+        h.reshape(shape),
+        grid.spacing,
+    )
+
+
+_E4_CFG = ExperimentConfig(experiment_id="E4", grid_n=64, dt=1e-2)
+
+
+@pytest.mark.parametrize("family, n", [
+    ("radial_bump", 129), ("moving_bump", 129), ("twist", 129),
+    ("loop_bump", 65), ("zero_field", 65),
+])
+def test_basic_generating_bits_match_per_seed_lift(family, n):
+    if family == "loop_bump":
+        F = loop_bump(amp=0.05)
+    elif family == "zero_field":
+        F = zero_field()
+    else:
+        F = make_family(family, _E4_CFG)
+    grid = square_grid(n)
+    got = ph.basic_generating(F, grid=grid, dt=1e-2)
+    want = _head_basic_generating(F, grid=grid, dt=1e-2)
+    assert np.array_equal(got.q, want.q)
+    assert np.array_equal(got.p, want.p)
+    assert np.array_equal(got.h, want.h)
+
+
+@pytest.mark.parametrize("tau", [None, lambda t: 1.0 + t], ids=["autonomous", "ramp"])
+def test_frozen_seeds_share_the_trapezoid_offset_integral(tau, grid65):
+    F = SeparableBump(amp=0.05, rho=0.8, m=4, tau=tau)
+    nu = 21
+    gs = ph.basic_generating(F, grid=grid65, dt=1e-2, nu=nu)
+    frozen = ph._lift_order(gs.seeds.reshape(-1, 2), F.support_radius)[1].reshape(gs.h.shape)
+    assert frozen.any() and not frozen.all()
+    assert np.array_equal(gs.q[frozen], gs.seeds[frozen])
+    assert np.all(gs.p[frozen] == 0.0)
+    vals = gs.h[frozen]
+    assert np.all(vals == vals[0])
+    # off the support the normalized field is -c(u), and a frozen chord has
+    # p . dq = 0: its action is the trapezoid integral of c
+    times = np.linspace(0.0, 1.0, nu)
+    offsets = normalize_on_sphere(F, grid=grid65).offset
+    trapezoid = float(np.trapezoid([offsets(t) for t in times], times))
+    assert vals[0] == pytest.approx(trapezoid, rel=1e-12)
+    assert abs(trapezoid) > 1e-5
 
 
 # ---------------------------------------------------------------------------
