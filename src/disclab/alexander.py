@@ -71,38 +71,6 @@ def rescale(H, a, eta=None):
     return RescaledPath(H, a, eta, ham)
 
 
-def reparametrize(H, chi, dchi=None, n_check=201, max_pieces=8):
-    """Hamiltonian chi'(t) * H(chi(t), x) of the time-reparametrized path.
-
-    chi must map [0,1] into [0,1] and be piecewise monotone (at most
-    max_pieces monotone pieces; a wildly oscillating chi is rejected).
-    """
-    ts = np.linspace(0.0, 1.0, n_check)
-    vals = np.array([chi(t) for t in ts])
-    if np.min(vals) < -1e-12 or np.max(vals) > 1.0 + 1e-12:
-        raise ValueError("reparametrization must map [0,1] into [0,1]")
-    diffs = np.diff(vals)
-    signs = np.sign(diffs[np.abs(diffs) > 1e-14])
-    turns = int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
-    if turns >= max_pieces:
-        raise ValueError(
-            f"reparametrization is not piecewise monotone "
-            f"({turns + 1} monotone pieces > {max_pieces})"
-        )
-    if dchi is None:
-        eps = 1e-6
-        dchi = lambda t: (chi(min(t + eps, 1.0)) - chi(max(t - eps, 0.0))) / (
-            min(t + eps, 1.0) - max(t - eps, 0.0)
-        )
-    if isinstance(H, SeparableBump):
-        return H.reparametrized(chi, dchi)
-    return ScalarTimeField(
-        lambda t, pts: dchi(t) * H(chi(t), pts),
-        H.support_radius,
-        H.smoothness_order,
-    )
-
-
 # ---------------------------------------------------------------------------
 # two-parameter families and the s-Hamiltonian
 
@@ -136,7 +104,11 @@ class SHamiltonian:
 
     Between samples K is bilinear in (s, t).  spline_filter is linear, so
     K(s, t, .) is one grid field whose values and spline coefficients
-    blend those of the (up to four) bracketing grids.
+    blend those of the (up to four) bracketing grids.  At t = 1, the last
+    t sample, K(s, 1, .) = (1 - w) K(s_i, 1, .) + w K(s_{i+1}, 1, .) with
+    the bracketing index i and weight w of `_interp`, linear extrapolation
+    below the first s sample included; `time_one_field` declares the
+    stored last-t grids as its time profiles with these weights.
     """
 
     s_samples: np.ndarray
@@ -174,17 +146,45 @@ class SHamiltonian:
         """s -> K(s, 1, .): the Hamiltonian of the end path s -> phi_{H(s)}^1.
 
         The field carries the analytic gradient of its spline, which the
-        blended K grid writes straight into the caller's buffer.
+        blended K grid writes straight into the caller's buffer.  Its time
+        profiles are the stored grids K(s_i, 1, .), under the field's own
+        support mask, weighted as `_interp` brackets s; Cal of the s-path
+        then takes one node sum per s sample.
         """
-        return ScalarTimeField(
-            lambda s, pts: self(s, 1.0, pts), self.support_radius, 2,
-            gradient=lambda s, z, out: self.field_at(s, 1.0).gradient_into(z, out),
-        )
+        return _TimeOneField(self)
 
     def gauge_defect(self):
         """Max |K(s, 0, .)|; zero by construction."""
         return max(float(np.max(np.abs(self.values[i][0].values)))
                    for i in range(len(self.s_samples)))
+
+
+class _TimeOneField(ScalarTimeField):
+    """K(., 1, .) of an SHamiltonian, with its stored last-t grids as time profiles."""
+
+    def __init__(self, sham):
+        super().__init__(
+            lambda s, pts: sham(s, 1.0, pts), sham.support_radius, 2,
+            gradient=lambda s, z, out: sham.field_at(s, 1.0).gradient_into(z, out),
+        )
+        self._sham = sham
+
+    @property
+    def time_profiles(self):
+        sham = self._sham
+        if sham.t_samples[-1] != 1.0:
+            # K(s_i, 1, .) would be a blend in t, not a stored grid
+            return None
+        profiles = [ScalarTimeField(lambda s, pts, g=row[-1]: g(pts), sham.support_radius, 2)
+                    for row in sham.values]
+        return self._weights, profiles
+
+    def _weights(self, s):
+        """The weight of each stored K(s_i, 1, .) in K(s, 1, .)."""
+        i0, w = self._sham._interp(self._sham.s_samples, s)
+        weights = np.zeros(len(self._sham.s_samples))
+        weights[i0:i0 + 2] = 1.0 - w, w
+        return weights
 
 
 def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
@@ -274,7 +274,11 @@ def s_flow_check(sham, family, dt=2e-3, grid=None):
 
 
 def calabi_match(sham, family, grid=None, nt=65):
-    """(Cal of the s-path K(., 1, .), Cal of the t-path H(1)); equal when H(0)=0."""
+    """(Cal of the s-path K(., 1, .), Cal of the t-path H(1)); equal when H(0)=0.
+
+    K(., 1, .) declares its stored s samples as time profiles, so Cal of
+    the s-path takes one node sum per s sample.
+    """
     cal_k = cal_path(sham.time_one_field(), grid, nt)
     cal_h = cal_path(family.at(1.0), grid, nt)
     return cal_k, cal_h

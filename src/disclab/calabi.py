@@ -5,8 +5,16 @@ Definition via a primitive: with alpha = -p dq, the one-form
 beta = phi^*alpha - alpha is closed, beta = dh for a compactly supported
 h, and Cal(phi) = (1/2) int h dA.  With the sign convention of `flows`
 (X_H = (H_p, -H_q)) the two agree with constant exactly 1.
+
+Cal^path, the sphere-normalization offset c(t) and the sphere mean all
+read t -> int H(t, .) dA through one helper, `slice_integrals`.  An
+autonomous H takes one node sum.  A field that declares time profiles,
+H(t, .) = sum_i w_i(t) * P_i (`ScalarTimeField.time_profiles`), takes one
+node sum per profile, and each time sample is the weighted sum of those
+integrals.  Any other field takes one node sum per time.
 """
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -36,16 +44,32 @@ def spatial_integral(H, t, grid):
     return float(np.sum(H(t, grid.node_points())) * grid.spacing**2)
 
 
+def slice_integrals(H, grid):
+    """t -> int H(t, .) dA on grid, by linearity where H declares profiles.
+
+    A field with time profiles (weights, profiles) has each profile
+    integrated once, here; t then gives sum_i w_i(t) * int P_i dA with no
+    node sum.  Any other field takes one node sum per call.
+    """
+    declared = H.time_profiles
+    if declared is None:
+        return lambda t: spatial_integral(H, t, grid)
+    weights, profiles = declared
+    integrals = [spatial_integral(P, 0.0, grid) for P in profiles]
+    return lambda t: sum(w * c for w, c in zip(weights(t), integrals))
+
+
 def cal_path(H, grid=None, nt=129):
     """Cal^path: double quadrature of H over time and the disc.
 
-    Simpson on nt time samples; an autonomous H takes the one spatial
-    slice at t = 0.
+    Simpson on nt time samples of `slice_integrals`; an autonomous H takes
+    the one spatial slice at t = 0, and a field with time profiles one
+    node sum per profile.
     """
     if grid is None:
         grid = square_grid(257)
     _check_supported(H, grid)
-    return time_integral(H, lambda t: spatial_integral(H, t, grid), nt)
+    return time_integral(H, slice_integrals(H, grid), nt)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +178,6 @@ def primitive_and_cal_def1(phi, H=None, cal_path_value=None, residual_tol=1e-3,
     )
 
 
-def primitive_potential(phi):
-    """The function h with dh = phi^*alpha - alpha, as a grid field."""
-    grid = phi.template
-    h_rows, _ = ray_primitives(*pullback_defect_form(phi), grid.spacing)
-    return grid.with_values(h_rows)
-
-
 # ---------------------------------------------------------------------------
 # normalization on the sphere model
 
@@ -173,13 +190,19 @@ class NormalizedField:
     grid: GridField2D
     _cache: dict = field(default_factory=dict, repr=False)
 
+    @functools.cached_property
+    def _slices(self):
+        return slice_integrals(self.base, self.grid)
+
     def offset(self, t):
-        # an autonomous base has one offset for every t
+        """c(t) = int base(t, .) dA / vol, kept per t to 12 digits.
+
+        An autonomous base has the one offset c(0) for every t; a base
+        with time profiles integrates each profile once, on the first call.
+        """
         key = 0.0 if self.base.is_autonomous else round(float(t), 12)
         if key not in self._cache:
-            self._cache[key] = (
-                spatial_integral(self.base, key, self.grid) / SPHERE_VOLUME
-            )
+            self._cache[key] = self._slices(key) / SPHERE_VOLUME
         return self._cache[key]
 
     def __call__(self, t, points):
@@ -188,14 +211,14 @@ class NormalizedField:
     def offset_integral(self, t1=1.0, nt=129):
         """int_0^t1 c(s) ds; equals Cal/vol at t1 = 1.
 
-        Simpson on nt samples; an autonomous base takes the one offset
-        c(0).
+        Simpson on nt samples of `offset`; an autonomous base takes the
+        one offset c(0).
         """
         return time_integral(self, self.offset, nt, t1)
 
     def sphere_mean(self, t):
         """Mean over the sphere model; 0 by construction."""
-        disc = spatial_integral(self.base, t, self.grid) - self.offset(t) * math.pi
+        disc = self._slices(t) - self.offset(t) * math.pi
         lower = -self.offset(t) * IDENTITY_AREA
         return (disc + lower) / SPHERE_VOLUME
 

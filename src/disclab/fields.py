@@ -11,8 +11,11 @@ bump flow kernel (disclab.kernels) and for exact rescaling; everything
 else goes through the generic evaluator path.  Its value takes the one
 profile power u^m by repeated multiplication, in place, as the kernel
 takes u^(m-1), and needs no support mask when its center is fixed.
+A fixed-center bump with a time factor is tau(t) times one spatial
+profile, and declares so through `time_profiles`.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,10 +29,21 @@ class ScalarTimeField:
     evaluator, gradient(t, z, out), writes (dH/dq, dH/dp) at points z of
     shape (2, n) into out of shape (2, n), the layout of the RK4 loop's
     stage buffers; flows then use it instead of finite differences.
+
+    A field that is a fixed set of spatial profiles with time weights,
+    H(t, .) = sum_i w_i(t) * P_i, declares it through `time_profiles`:
+    a pair (weights, profiles), where weights(t) gives the w_i(t) in the
+    order of profiles, and each P_i is a field that ignores t and vanishes
+    where H's support mask puts H to zero.  The identity holds pointwise
+    up to rounding, so a time quadrature of a linear functional of
+    H(t, .), such as the node sum of calabi, takes one node sum per
+    profile.  A black-box field declares nothing (None).
     """
 
     # a black-box evaluator makes no promise that it ignores t
     is_autonomous = False
+    # nor that it separates into spatial profiles with time weights
+    time_profiles = None
     # nor that it vanishes outside the support, so it runs only inside it
     _evaluator_masks = False
 
@@ -91,8 +105,14 @@ def field_sum(a, b, coeff_a=1.0, coeff_b=1.0):
     )
 
 
+def _zero_gradient(t, z, out):
+    out.fill(0.0)
+
+
 def zero_field(support_radius=0.8):
-    return ScalarTimeField(lambda t, pts: np.zeros(pts.shape[:-1]), support_radius, 99)
+    """H == 0; its gradient evaluator writes zeros, so its flow moves no point."""
+    return ScalarTimeField(lambda t, pts: np.zeros(pts.shape[:-1]), support_radius, 99,
+                           gradient=_zero_gradient)
 
 
 class SeparableBump(ScalarTimeField):
@@ -160,6 +180,22 @@ class SeparableBump(ScalarTimeField):
     def is_autonomous(self):
         """True when H ignores t: tau == 1 and the bump stays at the origin."""
         return self.tau is None and self.center is None
+
+    @functools.cached_property
+    def time_profiles(self):
+        """(t -> (tau(t),), (the same bump with tau == 1,)) for a fixed center.
+
+        A moving center translates the profile, so H(t, .) is no fixed
+        combination of profiles (and the grid sum of a translated bump
+        differs from the centered one in its low bits): a moving bump
+        declares None.  So does an autonomous one, whose time quadratures
+        take one slice already.
+        """
+        if self.tau is None or self.center is not None:
+            return None
+        profile = SeparableBump(self.amp, self.rho, self.m,
+                                support_radius=self.support_radius)
+        return (lambda t: (self.tau(t),)), (profile,)
 
     def tau_at(self, t):
         return 1.0 if self.tau is None else float(self.tau(t))

@@ -1,7 +1,6 @@
 """Rescaling isotopies, the s-Hamiltonian, and the shrinking sequence."""
 
 import csv
-import math
 
 import numpy as np
 import pytest
@@ -11,10 +10,11 @@ from scipy.integrate import cumulative_trapezoid
 
 from disclab import alexander as alx
 from disclab import kernels
-from disclab.calabi import cal_path
+from disclab.calabi import cal_path, spatial_integral
 from disclab.fields import ScalarTimeField, loop_bump, radial_bump, zero_field
-from disclab.flows import hamiltonian_path, hofer_length, integrate_points, vector_field
-from disclab.grids import sample, square_grid
+from disclab.flows import (_simpson_weights, hamiltonian_path, hofer_length,
+                           integrate_points, vector_field)
+from disclab.grids import GridField2D, sample, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -61,43 +61,6 @@ def test_cal_fourth_power_law(bump, grid257):
         grid_a = square_grid(257, extent=1.05 * a)
         cal_a = cal_path(K, grid_a)
         assert cal_a / base == pytest.approx(a**4, rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# reparametrization
-
-
-def test_reparametrize_linear_time_change(bump, grid257):
-    K = alx.reparametrize(bump, lambda t: 0.5 * t, lambda t: 0.5)
-    # autonomous base: Cal scales by chi(1) - chi(0)
-    assert cal_path(K, grid257) == pytest.approx(0.5 * cal_path(bump, grid257),
-                                                 rel=1e-9)
-
-
-def test_reparametrize_finite_difference_derivative(bump):
-    K = alx.reparametrize(bump, lambda t: t * t)
-    pts = np.array([[0.3, 0.1]])
-    assert K(0.5, pts)[0] == pytest.approx(1.0 * bump(0.25, pts)[0], rel=1e-5)
-
-
-def test_reparametrize_accepts_loop_profile(bump, grid257):
-    chi = lambda t: math.sin(math.pi * t) ** 2
-    dchi = lambda t: math.pi * math.sin(2.0 * math.pi * t)
-    L = alx.reparametrize(bump, chi, dchi)
-    assert abs(cal_path(L, grid257)) < 1e-8
-    # the loop returns to the identity at time one
-    pts = np.array([[0.3, 0.2], [0.1, -0.4]])
-    out = integrate_points(L, 0.0, 1.0, pts, dt=1e-3)
-    assert np.max(np.abs(out - pts)) < 1e-6
-
-
-def test_reparametrize_rejections(bump):
-    with pytest.raises(ValueError):
-        alx.reparametrize(bump, lambda t: 1.5 * t)          # leaves [0, 1]
-    with pytest.raises(ValueError):
-        alx.reparametrize(bump, lambda t: -0.1 + t)         # dips below 0
-    with pytest.raises(ValueError):
-        alx.reparametrize(bump, lambda t: 0.5 + 0.4 * math.sin(16 * math.pi * t))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +283,73 @@ def test_s_path_calabi_matches_end_path(linear_sham):
     fam, sham = linear_sham
     cal_k, cal_h = alx.calabi_match(sham, fam, grid=square_grid(129), nt=33)
     assert cal_k == pytest.approx(cal_h, abs=1e-3 * max(1.0, abs(cal_h)))
+
+
+def _simpson_slices(H, grid, nt):
+    """Composite Simpson over s of one node sum per s sample."""
+    times = np.linspace(0.0, 1.0, nt)
+    vals = np.array([spatial_integral(H, t, grid) for t in times])
+    return np.sum(_simpson_weights(nt) * vals) * (times[1] - times[0])
+
+
+@pytest.fixture(scope="module")
+def two_sample_sham(bump):
+    # s in [0, 0.55) lies below the first sample: K(., 1, .) extrapolates there
+    fam = alx.linear_family(bump)
+    sham = alx.s_hamiltonian(fam, s_samples=[0.55, 1.0], nt=5,
+                             grid=square_grid(65), dt=4e-3)
+    return fam, sham
+
+
+def _random_sham(rng, n_s):
+    g = square_grid(33)
+    s_samples, t_samples = np.linspace(0.0625, 1.0, n_s), np.array([0.0, 0.5, 1.0])
+    values = [[g.with_values(rng.random((33, 33))) for _ in t_samples]
+              for _ in s_samples]
+    return alx.SHamiltonian(s_samples, t_samples, values, 0.8)
+
+
+@pytest.mark.parametrize("n_s", [2, 16])
+def test_s_path_calabi_equals_the_per_slice_simpson_sum(n_s, two_sample_sham, rng):
+    # K(s, 1, .) blends the stored K(s_i, 1, .): Cal of the s-path takes one
+    # node sum per s sample and agrees with one node sum per s up to rounding
+    sham = two_sample_sham[1] if n_s == 2 else _random_sham(rng, n_s)
+    assert len(sham.s_samples) == n_s and sham.s_samples[0] > 0.0
+    grid = square_grid(129)
+    K1 = sham.time_one_field()
+    assert cal_path(K1, grid, 65) == pytest.approx(_simpson_slices(K1, grid, 65),
+                                                   rel=1e-13)
+
+
+def test_time_one_profiles_are_the_last_t_grids_under_the_mask(rng):
+    sham = _random_sham(rng, 3)
+    weights, profiles = sham.time_one_field().time_profiles
+    pts = rng.uniform(-1.0, 1.0, size=(200, 2))
+    inside = np.hypot(pts[:, 0], pts[:, 1]) < sham.support_radius
+    for row, P in zip(sham.values, profiles):
+        vals = P(0.3, pts)
+        assert np.array_equal(vals[inside], row[-1](pts[inside]))
+        assert np.all(vals[~inside] == 0.0)
+    # the weights of _interp, with linear extrapolation below the first sample
+    for s in (0.0, 0.25, 0.53125, 1.0):
+        i0, w = sham._interp(sham.s_samples, s)
+        expected = np.zeros(3)
+        expected[i0:i0 + 2] = 1.0 - w, w
+        assert np.array_equal(weights(s), expected)
+
+
+def test_calabi_match_evaluates_each_s_sample_once(two_sample_sham, monkeypatch):
+    fam, sham = two_sample_sham
+    calls = []
+    call = GridField2D.__call__
+
+    def counting(self, points):
+        calls.append(self)
+        return call(self, points)
+
+    monkeypatch.setattr(GridField2D, "__call__", counting)
+    alx.calabi_match(sham, fam, grid=square_grid(65), nt=9)
+    assert calls == [row[-1] for row in sham.values]
 
 
 def test_s_flow_reaches_end_map(linear_sham):

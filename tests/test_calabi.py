@@ -7,10 +7,10 @@ import pytest
 
 from disclab.calabi import (cal_path, compose_dev, flow_normalization_check,
                             inverse_dev, normalize_on_sphere,
-                            primitive_and_cal_def1, primitive_potential,
-                            spatial_integral)
-from disclab.fields import (ScalarTimeField, loop_bump, moving_bump,
-                            radial_bump, zero_field)
+                            primitive_and_cal_def1, spatial_integral)
+from disclab.alexander import rescale
+from disclab.fields import (ScalarTimeField, SeparableBump, loop_bump,
+                            moving_bump, radial_bump, zero_field)
 from disclab.flows import (PlaneMap, _simpson_weights, flow_map,
                            hamiltonian_path, hofer_length, osc_on_grid)
 from disclab.grids import square_grid
@@ -71,16 +71,29 @@ TIME_INTEGRALS = {
 def test_time_integral_evaluates_an_autonomous_field_once(name, H, autonomous,
                                                           monkeypatch):
     integral, _ = TIME_INTEGRALS[name]
-    calls = []
-    evaluator = H._evaluator
 
-    def counting(t, pts):
-        calls.append(t)
-        return evaluator(t, pts)
+    def count(field):
+        calls = []
+        evaluator = field._evaluator
 
-    monkeypatch.setattr(H, "_evaluator", counting)
+        def counting(t, pts):
+            calls.append(t)
+            return evaluator(t, pts)
+
+        monkeypatch.setattr(field, "_evaluator", counting)
+        return calls
+
+    calls = count(H)
+    profile_calls = [] if autonomous else count(H.time_profiles[1][0])
     integral(H, square_grid(65), 9)
-    assert calls == ([0.0] if autonomous else list(np.linspace(0.0, 1.0, 9)))
+    if autonomous:
+        assert calls == [0.0]
+    elif name == "hofer_length":
+        # oscillation is not linear in H: one slice per time
+        assert calls == list(np.linspace(0.0, 1.0, 9)) and profile_calls == []
+    else:
+        # the loop is tau(t) times one profile, integrated once
+        assert calls == [] and profile_calls == [0.0]
 
 
 @pytest.mark.parametrize("name", sorted(TIME_INTEGRALS))
@@ -91,6 +104,31 @@ def test_one_slice_equals_the_simpson_sum(name, bump, grid129):
     vals = np.array([integrand(bump, grid129, t) for t in times])
     simpson = np.sum(_simpson_weights(129) * vals) * (times[1] - times[0])
     assert integral(bump, grid129, 129) == pytest.approx(simpson, rel=1e-14)
+
+
+def _simpson_slices(H, grid, nt):
+    """Composite Simpson over time of one node sum per time sample."""
+    times = np.linspace(0.0, 1.0, nt)
+    vals = np.array([spatial_integral(H, t, grid) for t in times])
+    return np.sum(_simpson_weights(nt) * vals) * (times[1] - times[0])
+
+
+@pytest.mark.parametrize("H", [
+    loop_bump(amp=0.05),
+    SeparableBump(amp=0.05, rho=0.8, m=4, tau=lambda t: 1.0 + t),
+    rescale(loop_bump(amp=0.05), 0.5).hamiltonian,
+], ids=["loop", "ramp", "rescaled_loop"])
+def test_profile_path_equals_the_per_slice_simpson_sum(H, grid129):
+    # H = tau(t) * P: Cal^path and the offset integral take one node sum of
+    # P, and agree with one node sum per time up to rounding
+    (profile,) = H.time_profiles[1]
+    scale = abs(spatial_integral(profile, 0.0, grid129))
+    simpson = _simpson_slices(H, grid129, 65)
+    assert cal_path(H, grid129, 65) == pytest.approx(simpson, rel=1e-13,
+                                                     abs=1e-15 * scale)
+    offset_integral = normalize_on_sphere(H, grid129).offset_integral(nt=65)
+    assert offset_integral == pytest.approx(simpson / (2.0 * math.pi), rel=1e-13,
+                                            abs=1e-15 * scale)
 
 
 @pytest.mark.parametrize("name", sorted(TIME_INTEGRALS))
@@ -176,13 +214,6 @@ def test_primitive_rejects_non_area_preserving(grid129):
         primitive_and_cal_def1(bad)
 
 
-def test_primitive_potential_vanishes_outside_support(bump_map_257):
-    h = primitive_potential(bump_map_257)
-    qx, qy = h.nodes()
-    outside = np.hypot(qx, qy) >= 0.95
-    assert np.max(np.abs(h.values[outside])) < 1e-8
-
-
 # ---------------------------------------------------------------------------
 # sphere normalization
 
@@ -190,6 +221,13 @@ def test_primitive_potential_vanishes_outside_support(bump_map_257):
 def test_normalized_field_mean_zero(bump):
     nf = normalize_on_sphere(bump)
     for t in (0.0, 0.4, 1.0):
+        assert abs(nf.sphere_mean(t)) < 1e-15
+
+
+def test_normalized_loop_mean_zero(grid129):
+    # the loop's offset and disc integral both come from its one profile
+    nf = normalize_on_sphere(loop_bump(amp=0.05), grid129)
+    for t in (0.1, 0.4, 0.8):
         assert abs(nf.sphere_mean(t)) < 1e-15
 
 
@@ -212,8 +250,11 @@ def test_normalized_field_values(bump):
     assert vals[1] == pytest.approx(-c, rel=1e-12)
 
 
+# an autonomous field and a loop (tau(t) times one profile) take one node
+# sum; a moving bump takes one per distinct time
 @pytest.mark.parametrize("H, integrals", [(radial_bump(amp=0.05), 1),
-                                           (loop_bump(amp=0.05), 3)])
+                                           (moving_bump(amp=0.05), 3),
+                                           (loop_bump(amp=0.05), 1)])
 def test_normalized_offset_integrates_once_per_distinct_field(H, integrals,
                                                               monkeypatch):
     import disclab.calabi as cb

@@ -170,6 +170,27 @@ def test_is_autonomous(H, autonomous):
     assert H.is_autonomous is autonomous
 
 
+@pytest.mark.parametrize("H", [
+    loop_bump(),
+    SeparableBump(amp=0.05, rho=0.5, m=3, tau=lambda t: 1.0 + t, support_radius=0.8),
+    radial_bump().reparametrized(lambda t: t * t, lambda t: 2.0 * t).rescaled(0.5),
+], ids=["loop", "ramp_wide_support", "reparametrized_rescaled"])
+def test_fixed_bump_with_tau_is_tau_times_one_profile(H, rng):
+    weights, (profile,) = H.time_profiles
+    assert profile.is_autonomous and profile.support_radius == H.support_radius
+    pts = rng.uniform(-1.0, 1.0, size=(300, 2))
+    for t in (0.0, 0.3, 0.75):
+        (w,) = weights(t)
+        assert w == H.tau_at(t)
+        assert np.allclose(H(t, pts), w * profile(0.0, pts), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("H", [radial_bump(), moving_bump(), zero_field(),
+                               ScalarTimeField(lambda t, pts: t + pts[..., 0], 0.8)])
+def test_fields_without_time_profiles_declare_none(H):
+    assert H.time_profiles is None
+
+
 def test_reparametrized_chain_rule():
     H = radial_bump(amp=0.05, rho=0.8, m=4)
     chi = lambda t: t * t
