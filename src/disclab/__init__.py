@@ -5,8 +5,8 @@ Modules
 grids       grid-sampled fields, disc quadrature, the sphere model
 chart       the flat diagonal chart on the product plane
 fields      time-dependent Hamiltonians and the built-in bump families
-flows       RK4 Hamiltonian flows, grid maps, Hofer/C0 metrics
-calabi      the Calabi invariant by both definitions, path algebra
+flows       RK4 Hamiltonian flows, grid maps, the Hofer length
+calabi      the Calabi invariant by both definitions, sphere normalization
 alexander   rescaling isotopies, s-Hamiltonians, the shrinking sequence
 graphical   midpoint-map graphicality, one-form recovery, star-shape bound
 phase       lifted actions, generating and phase functions, HJ residuals

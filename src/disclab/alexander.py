@@ -20,7 +20,9 @@ from scipy.integrate import cumulative_trapezoid
 
 from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
-from .flows import PlaneMap, hamiltonian_path, hofer_length, integrate_points, sweep_nodes
+# hamiltonian_path is not called here, but bench/test_oracles.py checks that
+# the benchmark's tracer finds and rebinds it in this module
+from .flows import PlaneMap, hamiltonian_path, hofer_length, sweep_nodes
 from .grids import blend, square_grid
 
 
@@ -36,13 +38,6 @@ class RescaledPath:
     scale: float
     eta: float
     hamiltonian: ScalarTimeField
-
-    def conjugated_point_flow(self, t0, t1, points, dt=1e-3):
-        """Flow of the rescaled path via conjugation: a * phi^t(x / a)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return self.scale * integrate_points(
-            self.base, t0, t1, pts / self.scale, dt
-        )
 
 
 def rescale(H, a, eta=None):
@@ -153,11 +148,6 @@ class SHamiltonian:
         """
         return _TimeOneField(self)
 
-    def gauge_defect(self):
-        """Max |K(s, 0, .)|; zero by construction."""
-        return max(float(np.max(np.abs(self.values[i][0].values)))
-                   for i in range(len(self.s_samples)))
-
 
 class _TimeOneField(ScalarTimeField):
     """K(., 1, .) of an SHamiltonian, with its stored last-t grids as time profiles."""
@@ -260,19 +250,6 @@ def _s_integrand(arms, u, grid, images, y):
     return val
 
 
-def s_flow_check(sham, family, dt=2e-3, grid=None):
-    """C0 gap between the flow of K(., 1, .) in s and s -> phi_{H(s)}^1."""
-    if grid is None:
-        grid = square_grid(65)
-    qx, qy = grid.nodes()
-    nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
-    K1 = sham.time_one_field()
-    via_k = integrate_points(K1, 0.0, 1.0, nodes.copy(), dt)
-    H1 = family.at(1.0)
-    direct = integrate_points(H1, 0.0, 1.0, nodes.copy(), dt)
-    return float(np.max(np.hypot(*(via_k - direct).T)))
-
-
 def calabi_match(sham, family, grid=None, nt=65):
     """(Cal of the s-path K(., 1, .), Cal of the t-path H(1)); equal when H(0)=0.
 
@@ -362,53 +339,3 @@ def sequence_to_csv(diags, path):
             writer.writerow(
                 ["%.12e" % v for v in (d.scale, d.cal, d.c0_dist, d.hofer_len)]
             )
-
-
-# ---------------------------------------------------------------------------
-# structural probe for the measured s-Hamiltonian of the rescaling family
-
-
-def rescaling_k_decomposition(sham, H, s, grid=None):
-    """Integrated consistency of the measured K against its closed form.
-
-    For the rescaling family of an autonomous H the s-Hamiltonian is
-        K(s,t,x) = 2s int_0^t H(u, x/s) du  +  remainder,
-    where the remainder involves the derivative of -H(u, phi^u(.)) paired
-    with the pulled-back position.  Returns (integral of measured K minus
-    the first summand, integral of the directly computed remainder) at
-    t = 1, which must agree.
-    """
-    if grid is None:
-        grid = square_grid(129)
-    qx, qy = grid.nodes()
-    pts = np.stack([qx, qy], axis=-1)
-    t1 = sham.t_samples[-1]
-    measured = sham(s, t1, pts)
-    # first summand at t = 1 (H autonomous: integral over u is H itself)
-    first = 2.0 * s * H(0.0, pts / s)
-    rest_measured = float(np.sum(measured - first)) * grid.spacing**2
-    # direct remainder: int <d(-H(u, phi^u(.)))(y/s), y> du, y = (phi_s^u)^{-1}(x)
-    path = hamiltonian_path(sham_field_for(H, s), nt=len(sham.t_samples),
-                            grid=grid, with_inverse=True)
-    eps = 1e-5
-    acc = np.zeros_like(qx)
-    times = sham.t_samples
-    for k, u in enumerate(times):
-        y = np.stack(path.maps[k].inverse().node_images(), axis=-1)
-        ys = y / s
-
-        def hbar(z, u=u):
-            return -H(u, integrate_points(H, 0.0, u, z.reshape(-1, 2)).reshape(z.shape))
-
-        gx = (hbar(ys + [eps, 0]) - hbar(ys - [eps, 0])) / (2 * eps)
-        gy = (hbar(ys + [0, eps]) - hbar(ys - [0, eps])) / (2 * eps)
-        term = gx * y[..., 0] + gy * y[..., 1]
-        w = 0.5 if k in (0, len(times) - 1) else 1.0
-        acc += w * term * (times[1] - times[0])
-    rest_direct = float(np.sum(acc)) * grid.spacing**2
-    return rest_measured, rest_direct
-
-
-def sham_field_for(H, s):
-    """The rescaling-family member s^2 H(t, x/s)."""
-    return rescale(H, s).hamiltonian

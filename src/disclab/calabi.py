@@ -1,4 +1,4 @@
-"""The Calabi invariant, by both definitions, and path algebra.
+"""The Calabi invariant, by both definitions, and the sphere normalization.
 
 Definition via past history: Cal^path(H) = int_0^1 int H(t,x) dA dt.
 Definition via a primitive: with alpha = -p dq, the one-form
@@ -6,9 +6,9 @@ beta = phi^*alpha - alpha is closed, beta = dh for a compactly supported
 h, and Cal(phi) = (1/2) int h dA.  With the sign convention of `flows`
 (X_H = (H_p, -H_q)) the two agree with constant exactly 1.
 
-Cal^path, the sphere-normalization offset c(t) and the sphere mean all
-read t -> int H(t, .) dA through one helper, `slice_integrals`.  An
-autonomous H takes one node sum.  A field that declares time profiles,
+Cal^path and the sphere-normalization offset c(t) both read
+t -> int H(t, .) dA through one helper, `slice_integrals`.  An autonomous
+H takes one node sum.  A field that declares time profiles,
 H(t, .) = sum_i w_i(t) * P_i (`ScalarTimeField.time_profiles`), takes one
 node sum per profile, and each time sample is the weighted sum of those
 integrals.  Any other field takes one node sum per time.
@@ -16,7 +16,6 @@ integrals.  Any other field takes one node sum per time.
 
 import functools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,8 +23,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .fields import ScalarTimeField
 from .flows import time_integral
-from .grids import (IDENTITY_AREA, SPHERE_VOLUME, GridField2D, disc_weights,
-                    square_grid)
+from .grids import SPHERE_VOLUME, GridField2D, square_grid
 
 
 def _check_supported(H, grid):
@@ -216,12 +214,6 @@ class NormalizedField:
         """
         return time_integral(self, self.offset, nt, t1)
 
-    def sphere_mean(self, t):
-        """Mean over the sphere model; 0 by construction."""
-        disc = self._slices(t) - self.offset(t) * math.pi
-        lower = -self.offset(t) * IDENTITY_AREA
-        return (disc + lower) / SPHERE_VOLUME
-
     @property
     def support_radius(self):
         return self.base.support_radius
@@ -249,74 +241,3 @@ def normalize_on_sphere(H, grid=None):
             f"support radius must lie in (0, 1), got {H.support_radius}"
         )
     return NormalizedField(H, grid)
-
-
-# ---------------------------------------------------------------------------
-# path algebra
-
-
-def inverse_dev(H, path):
-    """Hamiltonian of the inverse path: -H(t, phi_H^t(x))."""
-
-    def evaluator(t, pts):
-        phi_t = _map_interp(path, t)
-        return -H(t, phi_t(pts))
-
-    return ScalarTimeField(evaluator, H.support_radius, H.smoothness_order)
-
-
-def _map_interp(path, t):
-    """Map at time t, linearly interpolated between stored path samples."""
-    times = np.asarray(path.time_samples)
-    idx = np.searchsorted(times, t)
-    idx = min(max(idx, 1), len(times) - 1)
-    t0, t1 = times[idx - 1], times[idx]
-    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    m0, m1 = path.maps[idx - 1], path.maps[idx]
-
-    def apply(pts):
-        return (1.0 - w) * m0(pts) + w * m1(pts)
-
-    return apply
-
-
-def compose_dev(H, G, flows):
-    """Hamiltonian of t -> phi_H^t o (phi_G^t)^-1.
-
-    flows = (path_H, path_G) where path_H carries inverse maps.
-    """
-    path_h, path_g = flows
-    support = max(
-        (f for f in (H.support_radius, G.support_radius) if f is not None),
-        default=None,
-    )
-
-    def evaluator(t, pts):
-        times = np.asarray(path_h.time_samples)
-        idx = int(np.argmin(np.abs(times - t)))
-        lam_inv = path_h.maps[idx].inverse()
-        mu = path_g.maps[idx]
-        return H(t, pts) - G(t, mu(lam_inv(pts)))
-
-    return ScalarTimeField(
-        evaluator, support, min(H.smoothness_order, G.smoothness_order)
-    )
-
-
-def flow_normalization_check(nf, path, nt=None):
-    """Max over stored times of the sphere integral of F(t, phi^t(.)).
-
-    Measure preservation makes each integral the sphere mean of the
-    normalized field, which vanishes.
-    """
-    grid = path.maps[0].template
-    w = disc_weights(grid)
-    qx, qy = grid.nodes()
-    pts = np.stack([qx, qy], axis=-1)
-    worst = 0.0
-    for t, phi in zip(path.time_samples, path.maps):
-        vals = nf(t, phi(pts))
-        disc_part = float(np.sum(w * vals))
-        lower_part = -nf.offset(t) * IDENTITY_AREA
-        worst = max(worst, abs(disc_part + lower_part))
-    return worst

@@ -36,11 +36,3 @@ def to_chart(x, y):
     bp[..., 0] = x[..., 1] - y[..., 1]   # P - p
     bp[..., 1] = y[..., 0] - x[..., 0]   # q - Q
     return bq, bp
-
-
-def from_chart(bq, bp):
-    """Inverse of to_chart: the pair (x, y) with x = bq + j(bp)/2, y = bq - j(bp)/2."""
-    bq = np.asarray(bq, dtype=np.float64)
-    bp = np.asarray(bp, dtype=np.float64)
-    jp = jmap(bp)
-    return bq + 0.5 * jp, bq - 0.5 * jp

@@ -20,6 +20,8 @@ from . import graphical as gr
 from . import phase as ph
 from .chart import jmap
 from .fields import SeparableBump, loop_bump, moving_bump, radial_bump, twist_bump
+# hamiltonian_path is not called here, but bench/test_oracles.py checks that
+# the benchmark's tracer finds and rebinds it in this module
 from .flows import flow_map, hamiltonian_path, integrate_points, PlaneMap
 from .grids import SPHERE_VOLUME as VOL, square_grid
 

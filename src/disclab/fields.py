@@ -95,16 +95,6 @@ class ScalarTimeField:
         )
 
 
-def field_sum(a, b, coeff_a=1.0, coeff_b=1.0):
-    radii = [f.support_radius for f in (a, b) if f.support_radius is not None]
-    support = max(radii) if len(radii) == 2 else None
-    return ScalarTimeField(
-        lambda t, pts: coeff_a * a(t, pts) + coeff_b * b(t, pts),
-        support,
-        min(a.smoothness_order, b.smoothness_order),
-    )
-
-
 def _zero_gradient(t, z, out):
     out.fill(0.0)
 

@@ -1,4 +1,4 @@
-"""Hamiltonian flows on the disc and the path-space metrics.
+"""Hamiltonian flows on the disc and the Hofer length.
 
 Sign convention: Omega = dq^dp and i_{X_H} Omega = dH, so
 X_H = (dH/dp, -dH/dq).  Every flow runs through the one classical RK4
@@ -214,11 +214,6 @@ class PlaneMap:
         """The map sending the nodes of grid to img, shape (n, n, 2) or (n*n, 2)."""
         return cls(*_node_grids(grid, img), support_radius, **kw)
 
-    @classmethod
-    def from_function(cls, grid, fn, support_radius, **kw):
-        return cls.from_node_images(grid, fn(np.stack(grid.nodes(), axis=-1)),
-                                    support_radius, **kw)
-
     def __call__(self, points):
         pts = np.asarray(points, dtype=np.float64)
         out = np.stack([self.grid_x(pts), self.grid_y(pts)], axis=-1)
@@ -356,13 +351,6 @@ class PlaneMap:
         sol[inner] = self.newton_invert(nodes[inner])
         return sol
 
-    def compose(self, other):
-        """self after other, sampled on other's grid."""
-        grid = other.template
-        img = self(other(np.stack(grid.nodes(), axis=-1)))
-        support = max(self.support_radius, other.support_radius)
-        return PlaneMap.from_node_images(grid, img, support)
-
     # -- serialization -------------------------------------------------------
 
     def save(self, prefix):
@@ -412,12 +400,6 @@ class HamiltonianPath:
     time_samples: list
     maps: list
 
-    def map_at(self, t):
-        idx = int(np.argmin(np.abs(np.asarray(self.time_samples) - t)))
-        if abs(self.time_samples[idx] - t) > 1e-12:
-            raise KeyError(f"time {t} not among the stored samples")
-        return self.maps[idx]
-
 
 def sweep_nodes(sweeps, nt, grid, dt):
     """Step the grid nodes of several flows together through nt equi-spaced times.
@@ -425,7 +407,8 @@ def sweep_nodes(sweeps, nt, grid, dt):
     sweeps is a list of (H, backward) pairs.  A forward sweep carries the
     nodes to phi_H^t(nodes), a backward one to (phi_H^t)^{-1}(nodes).
     Yields, for t_k with k = 1, ..., nt - 1, the list of the sweeps'
-    (n*n, 2) node images at t_k, fresh arrays each segment.
+    (n*n, 2) node images at t_k, fresh arrays each segment; nt must be at
+    least 2, so that the last t_k is 1.
 
     When more than one Hamiltonian is swept, every one is an autonomous
     SeparableBump of one exponent m, and their live nodes fit in one
@@ -439,6 +422,8 @@ def sweep_nodes(sweeps, nt, grid, dt):
     back to 0.
     """
     _check_dt(dt)
+    if nt < 2:
+        raise ValueError(f"nt must be at least 2, got {nt}")
     times = np.linspace(0.0, 1.0, nt)
     nodes = grid.node_points().reshape(-1, 2)
     clouds = [nodes] * len(sweeps)
@@ -566,25 +551,3 @@ def hofer_length(H, grid=None, nt=129):
     if grid is None:
         grid = square_grid(257)
     return time_integral(H, lambda t: osc_on_grid(H, t, grid), nt)
-
-
-def _c0_one_sided(phi, psi):
-    grid = phi.template
-    qx, qy = grid.nodes()
-    inside = np.hypot(qx, qy) <= 1.0
-    pxv, pyv = phi.node_images()
-    pts = np.stack([qx, qy], axis=-1)
-    qs = psi(pts)
-    return float(
-        np.max(np.hypot((pxv - qs[..., 0])[inside], (pyv - qs[..., 1])[inside]))
-    )
-
-
-def c0_distance(phi, psi, with_inverses=True):
-    """Symmetrized sup distance max(d(phi,psi), d(phi^-1, psi^-1))."""
-    d = max(_c0_one_sided(phi, psi), _c0_one_sided(psi, phi))
-    if with_inverses:
-        phi_inv = phi.inverse()
-        psi_inv = psi.inverse()
-        d = max(d, _c0_one_sided(phi_inv, psi_inv), _c0_one_sided(psi_inv, phi_inv))
-    return d

@@ -23,7 +23,7 @@ import numpy as np
 from .chart import jmap
 from .calabi import plaquette_circulation, ray_primitives
 from .flows import NewtonError, PlaneMap
-from .grids import GridField2D, centered_diff4, square_grid
+from .grids import GridField2D, square_grid
 
 # kappa counts as a diffeomorphism only where min det d(kappa) exceeds this
 MIN_DET = 1e-3
@@ -45,10 +45,6 @@ class SymmetricMatrix2:
     def matrix(self):
         return np.array([[self.a, self.c], [self.c, self.b]])
 
-    def jmatrix(self):
-        """j A with j = [[0, -1], [1, 0]]: an element of sp(2)."""
-        return np.array([[-self.c, -self.b], [self.a, self.c]])
-
 
 def starshape_expansions(A, r):
     """det(I - r jA) by closed form, 1 + r^2 (ab - c^2), and by the direct 2x2 expansion.
@@ -61,21 +57,6 @@ def starshape_expansions(A, r):
     # I - r jA = [[1 + r c, r b], [-r a, 1 - r c]]
     direct = (1.0 + r * c) * (1.0 - r * c) - (r * b) * (-r * a)
     return closed, direct
-
-
-def starshape_det(A, r):
-    """det(I - r jA) = 1 + r^2 (ab - c^2), by closed form.
-
-    A's entries and r may be arrays, as in starshape_expansions.  The
-    direct 2x2 expansion is evaluated as a self-check; a mismatch beyond
-    round-off raises.
-    """
-    closed, direct = starshape_expansions(A, r)
-    if np.any(np.abs(direct - closed) > 1e-13 * np.maximum(1.0, np.abs(closed))):
-        raise AssertionError(
-            f"determinant expansion mismatch: {direct} vs {closed}"
-        )
-    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +154,6 @@ class OneFormField:
         )
         return float(np.max(np.abs(circ)))
 
-    def _node_curl(self):
-        """d alpha at interior nodes by 4th-order centered stencils."""
-        h = self.a1.spacing
-        curl = centered_diff4(self.a2.values, h, 0) - centered_diff4(self.a1.values, h, 1)
-        return curl[2:-2, 2:-2]
-
-    def symmetry_defect(self):
-        """Max |<grad_v alpha, w> - <grad_w alpha, v>| over random node pairs.
-
-        For a closed form the gradient matrix of alpha is symmetric; the
-        antisymmetric part contracts with (v, w) as d(alpha) times the
-        wedge v ^ w, evaluated here at 256 seeded random interior nodes
-        with random unit directions.
-        """
-        rng = np.random.default_rng(0)
-        n_pairs = 256
-        curl = self._node_curl()
-        flat = curl.ravel()
-        idx = rng.integers(0, flat.size, size=n_pairs)
-        v = rng.normal(size=(n_pairs, 2))
-        w = rng.normal(size=(n_pairs, 2))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        wedge = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-        return float(np.max(np.abs(flat[idx] * wedge)))
-
 
 def recover_one_form(phi, scanned=None):
     """alpha with Image(alpha) = Graph(phi): solve kappa(y) = q per node.
@@ -259,45 +214,6 @@ def integrate_generating(alpha, base_value=0.0, full_output=False):
             "path_independence": path_independence,
         }
     return g
-
-
-def family_from_one_form(alpha, r):
-    """phi_r with Graph(phi_r) = Image(r alpha), via psi_r(q) = q - (r/2) j alpha(q).
-
-    Inverting psi_r by Newton gives the base point q over each node y;
-    the partner point is phi_r(y) = 2q - y.  Errors out if d(psi_r) is
-    not orientation-preserving somewhere (the input then violated the
-    graphical-isotopy precondition).
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"family parameter must lie in [0, 1], got {r}")
-    grid = alpha.template
-    q = np.stack(grid.nodes(), axis=-1)
-    psi = PlaneMap.from_node_images(grid, q - 0.5 * r * jmap(alpha(q)),
-                                    alpha.support_radius)
-    min_det = _min_det_inside(psi)
-    if min_det <= 0.0:
-        raise ValueError(
-            f"base map of the isotopy fails to be an immersion "
-            f"(min det d(psi_r) = {min_det:.3e} at r = {r}); input violated "
-            "the graphical-isotopy precondition"
-        )
-    if r == 0.0:
-        return PlaneMap.identity(grid, alpha.support_radius)
-    img = 2.0 * psi.solve_at_nodes() - q.reshape(-1, 2)
-    return PlaneMap.from_node_images(grid, img, alpha.support_radius)
-
-
-def family_min_det(alpha, r_samples):
-    """min over nodes of det d(psi_r) for each r (monotone-bound diagnostic)."""
-    grid = alpha.template
-    q = np.stack(grid.nodes(), axis=-1)
-    jav = jmap(alpha(q))
-    return [
-        _min_det_inside(PlaneMap.from_node_images(grid, q - 0.5 * r * jav,
-                                                  alpha.support_radius))
-        for r in r_samples
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,6 @@ class GridField2D:
             self._node_points = pts
         return self._node_points
 
-    def axes(self):
-        ax = self.origin[0] + self.spacing * np.arange(self.n)
-        ay = self.origin[1] + self.spacing * np.arange(self.n)
-        return ax, ay
-
     def covers(self, points, margin=0.0):
         pts = np.asarray(points, dtype=np.float64)
         return self._covers(pts.reshape(-1, 2).T, margin)
@@ -346,8 +341,3 @@ def integrate_disc(f, radius=1.0):
             f"grid [{lo}, {hi}] does not cover the disc of radius {radius}"
         )
     return float(np.sum(disc_weights(f, radius) * f.values))
-
-
-def integrate_plane(f):
-    """Plain cell-sum quadrature over the whole grid square."""
-    return float(np.sum(f.values) * f.spacing**2)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .calabi import normalize_on_sphere
 from .flows import flow_map, integrate_segments
-from .graphical import OneFormField, integrate_generating, recover_one_form
+from .graphical import integrate_generating, recover_one_form
 from .grids import SPHERE_VOLUME, GridField2D, square_grid
 
 
@@ -77,22 +77,6 @@ class GraphSamples:
     p: np.ndarray            # (n, n, 2) fiber values at time t
     h: np.ndarray            # (n, n) action values
     spacing: float
-
-    def exactness_defect(self):
-        """Max |dh - p . dq| / |dq| over grid-neighbor seed pairs."""
-        worst = 0.0
-        for axis in (0, 1):
-            dh = np.diff(self.h, axis=axis)
-            dq = np.diff(self.q, axis=axis)
-            pbar = 0.5 * (
-                np.take(self.p, np.arange(self.p.shape[axis] - 1), axis=axis)
-                + np.take(self.p, np.arange(1, self.p.shape[axis]), axis=axis)
-            )
-            pdq = np.sum(pbar * dq, axis=-1)
-            norm = np.hypot(dq[..., 0], dq[..., 1])
-            ok = norm > 1e-14
-            worst = max(worst, float(np.max(np.abs(dh[ok] - pdq[ok]) / norm[ok])))
-        return worst
 
 
 def _lift_order(seeds, support_radius):
@@ -176,20 +160,6 @@ def phase_function_graphical(F, grid=None, dt=1e-3):
     return g, value, alpha
 
 
-def gradient_bound_defect(f, alpha):
-    """max |df| minus max |p| over the graph; <= 0 when the Lipschitz bound holds."""
-    d1, d2 = f.gradient()
-    max_df = float(np.max(np.hypot(d1.values, d2.values)))
-    pmax = float(np.max(np.hypot(alpha.a1.values, alpha.a2.values)))
-    return max_df - pmax
-
-
-def lagrangian_selector(f, support_radius):
-    """sigma = df as a one-form field; its image lies on the current graph."""
-    d1, d2 = f.gradient()
-    return OneFormField(d1, d2, support_radius)
-
-
 # ---------------------------------------------------------------------------
 # parameter families of phase functions
 
@@ -206,28 +176,6 @@ class PhaseFamily:
         if np.isscalar(self.normalization_value):
             return float(self.normalization_value)
         return float(self.normalization_value[idx])
-
-    def lipschitz_constants(self):
-        """Max grid difference quotient of each member."""
-        out = []
-        for f in self.fields:
-            q1 = np.max(np.abs(np.diff(f.values, axis=0))) / f.spacing
-            q2 = np.max(np.abs(np.diff(f.values, axis=1))) / f.spacing
-            out.append(float(max(q1, q2)))
-        return out
-
-    def normalization_defect(self, support_radius):
-        """Max |member - its value| outside the support image."""
-        worst = 0.0
-        for idx, f in enumerate(self.fields):
-            qx, qy = f.nodes()
-            outside = np.hypot(qx, qy) >= support_radius
-            if outside.any():
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(f.values[outside] - self.value_at(idx)))),
-                )
-        return worst
 
     # -- serialization -----------------------------------------------------
 
@@ -291,57 +239,6 @@ def hj_residual(family, G):
         core = res[2:-2, 2:-2]
         worst = max(worst, float(np.max(np.abs(core))))
     return HJReport(worst, family.fields[0].spacing, h_a)
-
-
-# ---------------------------------------------------------------------------
-# suspension identity
-
-
-def suspension_check(F, nt=41, dt=1e-3):
-    """Max defect of d(h~) against the pulled-back form theta + a dt.
-
-    The timewise generating function h~(t, q-seed) is accumulated along
-    lifted trajectories from a stencil of seeds (step 1e-3) around each
-    of 8 seeded random probes inside 0.6 of the support radius.  The
-    q-components of the defect test dh = p . dq at fixed t; the
-    t-component tests dh/dt = p . dq/dt - F(t, phi^t(y)), whose last term
-    is the a-coordinate -F of the suspended graph.
-    """
-    if F.support_radius is None:
-        raise ValueError("suspension check needs a compactly supported field")
-    probes = np.random.default_rng(7).uniform(
-        -0.6 * F.support_radius, 0.6 * F.support_radius, size=(8, 2)
-    )
-    h_q = 1e-3
-    nf = normalize_on_sphere(F)
-    # stencil: center, +/- h_q in each axis
-    offsets = np.array(
-        [[0.0, 0.0], [h_q, 0.0], [-h_q, 0.0], [0.0, h_q], [0.0, -h_q]]
-    )
-    seeds = (probes[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-    times = np.linspace(0.0, 1.0, nt)
-    hist_q, hist_p, hist_f, hist_h = zip(*lifted_action(F, nf, seeds, times, dt))
-    hq = np.array(hist_q).reshape(nt, -1, 5, 2)
-    hp = np.array(hist_p).reshape(nt, -1, 5, 2)
-    hh = np.array(hist_h).reshape(nt, -1, 5)
-    hf = np.array(hist_f).reshape(nt, -1, 5)
-    du = times[1] - times[0]
-    worst_q = 0.0
-    worst_t = 0.0
-    # spatial components at each stored time
-    for k in range(nt):
-        for axis, (ip, im) in enumerate(((1, 2), (3, 4))):
-            dh = (hh[k, :, ip] - hh[k, :, im]) / (2 * h_q)
-            dq = (hq[k, :, ip] - hq[k, :, im]) / (2 * h_q)
-            pdq = np.sum(hp[k, :, 0] * dq, axis=-1)
-            worst_q = max(worst_q, float(np.max(np.abs(dh - pdq))))
-    # time component at interior stored times (centered differences)
-    dhdt = (hh[2:, :, 0] - hh[:-2, :, 0]) / (2 * du)
-    dqdt = (hq[2:, :, 0] - hq[:-2, :, 0]) / (2 * du)
-    pdqdt = np.sum(hp[1:-1, :, 0] * dqdt, axis=-1)
-    defect_t = dhdt - (pdqdt - hf[1:-1, :, 0])
-    worst_t = float(np.max(np.abs(defect_t)))
-    return max(worst_q, worst_t)
 
 
 # ---------------------------------------------------------------------------

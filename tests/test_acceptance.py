@@ -8,7 +8,6 @@ asserts the criterion.
 import math
 
 import numpy as np
-import pytest
 
 from disclab.experiments import ExperimentConfig, run_experiment
 from disclab.fields import radial_bump, twist_bump

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 
 import pytest
 

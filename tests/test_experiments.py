@@ -25,8 +25,8 @@ def test_config_defaults():
     assert cfg.nodes == 257
     grid = cfg.grid()
     assert grid.n == 257
-    ax, _ = grid.axes()
-    assert np.min(np.abs(ax)) == 0.0          # origin on a node
+    qx, _ = grid.nodes()
+    assert np.min(np.abs(qx)) == 0.0          # origin on a node
     assert cfg.tol("anything", 0.5) == 0.5
     assert ExperimentConfig(tolerances={"x": 1e-3}).tol("x", 1.0) == 1e-3
 

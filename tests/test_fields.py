@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.fields import (ScalarTimeField, SeparableBump, field_sum, loop_bump,
-                            moving_bump, radial_bump, twist_bump, zero_field)
+from disclab.fields import (ScalarTimeField, SeparableBump, loop_bump, moving_bump,
+                            radial_bump, twist_bump, zero_field)
 from disclab.flows import integrate_points
 
 
@@ -75,15 +75,6 @@ def test_zero_field():
     Z = zero_field()
     pts = np.random.default_rng(0).normal(size=(10, 2))
     assert np.all(Z(0.3, pts) == 0.0)
-
-
-def test_field_sum():
-    A = radial_bump(amp=1.0, rho=0.8, m=4)
-    B = radial_bump(amp=1.0, rho=0.4, m=4)
-    S = field_sum(A, B, coeff_a=2.0, coeff_b=-1.0)
-    pts = np.array([[0.1, 0.2], [0.5, 0.0]])
-    assert np.allclose(S(0.0, pts), 2.0 * A(0.0, pts) - B(0.0, pts))
-    assert S.support_radius == 0.8
 
 
 def test_gradient_is_masked_like_values():

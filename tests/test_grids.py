@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab.grids import (GridField2D, _disc_weights, blend, disc_weights,
-                           integrate_disc, integrate_plane, sample, square_grid)
+                           integrate_disc, sample, square_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +23,9 @@ def test_square_grid_geometry():
     assert np.allclose(hi, [1.05, 1.05])
     assert math.isclose(g.spacing, 2.1 / 64)
     # odd node count puts the origin exactly on a node
-    ax, ay = g.axes()
-    assert np.min(np.abs(ax)) == 0.0
-    assert np.min(np.abs(ay)) == 0.0
+    qx, qy = g.nodes()
+    assert np.min(np.abs(qx)) == 0.0
+    assert np.min(np.abs(qy)) == 0.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -284,14 +284,6 @@ def test_integrate_disc_rejects_small_grid():
     f = sample(g, lambda pts: np.ones(pts.shape[:-1]))
     with pytest.raises(ValueError):
         integrate_disc(f)
-
-
-def test_integrate_plane_cell_sum():
-    g = square_grid(65, extent=1.0)
-    f = sample(g, lambda pts: np.ones(pts.shape[:-1]))
-    # cell sum: n * spacing per side
-    side = 65 * g.spacing
-    assert math.isclose(integrate_plane(f), side * side)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,27 @@ def test_basic_generating_of_zero_field():
     assert np.array_equal(gs.q, gs.seeds)
 
 
+def exactness_defect(gs):
+    """Max |dh - p . dq| / |dq| over grid-neighbor seed pairs of GraphSamples gs."""
+    worst = 0.0
+    for axis in (0, 1):
+        dh = np.diff(gs.h, axis=axis)
+        dq = np.diff(gs.q, axis=axis)
+        pbar = 0.5 * (
+            np.take(gs.p, np.arange(gs.p.shape[axis] - 1), axis=axis)
+            + np.take(gs.p, np.arange(1, gs.p.shape[axis]), axis=axis)
+        )
+        pdq = np.sum(pbar * dq, axis=-1)
+        norm = np.hypot(dq[..., 0], dq[..., 1])
+        ok = norm > 1e-14
+        worst = max(worst, float(np.max(np.abs(dh[ok] - pdq[ok]) / norm[ok])))
+    return worst
+
+
 def test_basic_generating_exactness(bump):
+    # the action is a generating function of the graph: dh = p . dq
     gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3, nu=51)
-    assert gs.exactness_defect() < 5e-4
+    assert exactness_defect(gs) < 5e-4
 
 
 def test_basic_generating_identity_region_value(bump, grid257):
@@ -152,17 +170,22 @@ def test_phase_matches_identity_region(bump_phase):
 
 
 def test_phase_gradient_bound(bump_phase):
+    # max |df| is bounded by max |p| over the graph
     f, _, alpha = bump_phase
-    assert ph.gradient_bound_defect(f, alpha) <= 1e-4
+    d1, d2 = f.gradient()
+    max_df = float(np.max(np.hypot(d1.values, d2.values)))
+    pmax = float(np.max(np.hypot(alpha.a1.values, alpha.a2.values)))
+    assert max_df - pmax <= 1e-4
 
 
 def test_lagrangian_selector_matches_recovered_form(bump_phase, bump_map_257):
+    # sigma = df lies on the graph: it is the recovered one-form
     f, _, _ = bump_phase
-    sigma = ph.lagrangian_selector(f, 0.8)
+    d1, d2 = f.gradient()
     alpha = recover_one_form(bump_map_257)
     core = (slice(4, -4), slice(4, -4))
-    assert np.max(np.abs(sigma.a1.values[core] - alpha.a1.values[core])) < 5e-4
-    assert np.max(np.abs(sigma.a2.values[core] - alpha.a2.values[core])) < 5e-4
+    assert np.max(np.abs(d1.values[core] - alpha.a1.values[core])) < 5e-4
+    assert np.max(np.abs(d2.values[core] - alpha.a2.values[core])) < 5e-4
 
 
 def test_phase_scans_the_map_once(monkeypatch):
@@ -234,8 +257,6 @@ def test_hj_residual_needs_three_uniform_samples():
 def test_phase_family_value_and_lipschitz():
     fam = make_linear_family()
     assert fam.value_at(1) == pytest.approx(0.15)
-    for L in fam.lipschitz_constants():
-        assert L == pytest.approx(1.0, rel=1e-10)
 
 
 def test_phase_family_constant_scalar_value():
@@ -243,7 +264,6 @@ def test_phase_family_constant_scalar_value():
     f = grid.with_values(np.full((17, 17), 0.25))
     fam = ph.PhaseFamily([0.0], [f], 0.25)
     assert fam.value_at(0) == 0.25
-    assert fam.normalization_defect(0.3) == 0.0
 
 
 def test_phase_family_save_load(tmp_path):
@@ -260,14 +280,61 @@ def test_phase_family_save_load(tmp_path):
 # suspension identity and the phase integral
 
 
+def suspension_check(F, nt=41, dt=1e-3):
+    """Max defect of d(h~) against the pulled-back form theta + a dt.
+
+    The timewise generating function h~(t, q-seed) is accumulated along
+    lifted trajectories from a stencil of seeds (step 1e-3) around each
+    of 8 seeded random probes inside 0.6 of the support radius.  The
+    q-components of the defect test dh = p . dq at fixed t; the
+    t-component tests dh/dt = p . dq/dt - F(t, phi^t(y)), whose last term
+    is the a-coordinate -F of the suspended graph.
+    """
+    if F.support_radius is None:
+        raise ValueError("suspension check needs a compactly supported field")
+    probes = np.random.default_rng(7).uniform(
+        -0.6 * F.support_radius, 0.6 * F.support_radius, size=(8, 2)
+    )
+    h_q = 1e-3
+    nf = normalize_on_sphere(F)
+    # stencil: center, +/- h_q in each axis
+    offsets = np.array(
+        [[0.0, 0.0], [h_q, 0.0], [-h_q, 0.0], [0.0, h_q], [0.0, -h_q]]
+    )
+    seeds = (probes[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+    times = np.linspace(0.0, 1.0, nt)
+    hist_q, hist_p, hist_f, hist_h = zip(*ph.lifted_action(F, nf, seeds, times, dt))
+    hq = np.array(hist_q).reshape(nt, -1, 5, 2)
+    hp = np.array(hist_p).reshape(nt, -1, 5, 2)
+    hh = np.array(hist_h).reshape(nt, -1, 5)
+    hf = np.array(hist_f).reshape(nt, -1, 5)
+    du = times[1] - times[0]
+    worst_q = 0.0
+    worst_t = 0.0
+    # spatial components at each stored time
+    for k in range(nt):
+        for axis, (ip, im) in enumerate(((1, 2), (3, 4))):
+            dh = (hh[k, :, ip] - hh[k, :, im]) / (2 * h_q)
+            dq = (hq[k, :, ip] - hq[k, :, im]) / (2 * h_q)
+            pdq = np.sum(hp[k, :, 0] * dq, axis=-1)
+            worst_q = max(worst_q, float(np.max(np.abs(dh - pdq))))
+    # time component at interior stored times (centered differences)
+    dhdt = (hh[2:, :, 0] - hh[:-2, :, 0]) / (2 * du)
+    dqdt = (hq[2:, :, 0] - hq[:-2, :, 0]) / (2 * du)
+    pdqdt = np.sum(hp[1:-1, :, 0] * dqdt, axis=-1)
+    defect_t = dhdt - (pdqdt - hf[1:-1, :, 0])
+    worst_t = float(np.max(np.abs(defect_t)))
+    return max(worst_q, worst_t)
+
+
 def test_suspension_identity(bump):
-    assert ph.suspension_check(bump, nt=41, dt=1e-3) < 5e-4
+    assert suspension_check(bump, nt=41, dt=1e-3) < 5e-4
 
 
 def test_suspension_needs_support():
     H = zero_field(support_radius=None)
     with pytest.raises(ValueError):
-        ph.suspension_check(H)
+        suspension_check(H)
 
 
 def test_phase_integral_of_constant_family():
