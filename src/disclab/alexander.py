@@ -16,14 +16,13 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
 # hamiltonian_path is not called here, but bench/test_oracles.py checks that
 # the benchmark's tracer finds and rebinds it in this module
 from .flows import PlaneMap, hamiltonian_path, hofer_length, sweep_nodes
-from .grids import blend, square_grid
+from .grids import blend, cumulative_trapezoid, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +96,7 @@ def alexander_family(H, eta=None):
 class SHamiltonian:
     """K(s, t, .) sampled on grids, gauge K(s,0,.) = 0 and K = 0 near the boundary.
 
-    Between samples K is bilinear in (s, t).  spline_filter is linear, so
+    Between samples K is bilinear in (s, t).  The spline prefilter is linear, so
     K(s, t, .) is one grid field whose values and spline coefficients
     blend those of the (up to four) bracketing grids.  At t = 1, the last
     t sample, K(s, 1, .) = (1 - w) K(s_i, 1, .) + w K(s_{i+1}, 1, .) with
@@ -228,7 +227,7 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
         integrand[0] = _s_integrand(arms, times[0], grid, [nodes] * len(arms), nodes[sel])
         for k, imgs in enumerate(sweep_nodes(sweeps, nt, grid, dt), start=1):
             integrand[k] = _s_integrand(arms, times[k], grid, imgs[1:], imgs[0][sel])
-        K_sel = cumulative_trapezoid(integrand, times, axis=0, initial=0.0)
+        K_sel = cumulative_trapezoid(integrand, times, axis=0)
         # the gauge: K = 0 at the corner, sel[0]
         K_sel -= K_sel[:, :1]
         K = np.zeros((nt, nodes.shape[0]))

@@ -19,11 +19,10 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fields import ScalarTimeField
 from .flows import time_integral
-from .grids import SPHERE_VOLUME, GridField2D, square_grid
+from .grids import SPHERE_VOLUME, GridField2D, cumulative_trapezoid, square_grid
 
 
 def _check_supported(H, grid):
@@ -130,8 +129,8 @@ def ray_primitives(b1, b2, spacing):
     from the bottom edge; both vanish on their starting edge.  For a
     closed form the two agree up to quadrature error.
     """
-    rows = cumulative_trapezoid(b1, dx=spacing, axis=0, initial=0.0)
-    cols = cumulative_trapezoid(b2, dx=spacing, axis=1, initial=0.0)
+    rows = cumulative_trapezoid(b1, dx=spacing, axis=0)
+    cols = cumulative_trapezoid(b2, dx=spacing, axis=1)
     return rows, cols
 
 

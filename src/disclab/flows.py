@@ -55,7 +55,11 @@ def vector_field(H, t, points):
 
     Uses H.gradient when H carries one; a black-box field is
     differentiated by the 4th-order centered stencil (+-FD_WIDTH,
-    +-2 FD_WIDTH), whose bias is O(FD_WIDTH^4).
+    +-2 FD_WIDTH), whose bias is O(FD_WIDTH^4) where H is smooth.  Within
+    2 FD_WIDTH of a C^(m-1) bump's edge circle the stencil straddles the
+    kink and the bias is only O(FD_WIDTH^(m-1)): against the closed-form
+    X_H of separable bumps the gap there reached 1.1e-4, 1.9e-7 and
+    4.2e-10 at m = 2, 3 and 4.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if getattr(H, "has_gradient", False):

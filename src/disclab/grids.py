@@ -2,17 +2,22 @@
 
 All fields live on uniform square grids.  A grid node (i, j) sits at
 ``origin + (i*spacing, j*spacing)`` and ``values[i, j]`` stores the sample
-there (x-index first).  Interpolation is always by cubic spline; its
-coefficients are prefiltered so the interpolant reproduces the stored
-node values exactly.  Grid-backed fields differentiate that spline
-analytically, from one gather of the 4x4 coefficient taps of each point:
-``gradient_into`` writes both partials at (2, n) points, the RK4 loop's
-layout, into a caller's buffer, and ``value_and_gradient`` returns the
-value and gradient at (..., 2) points.  Both run the one B-spline
-evaluation ``_spline_block`` and refuse points off the grid.  ``blend``
-forms a linear combination of grid fields by combining their spline
-coefficients, so the blend is evaluated once instead of term by term;
-its node values are summed only if something reads them.
+there (x-index first).  Interpolation is always by cubic spline under the
+mirror rule: the spline is even about every edge of the grid.  Its
+coefficients solve the B-spline collocation system exactly, so the
+interpolant reproduces the stored node values; the solve is one cached
+inverse matrix applied along both axes.  Every evaluation runs the one
+B-spline evaluation ``_spline_block``, from one gather of the 4x4
+coefficient taps of each point: ``__call__`` takes the value alone,
+``value_and_gradient`` returns the value and gradient at (..., 2)
+points, and ``gradient_into`` writes both partials at (2, n) points, the
+RK4 loop's layout, into a caller's buffer.  The last two refuse points
+off the grid; ``__call__`` reflects them back by the mirror rule.
+``blend`` forms a linear combination of grid fields by combining their
+spline coefficients, so the blend is evaluated once instead of term by
+term; its node values are summed only if something reads them.
+``cumulative_trapezoid`` is the running trapezoid rule the time and ray
+integrals share.
 """
 
 import functools
@@ -20,7 +25,6 @@ import io
 import math
 
 import numpy as np
-from scipy import ndimage
 
 # The sphere model: the unit disc is the upper hemisphere of a sphere of
 # area SPHERE_VOLUME; the lower hemisphere is an identity region, of area
@@ -83,42 +87,62 @@ class GridField2D:
     def _covers(self, z, margin=0.0):
         """Whether every point of z, shape (2, n), lies in the extent widened by margin.
 
-        One min and one max per axis; a NaN coordinate fails the comparison.
+        One min and one max per axis, each over one row: z is often the
+        transpose of (n, 2) points, whose reduction along axis 1 numpy runs
+        two elements at a time.  A NaN coordinate fails the comparison.
         """
         if z.shape[1] == 0:
             return True
         lo, hi = self.extent
-        zmin = z.min(axis=1)
-        zmax = z.max(axis=1)
         return bool(
-            zmin[0] >= lo[0] - margin and zmax[0] <= hi[0] + margin
-            and zmin[1] >= lo[1] - margin and zmax[1] <= hi[1] + margin
+            z[0].min() >= lo[0] - margin and z[0].max() <= hi[0] + margin
+            and z[1].min() >= lo[1] - margin and z[1].max() <= hi[1] + margin
         )
 
     def _spline_coeffs(self):
+        """The n-by-n cubic B-spline coefficients of the node values."""
+        return self._mirrored_coeffs()[1:-2, 1:-2]
+
+    def _mirrored_coeffs(self):
+        """The coefficients inside a border of the taps the mirror rule reflects.
+
+        Coefficient j of an axis sits at index j + 1, for j = -1 .. n + 1,
+        with c[-1] = c[1], c[n] = c[n-2] and c[n+1] = c[n-3]: every tap of
+        a point in the extent is then read without reflecting its index.
+        """
         if self._coeffs is None:
-            self._coeffs = ndimage.spline_filter(self.values, order=3, mode="mirror")
+            inverse = _collocation_inverse(self.n)
+            c = np.empty((self.n + 3, self.n + 3))
+            c[1:-2, 1:-2] = inverse @ self.values @ inverse.T
+            c[1:-2, [0, -2, -1]] = c[1:-2, [2, -4, -5]]
+            c[[0, -2, -1]] = c[[2, -4, -5]]
+            self._coeffs = c
         return self._coeffs
 
     def __call__(self, points):
-        """Interpolate at points of shape (..., 2)."""
+        """Interpolate at points of shape (..., 2).
+
+        Points off the extent take the mirrored spline's value: their grid
+        coordinates are reflected about the edges.  Non-finite points
+        raise ValueError.
+        """
         pts = np.asarray(points, dtype=np.float64)
         shape = pts.shape[:-1]
-        flat = pts.reshape(-1, 2)
-        ix = (flat[:, 0] - self.origin[0]) / self.spacing
-        iy = (flat[:, 1] - self.origin[1]) / self.spacing
-        out = ndimage.map_coordinates(
-            self._spline_coeffs(), [ix, iy], order=3, mode="mirror", prefilter=False
-        )
-        return out.reshape(shape)
+        z = pts.reshape(-1, 2).T
+        mirror = not self._covers(z)
+        if mirror and not np.isfinite(z).all():
+            raise ValueError("points must be finite")
+        value = np.empty(z.shape[1])
+        self._spline_blocks(z, value=value, mirror=mirror)
+        return value.reshape(shape)
 
     def value_and_gradient(self, points):
         """Value and gradient of the cubic spline at points of shape (..., 2).
 
         Returns (value, grad) with grad[..., 0] = df/dx and grad[..., 1] =
-        df/dy, from the same evaluation as ``gradient_into``.  The value
-        agrees with ``__call__`` up to rounding.  Points off the extent
-        raise ValueError: the spline is not extrapolated.
+        df/dy, from the evaluation ``__call__`` and ``gradient_into`` run
+        too; the value agrees with ``__call__`` up to rounding.  Points off
+        the extent raise ValueError: the spline is not extrapolated.
         """
         pts = np.asarray(points, dtype=np.float64)
         shape = pts.shape[:-1]
@@ -143,46 +167,54 @@ class GridField2D:
             lo, hi = self.extent
             raise ValueError(f"points leave the grid extent [{lo}, {hi}]")
 
-    def _spline_blocks(self, z, grad, value=None):
-        """Gradient (and value) at (2, n) points known to lie in the extent."""
+    def _spline_blocks(self, z, grad=None, value=None, mirror=False):
+        """Value and/or gradient at points z, shape (2, n).
+
+        The points lie in the extent, or mirror reflects them into it.
+        """
+        kinds = 1 if grad is None else 2
         # blocks bound the 16-taps-per-point temporaries, which the
         # allocator then reuses instead of mapping fresh pages per call
         for start in range(0, z.shape[1], _BLOCK):
             block = slice(start, start + _BLOCK)
-            m = self._spline_block(z[:, block])
+            u = (z[:, block] - self.origin[:, None]) / self.spacing
+            if mirror:
+                # the mirror rule in grid units: u -> |u|, then fold with
+                # period 2(n - 1) into [0, n - 1]; |u| keeps the reflection
+                # of a point just below the grid exact, as remainder would not
+                period = 2.0 * (self.n - 1)
+                u = np.remainder(np.abs(u), period)
+                np.minimum(u, period - u, out=u)
+            m = self._spline_block(u, kinds)
             if value is not None:
                 value[block] = m[0, 0]
-            np.divide(m[1, 0], self.spacing, out=grad[0, block])
-            np.divide(m[0, 1], self.spacing, out=grad[1, block])
+            if grad is not None:
+                np.divide(m[1, 0], self.spacing, out=grad[0, block])
+                np.divide(m[0, 1], self.spacing, out=grad[1, block])
 
-    def _spline_block(self, z):
-        """The spline sums m at (2, N) points known to lie in the extent.
+    def _spline_block(self, u, kinds):
+        """The spline sums m at grid coordinates u, shape (2, N): node i sits at u = i.
 
-        m[0, 0] is the value; m[1, 0] and m[0, 1] are d/dx and d/dy in grid units.
+        m[0, 0] is the value; with kinds = 2, m[1, 0] and m[0, 1] are d/dx
+        and d/dy in grid units.
         """
-        u = (z - self.origin[:, None]) / self.spacing
-        # the last cell is closed: a point on the upper edge sits at t = 1
-        cell = np.minimum(np.floor(u), self.n - 2)
-        t = u - cell
+        # u >= 0, so truncation is the floor; the last cell is closed: a
+        # point on the upper edge sits at t = 1
+        c = u.astype(np.intp)
+        np.minimum(c, self.n - 2, out=c)
+        t = u - c
         powers = np.empty((4,) + t.shape)
         powers[0] = 1.0
         powers[1] = t
         np.multiply(t, t, out=powers[2])
         np.multiply(powers[2], t, out=powers[3])
         # w[kind, tap, axis, point]: kind 0 weighs values, kind 1 d/dt
-        w = (_BSPLINE3 @ powers.reshape(4, -1)).reshape((2, 4) + t.shape)
-        c = cell.astype(np.intp)
-        if c.min() >= 1 and c.max() <= self.n - 3:
-            # every tap lies on the grid: flat index of tap (a, b) is
-            # (cx + a) n + (cy + b)
-            index = (c[0] * self.n + c[1]) + (_TAP_SHIFTS * self.n + _TAP_SHIFTS.T)[:, :, None]
-        else:
-            # a cell touches an edge: reflect its taps by scipy's mirror
-            # rule, j -> -j below the grid, j -> 2(n-1) - j above it
-            j = np.abs(c[:, None, :] + _TAP_SHIFTS)
-            j = np.minimum(j, 2 * (self.n - 1) - j)
-            index = j[0][:, None, :] * self.n + j[1][None, :, :]
-        taps = np.take(self._spline_coeffs(), index)
+        w = (_BSPLINE3[:4 * kinds] @ powers.reshape(4, -1)).reshape((kinds, 4) + t.shape)
+        # tap (cx + a, cy + b) of cell (cx, cy), a, b = -1 .. 2, sits at flat
+        # index (cx + a + 1)(n + 3) + (cy + b + 1) of the mirrored coefficients
+        stride = self.n + 3
+        index = (c[0] * stride + c[1]) + (_TAPS * stride + _TAPS.T)[:, :, None]
+        taps = np.take(self._mirrored_coeffs(), index)
         rows = np.einsum("abn,jbn->jan", taps, w[:, :, 1])
         return np.einsum("ian,jan->ijn", w[:, :, 0], rows)
 
@@ -238,14 +270,30 @@ _BSPLINE3 = np.array([
 ]) / 6.0
 
 
-# taps of a cell relative to its lower node, shaped to broadcast over (axis, tap, point)
-_TAP_SHIFTS = np.arange(-1, 3)[:, None]
+# the four taps of a cell along an axis, counted from the node below it
+# in the mirrored coefficients
+_TAPS = np.arange(4)[:, None]
+
+
+@functools.lru_cache(maxsize=16)
+def _collocation_inverse(n):
+    """M^-1 of the cubic B-spline collocation system on n nodes, read-only.
+
+    M c = v is (c[i-1] + 4 c[i] + c[i+1]) / 6 = v[i] under the mirror
+    rule c[-1] = c[1], c[n] = c[n-2]; the coefficients of a grid field
+    are M^-1 V M^-T.
+    """
+    m = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    m[0, 1] = m[-1, -2] = 2.0
+    inverse = np.linalg.inv(m / 6.0)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def blend(terms):
     """The grid field sum(c * f) of terms [(c, f), ...] on one template.
 
-    spline_filter is linear, so the cubic coefficients of the blend are
+    The prefilter is linear, so the cubic coefficients of the blend are
     the same combination of the terms' coefficients; the blend therefore
     costs one spline evaluation however many terms it has.  Its node
     values are summed only when read: evaluation needs the coefficients
@@ -267,12 +315,18 @@ class _Blend(GridField2D):
         self.origin = f0.origin
         self.spacing = f0.spacing
         self._terms = terms
-        self._coeffs = sum(c * f._spline_coeffs() for c, f in terms)
+        # summed in place, with one grid-sized temporary per term: a blended
+        # flow makes a blend at every RK4 stage, and fresh arrays this large
+        # can cost the allocator new pages each time
+        coeffs = terms[0][0] * terms[0][1]._mirrored_coeffs()
+        for c, f in terms[1:]:
+            coeffs += c * f._mirrored_coeffs()
+        self._coeffs = coeffs
         self._node_points = None
 
     @property
     def n(self):
-        return self._coeffs.shape[0]
+        return self._coeffs.shape[0] - 3
 
     @functools.cached_property
     def values(self):
@@ -293,6 +347,24 @@ def centered_diff4(values, spacing, axis):
     """
     return (np.roll(values, -2, axis) - 8.0 * np.roll(values, -1, axis)
             + 8.0 * np.roll(values, 1, axis) - np.roll(values, 2, axis)) / (-12.0 * spacing)
+
+
+def cumulative_trapezoid(y, x=None, dx=1.0, axis=0):
+    """Running trapezoid integral of y along axis, 0 at the first sample.
+
+    The steps are the differences of the 1-d sample points x, or dx if x
+    is None.  Each step adds d * (y[k] + y[k+1]) / 2.0, summed in order.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    head = (slice(None),) * (axis % y.ndim)
+    if x is not None:
+        shape = [1] * y.ndim
+        shape[axis] = -1
+        dx = np.diff(np.asarray(x, dtype=np.float64)).reshape(shape)
+    out = np.zeros(y.shape)
+    np.cumsum(dx * (y[head + (np.s_[1:],)] + y[head + (np.s_[:-1],)]) / 2.0, axis=axis,
+              out=out[head + (np.s_[1:],)])
+    return out
 
 
 def sample(grid, fn):

@@ -1,14 +1,20 @@
 """Grid fields and disc quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.grids import (GridField2D, _disc_weights, blend, disc_weights,
-                           integrate_disc, sample, square_grid)
+import disclab
+from disclab.grids import (GridField2D, _collocation_inverse, _disc_weights, blend,
+                           cumulative_trapezoid, disc_weights, integrate_disc, sample,
+                           square_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +80,61 @@ def test_covers():
     assert g.covers(np.array([[0.9, -0.9]]))
     assert not g.covers(np.array([[1.2, 0.0]]))
     assert g.covers(np.array([[1.2, 0.0]]), margin=0.3)
+
+
+# ---------------------------------------------------------------------------
+# scipy as the oracle of the prefilter, the mirror rule and the trapezoid
+
+
+@pytest.mark.parametrize("n", [16, 65, 129])
+def test_spline_matches_scipys_mirror_spline(n):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(n)
+    f = GridField2D((-1.05, -0.4), 2.1 / (n - 1), rng.uniform(-1.0, 1.0, size=(n, n)))
+    coeffs = ndimage.spline_filter(f.values, order=3, mode="mirror")
+    assert np.max(np.abs(f._spline_coeffs() - coeffs)) < 1e-13
+    # over the extent, and up to 0.3 past it, where __call__ follows the mirror rule
+    lo, hi = f.extent
+    for pts in (_extent_points(f, rng, count=400), rng.uniform(lo - 0.3, hi + 0.3, (400, 2))):
+        u = (pts - f.origin) / f.spacing
+        ref = ndimage.map_coordinates(coeffs, u.T, order=3, mode="mirror", prefilter=False)
+        assert np.max(np.abs(f(pts) - ref)) < 1e-13
+
+
+def test_call_refuses_non_finite_points():
+    f = square_grid(33)
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            f(np.array([[0.1, 0.2], bad]))
+
+
+def test_collocation_inverse_is_read_only():
+    f = GridField2D((0.0, 0.0), 0.1, np.ones((20, 20)))
+    assert np.allclose(f._spline_coeffs(), 1.0, rtol=0.0, atol=1e-15)
+    assert _collocation_inverse(20) is _collocation_inverse(20)
+    with pytest.raises(ValueError):
+        _collocation_inverse(20)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_cumulative_trapezoid_is_scipys_bit_for_bit(axis, rng):
+    integrate = pytest.importorskip("scipy.integrate")
+    y = rng.normal(size=(17, 23))
+    x = np.sort(rng.uniform(0.0, 1.0, y.shape[axis]))
+    assert np.array_equal(cumulative_trapezoid(y, x, axis=axis),
+                          integrate.cumulative_trapezoid(y, x, axis=axis, initial=0.0))
+    assert np.array_equal(cumulative_trapezoid(y, dx=0.03, axis=axis),
+                          integrate.cumulative_trapezoid(y, dx=0.03, axis=axis, initial=0.0))
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(disclab.__file__).resolve().parents[1])
+    code = ("import sys, disclab, disclab.cli, disclab.experiments\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
