@@ -57,16 +57,15 @@ def rescale(H, a, eta=None):
     if isinstance(H, SeparableBump):
         ham = H.rescaled(a)
     else:
-        ham = ScalarTimeField(
-            lambda t, pts: a * a * H(t, pts / a),
-            a * H.support_radius,
-            H.smoothness_order,
-        )
+        ham = ScalarTimeField(lambda t, pts: a * a * H(t, pts / a), a * H.support_radius)
     return RescaledPath(H, a, eta, ham)
 
 
 # ---------------------------------------------------------------------------
 # two-parameter families and the s-Hamiltonian
+
+# step of the finite-difference stencil in s of s_hamiltonian
+S_STEP = 1e-3
 
 
 class TwoParameterFamily:
@@ -153,7 +152,7 @@ class _TimeOneField(ScalarTimeField):
 
     def __init__(self, sham):
         super().__init__(
-            lambda s, pts: sham(s, 1.0, pts), sham.support_radius, 2,
+            lambda s, pts: sham(s, 1.0, pts), sham.support_radius,
             gradient=lambda s, z, out: sham.field_at(s, 1.0).gradient_into(z, out),
         )
         self._sham = sham
@@ -164,7 +163,7 @@ class _TimeOneField(ScalarTimeField):
         if sham.t_samples[-1] != 1.0:
             # K(s_i, 1, .) would be a blend in t, not a stored grid
             return None
-        profiles = [ScalarTimeField(lambda s, pts, g=row[-1]: g(pts), sham.support_radius, 2)
+        profiles = [ScalarTimeField(lambda s, pts, g=row[-1]: g(pts), sham.support_radius)
                     for row in sham.values]
         return self._weights, profiles
 
@@ -176,13 +175,13 @@ class _TimeOneField(ScalarTimeField):
         return weights
 
 
-def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
+def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
     """Measure the s-Hamiltonian K of a two-parameter family from its flows.
 
     For each s the s-derivative of H(s, u, phi_s^u(y)) is taken by a
-    finite-difference stencil in s: centered, on the paths at s + h_s and
-    s - h_s, or one-sided and second order at the upper end, on the paths
-    at s, s - h_s and s - 2 h_s.  It is pushed to x = phi_s^u(y) through
+    finite-difference stencil in s: centered, on the paths at s + S_STEP and
+    s - S_STEP, or one-sided and second order at the upper end, on the paths
+    at s, s - S_STEP and s - 2 S_STEP.  It is pushed to x = phi_s^u(y) through
     the inverse of the mid path at s, and integrated over u by the
     trapezoid rule.  The sweeps of one s sample step together
     (flows.sweep_nodes): the mid path only backward, for its inverse,
@@ -200,8 +199,8 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
         )
     if nt < 2:
         raise ValueError(f"nt must be at least 2, got {nt}")
-    if np.any(s_samples - 2.0 * h_s <= 0.0) or np.any(s_samples > 1.0):
-        raise ValueError("s samples must keep s - 2 h_s inside (0, 1]")
+    if np.any(s_samples - 2.0 * S_STEP <= 0.0) or np.any(s_samples > 1.0):
+        raise ValueError(f"s samples must lie in ({2.0 * S_STEP}, 1], the stencil's reach")
     if grid is None:
         grid = square_grid(129)
     times = np.linspace(0.0, 1.0, nt)
@@ -213,12 +212,13 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3, h_s=1e-3):
     all_values = []
     for s in s_samples:
         H_mid = family.at(s)
-        if s + h_s <= 1.0:
+        if s + S_STEP <= 1.0:
             # centered stencil
-            stencil = [(s + h_s, 0.5 / h_s), (s - h_s, -0.5 / h_s)]
+            stencil = [(s + S_STEP, 0.5 / S_STEP), (s - S_STEP, -0.5 / S_STEP)]
         else:
             # one-sided second-order stencil at the upper end
-            stencil = [(s, 1.5 / h_s), (s - h_s, -2.0 / h_s), (s - 2.0 * h_s, 0.5 / h_s)]
+            stencil = [(s, 1.5 / S_STEP), (s - S_STEP, -2.0 / S_STEP),
+                       (s - 2.0 * S_STEP, 0.5 / S_STEP)]
         # the arm at s itself is the mid path's forward sweep
         arms = [(H_mid if sv == s else family.at(sv), cv) for sv, cv in stencil]
         # sweep 0 is the mid path's backward sweep, for y = (phi_s^u)^{-1}(x)
@@ -296,11 +296,8 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
         if isinstance(H, SeparableBump):
             member = H.rescaled(a).amplified(a ** -4)
         else:
-            member = ScalarTimeField(
-                lambda t, pts, a=a: H(t, pts / a) / (a * a),
-                a * H.support_radius,
-                H.smoothness_order,
-            )
+            member = ScalarTimeField(lambda t, pts, a=a: H(t, pts / a) / (a * a),
+                                     a * H.support_radius)
         if grid is not None:
             if a * H.support_radius < 4.0 * grid.spacing:
                 raise ValueError(

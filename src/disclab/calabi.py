@@ -134,24 +134,27 @@ def ray_primitives(b1, b2, spacing):
     return rows, cols
 
 
-def primitive_and_cal_def1(phi, H=None, cal_path_value=None, residual_tol=1e-3,
-                           gauge=None):
+# the largest plaquette circulation of beta that still counts as closed
+PRIMITIVE_RESIDUAL_TOL = 1e-3
+
+
+def primitive_and_cal_def1(phi, cal_path_value=None, gauge=None):
     """Cal by Definition via the primitive, with all diagnostics.
 
     Builds beta = phi^*alpha - alpha, checks closedness, integrates it
     along grid rays from the boundary (where h = 0) and returns
-    Cal = (1/2) int h.  If H or cal_path_value is given the agreement
-    error against the path definition is reported.
+    Cal = (1/2) int h.  If cal_path_value is given the agreement error
+    against the path definition is reported.
     """
     grid = phi.template
     h_sp = grid.spacing
     b1, b2 = pullback_defect_form(phi, gauge=gauge)
     circ = plaquette_circulation(b1, b2, h_sp)
     residual = float(np.max(np.abs(circ)))
-    if residual > residual_tol:
+    if residual > PRIMITIVE_RESIDUAL_TOL:
         raise ValueError(
             f"primitive defect form is not closed enough "
-            f"(residual {residual:.3e} > {residual_tol:.3e}); "
+            f"(residual {residual:.3e} > {PRIMITIVE_RESIDUAL_TOL:.3e}); "
             "the map is not area-preserving at this resolution"
         )
     # both edges lie outside the support, where h = 0
@@ -161,8 +164,6 @@ def primitive_and_cal_def1(phi, H=None, cal_path_value=None, residual_tol=1e-3,
     # second quadrature level from the decimated grid, for the error estimate
     cal1_coarse = 0.5 * float(np.sum(h_rows[::2, ::2])) * (2 * h_sp) ** 2
     quad_err = abs(cal1 - cal1_coarse) / 3.0
-    if cal_path_value is None and H is not None:
-        cal_path_value = cal_path(H)
     cal_p = cal1 if cal_path_value is None else cal_path_value
     return CalabiReport(
         cal_def1=cal1,
@@ -220,10 +221,6 @@ class NormalizedField:
     @property
     def is_autonomous(self):
         return self.base.is_autonomous
-
-    @property
-    def smoothness_order(self):
-        return self.base.smoothness_order
 
 
 def normalize_on_sphere(H, grid=None):

@@ -1,8 +1,8 @@
 """Time-dependent Hamiltonians on the plane and the built-in field families.
 
 A ScalarTimeField evaluates H(t, x) for scalar t and point arrays of shape
-(..., 2), vanishes for |x| >= support_radius, and declares how many
-continuous derivatives it has.  The structured SeparableBump family
+(..., 2), and vanishes for |x| >= support_radius.  The structured
+SeparableBump family
 
     H(t, x) = amp * tau(t) * (1 - |x - c(t)|^2 / rho^2)^m,  m >= 2,
 
@@ -19,6 +19,9 @@ import functools
 import math
 
 import numpy as np
+
+# trapezoid samples of the time factor in SeparableBump.exact_flow
+EXACT_FLOW_SAMPLES = 257
 
 
 class ScalarTimeField:
@@ -47,11 +50,10 @@ class ScalarTimeField:
     # nor that it vanishes outside the support, so it runs only inside it
     _evaluator_masks = False
 
-    def __init__(self, evaluator, support_radius, smoothness_order=2, gradient=None):
+    def __init__(self, evaluator, support_radius, gradient=None):
         self._evaluator = evaluator
         self._gradient = gradient
         self.support_radius = None if support_radius is None else float(support_radius)
-        self.smoothness_order = int(smoothness_order)
 
     def __call__(self, t, points):
         points = np.asarray(points, dtype=np.float64)
@@ -88,11 +90,7 @@ class ScalarTimeField:
         return np.hypot(x, y) >= self.support_radius
 
     def scaled(self, factor):
-        return ScalarTimeField(
-            lambda t, pts: factor * self(t, pts),
-            self.support_radius,
-            self.smoothness_order,
-        )
+        return ScalarTimeField(lambda t, pts: factor * self(t, pts), self.support_radius)
 
 
 def _zero_gradient(t, z, out):
@@ -101,7 +99,7 @@ def _zero_gradient(t, z, out):
 
 def zero_field(support_radius=0.8):
     """H == 0; its gradient evaluator writes zeros, so its flow moves no point."""
-    return ScalarTimeField(lambda t, pts: np.zeros(pts.shape[:-1]), support_radius, 99,
+    return ScalarTimeField(lambda t, pts: np.zeros(pts.shape[:-1]), support_radius,
                            gradient=_zero_gradient)
 
 
@@ -135,7 +133,7 @@ class SeparableBump(ScalarTimeField):
             raise ValueError(
                 f"a fixed bump's support_radius must be >= rho = {rho}, got {support_radius}"
             )
-        super().__init__(self._eval, support_radius, smoothness_order=self.m - 1)
+        super().__init__(self._eval, support_radius)
 
     def _eval(self, t, pts):
         """amp * tau(t) * max(u, 0)^m, the power by repeated multiplication, in place.
@@ -252,10 +250,11 @@ class SeparableBump(ScalarTimeField):
             self.m - 1
         )
 
-    def exact_flow(self, t0, t1, points, n_quad=257):
+    def exact_flow(self, t0, t1, points):
         """Exact flow map of a radial bump: rotation by the integrated rate.
 
-        Clockwise rotation rate is -u'(r)/r per unit of integrated tau.
+        Clockwise rotation rate is -u'(r)/r per unit of integrated tau;
+        tau is integrated by the trapezoid rule on EXACT_FLOW_SAMPLES times.
         """
         if not self.is_radial():
             raise ValueError("exact_flow requires a centered (radial) bump")
@@ -264,7 +263,7 @@ class SeparableBump(ScalarTimeField):
         if self.tau is None:
             tau_int = t1 - t0
         else:
-            ts = np.linspace(t0, t1, n_quad)
+            ts = np.linspace(t0, t1, EXACT_FLOW_SAMPLES)
             tau_int = np.trapezoid([self.tau(t) for t in ts], ts)
         theta = -self.rotation_rate(r) * tau_int
         ct, st = np.cos(theta), np.sin(theta)

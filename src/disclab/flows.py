@@ -37,6 +37,11 @@ from .grids import GridField2D, centered_diff4, square_grid
 # width of the finite-difference stencil for fields without a gradient
 FD_WIDTH = 1e-4
 
+# Newton inversion stops once every residual is under NEWTON_TOL; after
+# NEWTON_MAX_ITER steps it still accepts residuals up to 1e-8
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
 
 class NewtonError(RuntimeError):
     """Newton inversion stalled; carries the offending target point."""
@@ -289,16 +294,16 @@ class PlaneMap:
 
     # -- inversion ----------------------------------------------------------
 
-    def newton_invert(self, targets, seeds=None, tol=1e-10, max_iter=50):
-        """Solve phi(y) = target for each target by damped Newton."""
+    def newton_invert(self, targets):
+        """Solve phi(y) = target for each target by damped Newton, seeded at the targets."""
         tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        y = np.array(tgt if seeds is None else np.atleast_2d(seeds), dtype=np.float64)
+        y = tgt.copy()
         g11, g12, g21, g22 = self._jacobian_grids()
         converged = False
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             res = self(y) - tgt
             err = np.hypot(res[:, 0], res[:, 1])
-            active = err > tol
+            active = err > NEWTON_TOL
             if not active.any():
                 converged = True
                 break
@@ -326,7 +331,7 @@ class PlaneMap:
         if not converged:
             res = self(y) - tgt
             err = np.hypot(res[:, 0], res[:, 1])
-            if np.max(err) > max(tol, 1e-8):
+            if np.max(err) > 1e-8:
                 idx = int(np.argmax(err))
                 raise NewtonError(
                     f"Newton stalled at target {tgt[idx]} (residual {err[idx]:.3e})",

@@ -6,13 +6,13 @@ there (x-index first).  Interpolation is always by cubic spline under the
 mirror rule: the spline is even about every edge of the grid.  Its
 coefficients solve the B-spline collocation system exactly, so the
 interpolant reproduces the stored node values; the solve is one cached
-inverse matrix applied along both axes.  Every evaluation runs the one
-B-spline evaluation ``_spline_block``, from one gather of the 4x4
-coefficient taps of each point: ``__call__`` takes the value alone,
-``value_and_gradient`` returns the value and gradient at (..., 2)
-points, and ``gradient_into`` writes both partials at (2, n) points, the
-RK4 loop's layout, into a caller's buffer.  The last two refuse points
-off the grid; ``__call__`` reflects them back by the mirror rule.
+inverse matrix applied along both axes.  A grid field answers only on its
+grid: both entry points, ``__call__`` for the value at (..., 2) points and
+``gradient_into`` for both partials at (2, n) points, the RK4 loop's
+layout, written into a caller's buffer, raise ValueError for a point off
+the closed extent or not finite.  Both then run the one B-spline
+evaluation ``_spline_block``, from one gather of the 4x4 coefficient taps
+of each point.
 ``blend`` forms a linear combination of grid fields by combining their
 spline coefficients, so the blend is evaluated once instead of term by
 term; its node values are summed only if something reads them.
@@ -80,25 +80,6 @@ class GridField2D:
             self._node_points = pts
         return self._node_points
 
-    def covers(self, points, margin=0.0):
-        pts = np.asarray(points, dtype=np.float64)
-        return self._covers(pts.reshape(-1, 2).T, margin)
-
-    def _covers(self, z, margin=0.0):
-        """Whether every point of z, shape (2, n), lies in the extent widened by margin.
-
-        One min and one max per axis, each over one row: z is often the
-        transpose of (n, 2) points, whose reduction along axis 1 numpy runs
-        two elements at a time.  A NaN coordinate fails the comparison.
-        """
-        if z.shape[1] == 0:
-            return True
-        lo, hi = self.extent
-        return bool(
-            z[0].min() >= lo[0] - margin and z[0].max() <= hi[0] + margin
-            and z[1].min() >= lo[1] - margin and z[1].max() <= hi[1] + margin
-        )
-
     def _spline_coeffs(self):
         """The n-by-n cubic B-spline coefficients of the node values."""
         return self._mirrored_coeffs()[1:-2, 1:-2]
@@ -120,71 +101,50 @@ class GridField2D:
         return self._coeffs
 
     def __call__(self, points):
-        """Interpolate at points of shape (..., 2).
+        """The cubic spline's value at points of shape (..., 2).
 
-        Points off the extent take the mirrored spline's value: their grid
-        coordinates are reflected about the edges.  Non-finite points
-        raise ValueError.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        shape = pts.shape[:-1]
-        z = pts.reshape(-1, 2).T
-        mirror = not self._covers(z)
-        if mirror and not np.isfinite(z).all():
-            raise ValueError("points must be finite")
-        value = np.empty(z.shape[1])
-        self._spline_blocks(z, value=value, mirror=mirror)
-        return value.reshape(shape)
-
-    def value_and_gradient(self, points):
-        """Value and gradient of the cubic spline at points of shape (..., 2).
-
-        Returns (value, grad) with grad[..., 0] = df/dx and grad[..., 1] =
-        df/dy, from the evaluation ``__call__`` and ``gradient_into`` run
-        too; the value agrees with ``__call__`` up to rounding.  Points off
-        the extent raise ValueError: the spline is not extrapolated.
+        Points off the extent, or not finite, raise ValueError.
         """
         pts = np.asarray(points, dtype=np.float64)
         shape = pts.shape[:-1]
         z = pts.reshape(-1, 2).T
         self._check_extent(z)
         value = np.empty(z.shape[1])
-        grad = np.empty(z.shape)
-        self._spline_blocks(z, grad, value)
-        return value.reshape(shape), grad.T.reshape(shape + (2,))
+        self._spline_blocks(z, value=value)
+        return value.reshape(shape)
 
     def gradient_into(self, z, out):
         """Write df/dx and df/dy of the cubic spline at points z, shape (2, n), into out.
 
         out has shape (2, n): out[0] = df/dx, out[1] = df/dy.  Points off
-        the extent raise ValueError before anything is written.
+        the extent, or not finite, raise ValueError before anything is
+        written.
         """
         self._check_extent(z)
         self._spline_blocks(z, out)
 
     def _check_extent(self, z):
-        if not self._covers(z):
-            lo, hi = self.extent
-            raise ValueError(f"points leave the grid extent [{lo}, {hi}]")
+        """Refuse points z, shape (2, n), unless all lie in the closed extent.
 
-    def _spline_blocks(self, z, grad=None, value=None, mirror=False):
-        """Value and/or gradient at points z, shape (2, n).
-
-        The points lie in the extent, or mirror reflects them into it.
+        One min and one max per axis, each over one row: z is often the
+        transpose of (n, 2) points, whose reduction along axis 1 numpy runs
+        two elements at a time.  A NaN coordinate fails the comparison.
         """
+        if z.shape[1] == 0:
+            return
+        lo, hi = self.extent
+        if not (z[0].min() >= lo[0] and z[0].max() <= hi[0]
+                and z[1].min() >= lo[1] and z[1].max() <= hi[1]):
+            raise ValueError(f"points must be finite and inside the grid extent [{lo}, {hi}]")
+
+    def _spline_blocks(self, z, grad=None, value=None):
+        """Value and/or gradient at points z, shape (2, n), in the extent."""
         kinds = 1 if grad is None else 2
         # blocks bound the 16-taps-per-point temporaries, which the
         # allocator then reuses instead of mapping fresh pages per call
         for start in range(0, z.shape[1], _BLOCK):
             block = slice(start, start + _BLOCK)
             u = (z[:, block] - self.origin[:, None]) / self.spacing
-            if mirror:
-                # the mirror rule in grid units: u -> |u|, then fold with
-                # period 2(n - 1) into [0, n - 1]; |u| keeps the reflection
-                # of a point just below the grid exact, as remainder would not
-                period = 2.0 * (self.n - 1)
-                u = np.remainder(np.abs(u), period)
-                np.minimum(u, period - u, out=u)
             m = self._spline_block(u, kinds)
             if value is not None:
                 value[block] = m[0, 0]

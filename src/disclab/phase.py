@@ -215,10 +215,10 @@ class HJReport:
 def hj_residual(family, G):
     """Max |df/da + G(a, q, df)| over interior nodes and parameters.
 
-    G is called as G(a, q_points, p_points) with arrays of shape (..., 2).
+    G is called as G(a, q_points, p_points) with arrays of shape (..., 2),
+    at the interior nodes only: those two cells or more from the border.
     Derivatives are centered differences in both the parameter and the
-    grid; needs at least 3 parameter samples.  Interior nodes are those
-    two cells or more from the border.
+    grid; needs at least 3 parameter samples.
     """
     samples = np.asarray(family.parameter_samples, dtype=np.float64)
     if samples.size < 3:
@@ -227,17 +227,15 @@ def hj_residual(family, G):
     if np.max(np.abs(steps - steps[0])) > 1e-12:
         raise ValueError("parameter samples must be uniform")
     h_a = steps[0]
+    core = np.s_[2:-2, 2:-2]
     worst = 0.0
     for i in range(1, samples.size - 1):
         f0 = family.fields[i]
-        dfda = (family.fields[i + 1].values - family.fields[i - 1].values) / (2 * h_a)
+        dfda = (family.fields[i + 1].values[core] - family.fields[i - 1].values[core]) / (2 * h_a)
         d1, d2 = np.gradient(f0.values, f0.spacing, edge_order=2)
-        qx, qy = f0.nodes()
-        q = np.stack([qx, qy], axis=-1)
-        p = np.stack([d1, d2], axis=-1)
-        res = dfda + G(samples[i], q, p)
-        core = res[2:-2, 2:-2]
-        worst = max(worst, float(np.max(np.abs(core))))
+        p = np.stack([d1[core], d2[core]], axis=-1)
+        res = dfda + G(samples[i], f0.node_points()[core], p)
+        worst = max(worst, float(np.max(np.abs(res))))
     return HJReport(worst, family.fields[0].spacing, h_a)
 
 

@@ -169,7 +169,7 @@ def test_primitive_definition_agrees_with_path(bump, grid257, bump_map_257):
 
 
 def test_primitive_report_json(bump_map_257, bump, grid257):
-    rep = primitive_and_cal_def1(bump_map_257, H=bump)
+    rep = primitive_and_cal_def1(bump_map_257, cal_path_value=cal_path(bump))
     payload = rep.to_json()
     assert '"cal_def1"' in payload
 
@@ -246,7 +246,6 @@ def test_normalized_offset_integral_is_cal_over_vol(bump, grid257):
     assert nf.offset_integral(1.0) == pytest.approx(cal / (2.0 * math.pi),
                                                     rel=1e-10)
     assert nf.support_radius == 0.8
-    assert nf.smoothness_order == 3
 
 
 def test_normalized_field_values(bump):

@@ -24,7 +24,6 @@ def test_bump_peak_and_support():
     outside = np.array([[0.9, 0.3]])
     assert H(0.0, outside)[0] == 0.0
     assert H.support_radius == 0.8
-    assert H.smoothness_order == 3
 
 
 def test_bump_profile_value():

@@ -278,7 +278,7 @@ def test_spline_field_path_bits_match_unblocked_loop(t0, t1):
         spline.gradient_into(z, out)
         out *= 1.0 + t
 
-    H = ScalarTimeField(lambda t, pts: (1.0 + t) * spline(pts), 0.8, 2, gradient=gradient)
+    H = ScalarTimeField(lambda t, pts: (1.0 + t) * spline(pts), 0.8, gradient=gradient)
     pts = _cloud_past_one_block(11)
     dt = 1e-2
     got = integrate_points(H, t0, t1, pts, dt=dt)
@@ -444,7 +444,7 @@ def test_generic_evaluator_matches_bump_kernel():
     # 4th-order centered-difference path must agree to integrator accuracy
     from disclab.fields import ScalarTimeField
 
-    generic = ScalarTimeField(lambda t, pts: BUMP(t, pts), 0.8, 3)
+    generic = ScalarTimeField(lambda t, pts: BUMP(t, pts), 0.8)
     pts = np.array([[0.3, 0.1], [0.5, -0.2]])
     a = integrate_points(BUMP, 0.0, 1.0, pts, dt=1e-3)
     b = integrate_points(generic, 0.0, 1.0, pts, dt=1e-3)
@@ -495,9 +495,8 @@ def _segment_field(name):
             spline.gradient_into(z, out)
             out *= 4.0 + t
 
-        return ScalarTimeField(lambda t, pts: (4.0 + t) * spline(pts), 0.8, 2,
-                               gradient=gradient)
-    return ScalarTimeField(lambda t, pts: (4.0 + t) * BUMP(0.0, pts), 0.8, 3)
+        return ScalarTimeField(lambda t, pts: (4.0 + t) * spline(pts), 0.8, gradient=gradient)
+    return ScalarTimeField(lambda t, pts: (4.0 + t) * BUMP(0.0, pts), 0.8)
 
 
 # uneven spans, so the segments differ in step size and count, and one

@@ -75,13 +75,6 @@ def test_gradient_of_linear_field_is_exact():
     assert np.allclose(d2.values, -0.5, atol=1e-12)
 
 
-def test_covers():
-    g = square_grid(33, extent=1.0)
-    assert g.covers(np.array([[0.9, -0.9]]))
-    assert not g.covers(np.array([[1.2, 0.0]]))
-    assert g.covers(np.array([[1.2, 0.0]]), margin=0.3)
-
-
 # ---------------------------------------------------------------------------
 # scipy as the oracle of the prefilter, the mirror rule and the trapezoid
 
@@ -93,19 +86,30 @@ def test_spline_matches_scipys_mirror_spline(n):
     f = GridField2D((-1.05, -0.4), 2.1 / (n - 1), rng.uniform(-1.0, 1.0, size=(n, n)))
     coeffs = ndimage.spline_filter(f.values, order=3, mode="mirror")
     assert np.max(np.abs(f._spline_coeffs() - coeffs)) < 1e-13
-    # over the extent, and up to 0.3 past it, where __call__ follows the mirror rule
+    # over the extent; up to 0.3 past it there is no spline to evaluate
+    pts = _extent_points(f, rng, count=400)
+    u = (pts - f.origin) / f.spacing
+    ref = ndimage.map_coordinates(coeffs, u.T, order=3, mode="mirror", prefilter=False)
+    assert np.max(np.abs(f(pts) - ref)) < 1e-13
     lo, hi = f.extent
-    for pts in (_extent_points(f, rng, count=400), rng.uniform(lo - 0.3, hi + 0.3, (400, 2))):
-        u = (pts - f.origin) / f.spacing
-        ref = ndimage.map_coordinates(coeffs, u.T, order=3, mode="mirror", prefilter=False)
-        assert np.max(np.abs(f(pts) - ref)) < 1e-13
+    past = rng.uniform(lo - 0.3, hi + 0.3, (400, 2))
+    past = past[np.any((past < lo) | (past > hi), axis=1)]
+    assert len(past) > 100
+    for p in past[:20]:
+        with pytest.raises(ValueError, match="extent"):
+            f(p)
 
 
 def test_call_refuses_non_finite_points():
     f = square_grid(33)
-    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+        pts = np.array([[0.1, 0.2], bad])
         with pytest.raises(ValueError, match="finite"):
-            f(np.array([[0.1, 0.2], bad]))
+            f(pts)
+        out = np.full((2, 2), 7.0)
+        with pytest.raises(ValueError, match="finite"):
+            f.gradient_into(np.ascontiguousarray(pts.T), out)
+        assert np.all(out == 7.0)
 
 
 def test_collocation_inverse_is_read_only():
@@ -176,17 +180,25 @@ def _centered_fd(f, pts, h=1e-5):
     return pts, np.stack(grad, axis=-1)
 
 
+def _gradient(f, pts):
+    """The spline gradient at (n, 2) points, through gradient_into."""
+    out = np.empty((2, len(pts)))
+    f.gradient_into(np.ascontiguousarray(pts.T), out)
+    return out.T
+
+
 def _check_value_and_gradient(f, pts):
-    value, grad = f.value_and_gradient(pts)
-    assert value.shape == pts.shape[:-1] and grad.shape == pts.shape
-    assert np.max(np.abs(value - f(pts))) < 1e-14
+    assert f(pts).shape == pts.shape[:-1]
     inner, fd = _centered_fd(f, pts)
-    assert np.max(np.abs(f.value_and_gradient(inner)[1] - fd)) < 1e-9
+    assert np.max(np.abs(_gradient(f, inner) - fd)) < 1e-9
     lo, hi = f.extent
     for off in ([hi[0] + 1e-9, 0.5 * (lo[1] + hi[1])], [lo[0], lo[1] - 1e-9],
                 [hi[0] + 1.0, hi[1] + 1.0], [np.nan, lo[1]]):
+        bad = np.concatenate([pts[:3], [off]])
         with pytest.raises(ValueError):
-            f.value_and_gradient(np.concatenate([pts[:3], [off]]))
+            f(bad)
+        with pytest.raises(ValueError):
+            _gradient(f, bad)
 
 
 def test_spline_value_and_gradient_over_the_extent(rng):
@@ -207,7 +219,7 @@ def test_spline_value_and_gradient_over_the_extent(rng):
     u, v = inner[:, 0] - lo[0], inner[:, 1] - lo[1]
     exact = np.stack([-a * np.sin(a * u) * np.cos(2 * a * v) - 0.6 * a * np.sin(2 * a * u),
                       -2 * a * np.cos(a * u) * np.sin(2 * a * v)], axis=-1)
-    assert np.max(np.abs(f.value_and_gradient(inner)[1] - exact)) < 1e-4
+    assert np.max(np.abs(_gradient(f, inner) - exact)) < 1e-4
 
 
 @settings(deadline=None, max_examples=25)
@@ -224,50 +236,44 @@ def test_spline_value_and_gradient_on_random_grids(seed, spacing, origin):
     _check_value_and_gradient(f, _extent_points(f, rng, count=200))
 
 
-def test_gradient_into_is_value_and_gradients_gradient(rng):
-    # one evaluation behind both: the (2, n) buffer path gives the same bits,
-    # over the interior and the mirror-reflected edge cells, in one block
-    # and across several
+def test_spline_bits_do_not_depend_on_the_batch(rng):
+    # a point's value and gradient are its own spline sums: the same bits
+    # in one block, across several, and in any sub-batch
     f = GridField2D((-1.3, 0.4), 0.05, rng.normal(size=(40, 40)))
-    for pts in (_extent_points(f, rng, count=600), _extent_points(f, rng, count=20)):
-        out = np.empty((2, len(pts)))
-        f.gradient_into(np.ascontiguousarray(pts.T), out)
-        assert np.array_equal(out.T, f.value_and_gradient(pts)[1])
-    # points near one edge only, away from the others, so the taps of that
-    # edge alone decide whether a block is reflected: the value is still
-    # the mirrored spline's
-    lo, hi = f.extent
-    for axis in (0, 1):
-        for side in (lo[axis], hi[axis] - 1.5 * f.spacing):
-            pts = rng.uniform(lo + 2.0 * f.spacing, hi - 2.0 * f.spacing, size=(50, 2))
-            pts[:, axis] = rng.uniform(side, side + 1.5 * f.spacing, 50)
-            assert np.max(np.abs(f.value_and_gradient(pts)[0] - f(pts))) < 1e-14
+    pts = _extent_points(f, rng, count=600)
+    assert len(pts) > 1024
+    value, grad = f(pts), _gradient(f, pts)
+    for part in (slice(0, 7), slice(7, 1030), slice(1030, None)):
+        assert np.array_equal(f(pts[part]), value[part])
+        assert np.array_equal(_gradient(f, pts[part]), grad[part])
     # an interior point gets the same bits whether or not its block also
-    # holds an edge cell, whose taps are reflected
+    # holds a point in an edge cell
     inner = rng.uniform(f.extent[0] + 3 * f.spacing, f.extent[1] - 3 * f.spacing, size=(50, 2))
     edge = np.concatenate([inner, [f.extent[0]]])
-    assert np.array_equal(f.value_and_gradient(inner)[1], f.value_and_gradient(edge)[1][:-1])
+    assert np.array_equal(f(inner), f(edge)[:-1])
+    assert np.array_equal(_gradient(f, inner), _gradient(f, edge)[:-1])
 
 
 def test_extent_is_closed_at_the_upper_corner():
     f = GridField2D((-0.7, 0.3), 0.1, np.arange(400.0).reshape(20, 20) ** 0.5)
-    _, hi = f.extent
-    corner = hi[None, :].copy()
-    value, grad = f.value_and_gradient(corner)
-    assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
-    out = np.empty((2, 1))
-    f.gradient_into(corner.T.copy(), out)
-    assert np.array_equal(out.T, grad)
-    for axis in (0, 1):
-        past = corner.copy()
-        past[0, axis] = np.nextafter(past[0, axis], np.inf)
-        with pytest.raises(ValueError):
-            f.value_and_gradient(past)
-        out = np.full((2, 1), 7.0)
-        with pytest.raises(ValueError):
-            f.gradient_into(past.T.copy(), out)
-        # refused before anything is written
-        assert np.all(out == 7.0)
+    lo, hi = f.extent
+    for corner, away in ((hi, np.inf), (lo, -np.inf)):
+        corner = corner[None, :].copy()
+        assert np.all(np.isfinite(f(corner)))
+        out = np.empty((2, 1))
+        f.gradient_into(corner.T.copy(), out)
+        assert np.all(np.isfinite(out))
+        # one step past either edge through the corner is refused, before
+        # anything is written
+        for axis in (0, 1):
+            past = corner.copy()
+            past[0, axis] = np.nextafter(past[0, axis], away)
+            with pytest.raises(ValueError, match="extent"):
+                f(past)
+            out = np.full((2, 1), 7.0)
+            with pytest.raises(ValueError, match="extent"):
+                f.gradient_into(past.T.copy(), out)
+            assert np.all(out == 7.0)
 
 
 def test_node_points_are_built_once_and_read_only():

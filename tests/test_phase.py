@@ -254,6 +254,43 @@ def test_hj_residual_needs_three_uniform_samples():
         ph.hj_residual(skew, lambda a, q, p: 0.0)
 
 
+def test_hj_residual_hands_G_the_interior_nodes_only():
+    # E8's coarse level at grid_n 64: G sees only the (n - 4)^2 nodes the
+    # residual reduces over, and there E8's points q + J(p)/2 stay on the grid
+    from disclab.alexander import alexander_family
+
+    grid = square_grid(33)
+    fam = alexander_family(radial_bump(amp=0.05, rho=0.8, m=4))
+    samples = list(np.linspace(0.5, 1.0, 5))
+    fields, values = [], []
+    for a in samples:
+        f, v, _ = ph.phase_function_graphical(fam.at(a), grid=grid, dt=1e-2)
+        fields.append(f)
+        values.append(v)
+    pfam = ph.PhaseFamily(samples, fields, values)
+    seen = []
+
+    def G(a, q, p):
+        seen.append((a, q.copy(), p.copy()))
+        return a * q[..., 0] * p[..., 1]
+
+    rep = ph.hj_residual(pfam, G)
+    assert [a for a, _, _ in seen] == samples[1:-1]
+    lo, hi = grid.extent
+    want = 0.0
+    for i, (a, q, p) in enumerate(seen, start=1):
+        assert q.shape == p.shape == (29, 29, 2)
+        assert np.array_equal(q, grid.node_points()[2:-2, 2:-2])
+        z = q + 0.5 * jmap(p)
+        assert np.all((z >= lo) & (z <= hi))
+        # the residual over the whole grid, reduced over the same core
+        dfda = (fields[i + 1].values - fields[i - 1].values) / (2 * (samples[1] - samples[0]))
+        d1, d2 = np.gradient(fields[i].values, grid.spacing, edge_order=2)
+        full = dfda + a * grid.node_points()[..., 0] * d2
+        want = max(want, float(np.max(np.abs(full[2:-2, 2:-2]))))
+    assert rep.residual == want
+
+
 def test_phase_family_value_and_lipschitz():
     fam = make_linear_family()
     assert fam.value_at(1) == pytest.approx(0.15)
