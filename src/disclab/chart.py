@@ -23,16 +23,3 @@ def jmap(p):
     out[..., 1] = p[..., 0]
     return out
 
-
-def to_chart(x, y):
-    """Chart coordinates of the pair (x, y); accepts (..., 2) arrays.
-
-    Returns (bq, bp) arrays of the same shape.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    bq = 0.5 * (x + y)
-    bp = np.empty_like(bq)
-    bp[..., 0] = x[..., 1] - y[..., 1]   # P - p
-    bp[..., 1] = y[..., 0] - x[..., 0]   # q - Q
-    return bq, bp

@@ -141,7 +141,7 @@ def cmd_graphical(args):
 def cmd_phase(args):
     cfg = _config_from_args(args)
     F = make_family(cfg.family, cfg)
-    f, value, _ = ph.phase_function_graphical(F, grid=cfg.grid(), dt=cfg.dt)
+    f, value = ph.phase_function_graphical(F, grid=cfg.grid(), dt=cfg.dt)
     spread = float(np.ptp(f.values))
     print(f"identity-region value : {value:.9e}")
     print(f"spread (max - min)    : {spread:.9e}")

@@ -333,7 +333,7 @@ def _e4(cfg, measured, expected, passed):
     grid = cfg.grid()
     for name in ("radial_bump", "moving_bump", "twist"):
         F = make_family(name, cfg)
-        f, value, _ = ph.phase_function_graphical(F, grid=grid, dt=cfg.dt)
+        f, value = ph.phase_function_graphical(F, grid=grid, dt=cfg.dt)
         cal = cb.cal_path(F, grid)
         measured[f"{name}_identity_value"] = value
         measured[f"{name}_cal_over_vol"] = cal / VOL
@@ -357,7 +357,7 @@ def _e5(cfg, measured, expected, passed):
     grid = cfg.grid()
     for label, factor in (("loop", 1.0), ("loop_strong", 2.0)):
         L = loop_bump(amp=cfg.amp * factor, rho=cfg.rho, m=cfg.m)
-        f, value, _ = ph.phase_function_graphical(L, grid=grid, dt=cfg.dt)
+        f, value = ph.phase_function_graphical(L, grid=grid, dt=cfg.dt)
         spread = float(np.ptp(f.values))
         measured[f"{label}_spread"] = spread
         measured[f"{label}_value"] = value
@@ -408,7 +408,7 @@ def _e7(cfg, measured, expected, passed):
     passed["calabi_match"] = abs(cal_k - cal_h) <= tol_cal
     # generating function of the s-path vs the t-path
     grid = cfg.grid()
-    f_h, _, _ = ph.phase_function_graphical(H, grid=grid, dt=cfg.dt)
+    f_h, _ = ph.phase_function_graphical(H, grid=grid, dt=cfg.dt)
     K1 = sham.time_one_field()
     nodes = np.stack(grid.nodes(), axis=-1).reshape(-1, 2)
     img = integrate_points(K1, 0.0, 1.0, nodes, dt=max(cfg.dt, 2e-3))
@@ -434,7 +434,7 @@ def _e8(cfg, measured, expected, passed):
         sham = alx.s_hamiltonian(fam, s_samples=a_samples, nt=17, grid=grid, dt=dt)
         fields, values = [], []
         for a in a_samples:
-            f, v, _ = ph.phase_function_graphical(fam.at(a), grid=grid, dt=dt)
+            f, v = ph.phase_function_graphical(fam.at(a), grid=grid, dt=dt)
             fields.append(f)
             values.append(v)
         pfam = ph.PhaseFamily(list(a_samples), fields, values)
@@ -492,11 +492,11 @@ def _e9(cfg, measured, expected, passed):
     fields, values = [], []
     for a in scales:
         member = alx.rescale(L, a).hamiltonian
-        f, v, _ = ph.phase_function_graphical(member, grid=grid, dt=cfg.dt)
+        f, v = ph.phase_function_graphical(member, grid=grid, dt=cfg.dt)
         fields.append(f)
         values.append(v)
     fam = ph.PhaseFamily(scales, fields, values)
-    integrals, _ = ph.phase_integral(fam)
+    integrals = ph.phase_integral(fam)
     for a, ival in zip(scales, integrals):
         measured[f"integral_a_{a}"] = ival
     sup_f = float(np.max(np.abs(fields[-1].values)))

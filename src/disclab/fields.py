@@ -68,14 +68,6 @@ class ScalarTimeField:
     def has_gradient(self):
         return self._gradient is not None
 
-    def gradient(self, t, points):
-        """(dH/dq, dH/dp) at points of shape (..., 2), zero outside the support."""
-        points = np.asarray(points, dtype=np.float64)
-        z = np.ascontiguousarray(points.reshape(-1, 2).T)
-        grad = np.empty_like(z)
-        self.gradient_into(t, z, grad)
-        return grad.T.reshape(points.shape)
-
     def gradient_into(self, t, z, out):
         """Write (dH/dq, dH/dp) at points z, shape (2, n), into out, zero outside the support."""
         if self._gradient is None:

@@ -58,7 +58,7 @@ class NewtonError(RuntimeError):
 def vector_field(H, t, points):
     """X_H = (dH/dp, -dH/dq).
 
-    Uses H.gradient when H carries one; a black-box field is
+    Uses H.gradient_into when H carries a gradient; a black-box field is
     differentiated by the 4th-order centered stencil (+-FD_WIDTH,
     +-2 FD_WIDTH), whose bias is O(FD_WIDTH^4) where H is smooth.  Within
     2 FD_WIDTH of a C^(m-1) bump's edge circle the stencil straddles the
@@ -190,21 +190,13 @@ def integrate_segments(H, times, points, dt=1e-3):
 # PlaneMap
 
 
-def _node_grids(grid, img):
-    """Component grid fields of node images img, shape (n, n, 2) or (n*n, 2)."""
-    shape = grid.values.shape
-    return (grid.with_values(img[..., 0].reshape(shape)),
-            grid.with_values(img[..., 1].reshape(shape)))
-
-
 class PlaneMap:
     """A grid-sampled area-preserving map of the plane, identity outside support."""
 
-    def __init__(self, grid_x, grid_y, support_radius, inverse_grids=None):
+    def __init__(self, grid_x, grid_y, support_radius):
         self.grid_x = grid_x
         self.grid_y = grid_y
         self.support_radius = float(support_radius)
-        self._inverse_grids = inverse_grids
         self._jac_grids = None
 
     @property
@@ -213,15 +205,16 @@ class PlaneMap:
 
     @classmethod
     def identity(cls, grid, support_radius=0.8):
-        """The identity, stored as its own inverse."""
+        """The identity map sampled on grid."""
         qx, qy = grid.nodes()
-        gx, gy = grid.with_values(qx), grid.with_values(qy)
-        return cls(gx, gy, support_radius, inverse_grids=(gx, gy))
+        return cls(grid.with_values(qx), grid.with_values(qy), support_radius)
 
     @classmethod
-    def from_node_images(cls, grid, img, support_radius, **kw):
+    def from_node_images(cls, grid, img, support_radius):
         """The map sending the nodes of grid to img, shape (n, n, 2) or (n*n, 2)."""
-        return cls(*_node_grids(grid, img), support_radius, **kw)
+        shape = grid.values.shape
+        return cls(grid.with_values(img[..., 0].reshape(shape)),
+                   grid.with_values(img[..., 1].reshape(shape)), support_radius)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -295,9 +288,14 @@ class PlaneMap:
     # -- inversion ----------------------------------------------------------
 
     def newton_invert(self, targets):
-        """Solve phi(y) = target for each target by damped Newton, seeded at the targets."""
+        """Solve phi(y) = target for each target by damped Newton, seeded at the targets.
+
+        Every iterate is clipped to the grid's extent, so a target with no
+        preimage on the grid fails as a stalled Newton, not off the grid.
+        """
         tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         y = tgt.copy()
+        lo, hi = self.grid_x.extent
         g11, g12, g21, g22 = self._jacobian_grids()
         converged = False
         for _ in range(NEWTON_MAX_ITER):
@@ -327,7 +325,7 @@ class PlaneMap:
             # damp long steps to stay in the interpolation region
             norm = np.hypot(step[:, 0], step[:, 1])
             lam = np.where(norm > 0.25, 0.25 / np.maximum(norm, 1e-300), 1.0)
-            y[active] = ya - lam[:, None] * step
+            y[active] = np.clip(ya - lam[:, None] * step, lo, hi)
         if not converged:
             res = self(y) - tgt
             err = np.hypot(res[:, 0], res[:, 1])
@@ -338,15 +336,6 @@ class PlaneMap:
                     point=tgt[idx],
                 )
         return y.reshape(np.shape(targets))
-
-    def inverse(self):
-        """Inverse map, from stored backward-flow grids or Newton inversion."""
-        if self._inverse_grids is not None:
-            ix, iy = self._inverse_grids
-        else:
-            ix, iy = _node_grids(self.template, self.solve_at_nodes())
-        return PlaneMap(ix, iy, self.support_radius,
-                        inverse_grids=(self.grid_x, self.grid_y))
 
     def solve_at_nodes(self):
         """y with self(y) = q for every template node q inside the support.
@@ -388,17 +377,13 @@ class PlaneMap:
         return cls(gx, gy, meta["support_radius"])
 
 
-def flow_map(H, t, grid=None, dt=1e-3, with_inverse=False):
+def flow_map(H, t, grid=None, dt=1e-3):
     """Sample x -> phi_H^t(x) on the grid as a PlaneMap."""
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
     nodes = grid.node_points().reshape(-1, 2)
-    img = integrate_points(H, 0.0, t, nodes, dt)
-    inv_grids = None
-    if with_inverse:
-        inv_grids = _node_grids(grid, integrate_points(H, t, 0.0, nodes, dt))
-    return PlaneMap.from_node_images(grid, img, support, inverse_grids=inv_grids)
+    return PlaneMap.from_node_images(grid, integrate_points(H, 0.0, t, nodes, dt), support)
 
 
 @dataclass
@@ -493,24 +478,19 @@ def _segment(H, backward, cloud, nodes, t0, t1, dt):
     return integrate_points(H, t1, 0.0, nodes, dt)
 
 
-def hamiltonian_path(H, nt=17, grid=None, dt=1e-3, with_inverse=False):
+def hamiltonian_path(H, nt=17, grid=None, dt=1e-3):
     """Integrate the whole path once, storing maps at nt equi-spaced times.
 
-    The forward sweep of sweep_nodes runs segment by segment between the
-    stored times.  With with_inverse=True each map also stores the node
-    images of its inverse, from a backward sweep: one sweep over the same
-    nt - 1 segments for an autonomous H, a re-integration from each t_k
-    back to 0 otherwise.
+    One forward sweep of sweep_nodes runs segment by segment between the
+    stored times.  Inverses come from a backward sweep of sweep_nodes, or
+    from PlaneMap.newton_invert.
     """
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
-    sweeps = [(H, False), (H, True)] if with_inverse else [(H, False)]
     maps = [PlaneMap.identity(grid, support)]
-    for imgs in sweep_nodes(sweeps, nt, grid, dt):
-        inv_grids = _node_grids(grid, imgs[1]) if with_inverse else None
-        maps.append(PlaneMap.from_node_images(grid, imgs[0], support,
-                                              inverse_grids=inv_grids))
+    for (img,) in sweep_nodes([(H, False)], nt, grid, dt):
+        maps.append(PlaneMap.from_node_images(grid, img, support))
     return HamiltonianPath(H, list(np.linspace(0.0, 1.0, nt)), maps)
 
 

@@ -11,8 +11,7 @@ kappa; its potential is the generating function of the map.
 `recover_one_form` is the one graphicality gate: it builds kappa once,
 scans it once, and inverts that same kappa.  `scan` runs that scan alone
 and its result can be handed to `recover_one_form`, so a caller that
-reports the verdict first still scans once; `is_graphical` keeps only the
-verdict.
+reports the verdict first still scans once.
 """
 
 from dataclasses import dataclass
@@ -21,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import jmap
-from .calabi import plaquette_circulation, ray_primitives
+from .calabi import plaquette_circulation
 from .flows import NewtonError, PlaneMap
-from .grids import GridField2D, square_grid
+from .grids import GridField2D, cumulative_trapezoid, square_grid
 
 # kappa counts as a diffeomorphism only where min det d(kappa) exceeds this
 MIN_DET = 1e-3
@@ -41,9 +40,6 @@ class SymmetricMatrix2:
     a: float
     b: float
     c: float
-
-    def matrix(self):
-        return np.array([[self.a, self.c], [self.c, self.b]])
 
 
 def starshape_expansions(A, r):
@@ -96,12 +92,6 @@ def scan(phi):
     min_det = _min_det_inside(kappa)
     ok = min_det > MIN_DET and not _collision_probe(kappa)
     return Scan(kappa, ok, min_det)
-
-
-def is_graphical(phi):
-    """(graphical?, min det d(kappa)) by determinant scan + collision probe."""
-    _, ok, min_det = scan(phi)
-    return ok, min_det
 
 
 def _collision_probe(kappa):
@@ -189,12 +179,12 @@ def recover_one_form(phi, scanned=None):
     )
 
 
-def integrate_generating(alpha, base_value=0.0, full_output=False):
-    """g with dg = alpha by ray integration from the grid edge.
+def integrate_generating(alpha, base_value=0.0):
+    """g with dg = alpha by trapezoid row rays from the left grid edge.
 
-    g equals base_value on the left edge (outside the support).  The
-    column-ray family provides the path-independence monitor.  Rejects
-    one-forms whose plaquette circulation exceeds CIRCULATION_TOL.
+    g equals base_value on the left edge (outside the support).  Rejects
+    one-forms whose plaquette circulation exceeds CIRCULATION_TOL, so the
+    rays' path independence rests on that check.
     """
     residual = alpha.closedness_residual()
     if residual > CIRCULATION_TOL:
@@ -203,17 +193,8 @@ def integrate_generating(alpha, base_value=0.0, full_output=False):
             "not closed enough to integrate"
         )
     grid = alpha.template
-    rows, cols = ray_primitives(alpha.a1.values, alpha.a2.values, grid.spacing)
-    g_rows = base_value + rows
-    g_cols = base_value + cols
-    path_independence = float(np.max(np.abs(g_rows - g_cols)))
-    g = grid.with_values(g_rows)
-    if full_output:
-        return g, {
-            "circulation": residual,
-            "path_independence": path_independence,
-        }
-    return g
+    rays = cumulative_trapezoid(alpha.a1.values, dx=grid.spacing, axis=0)
+    return grid.with_values(base_value + rays)
 
 
 # ---------------------------------------------------------------------------

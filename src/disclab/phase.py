@@ -21,8 +21,6 @@ the map) plus the identity-region value int_0^1 c(s) ds, where c is the
 offset that normalizes the Hamiltonian on the sphere model.
 """
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 from .calabi import normalize_on_sphere
 from .flows import flow_map, integrate_segments
 from .graphical import integrate_generating, recover_one_form
-from .grids import SPHERE_VOLUME, GridField2D, square_grid
+from .grids import SPHERE_VOLUME, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def basic_generating(F, grid=None, dt=1e-3, nu=101):
 
 
 def phase_function_graphical(F, grid=None, dt=1e-3):
-    """The phase function f of the time-1 graph, on the chart grid.
+    """(f, value): the phase function of the time-1 graph on the chart grid, and its value.
 
     f = (ray-integrated potential of the recovered one-form)
         + int_0^1 c(s) ds,
@@ -156,8 +154,7 @@ def phase_function_graphical(F, grid=None, dt=1e-3):
     nf = normalize_on_sphere(F, grid=grid)
     alpha = recover_one_form(flow_map(F, 1.0, grid=grid, dt=dt))
     value = nf.offset_integral()
-    g = integrate_generating(alpha, base_value=value)
-    return g, value, alpha
+    return integrate_generating(alpha, base_value=value), value
 
 
 # ---------------------------------------------------------------------------
@@ -170,39 +167,7 @@ class PhaseFamily:
 
     parameter_samples: list
     fields: list                      # GridField2D per parameter
-    normalization_value: object       # scalar, or one value per member
-
-    def value_at(self, idx):
-        if np.isscalar(self.normalization_value):
-            return float(self.normalization_value)
-        return float(self.normalization_value[idx])
-
-    # -- serialization -----------------------------------------------------
-
-    def save(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        norm = self.normalization_value
-        manifest = {
-            "parameter_samples": [float(s) for s in self.parameter_samples],
-            "normalization_value": norm if np.isscalar(norm) else list(norm),
-        }
-        with open(os.path.join(directory, "manifest.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        for k, f in enumerate(self.fields):
-            f.to_csv(os.path.join(directory, f"member_{k:03d}.csv"))
-
-    @classmethod
-    def load(cls, directory):
-        with open(os.path.join(directory, "manifest.json"),
-                  encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        samples = manifest["parameter_samples"]
-        fields = [
-            GridField2D.from_csv(os.path.join(directory, f"member_{k:03d}.csv"))
-            for k in range(len(samples))
-        ]
-        return cls(samples, fields, manifest["normalization_value"])
+    normalization_value: list         # identity-region value per member
 
 
 @dataclass
@@ -248,17 +213,11 @@ def phase_integral(family):
 
     I = int (f - value) over the chart + value * vol(sphere); the first
     term is supported in the chart grid, the second accounts for the
-    constant value on the rest of the sphere model.  Also returns the
-    discrete derivative I'(a).
+    constant value on the rest of the sphere model.
     """
     out = []
-    for idx, f in enumerate(family.fields):
-        value = family.value_at(idx)
+    for f, value in zip(family.fields, family.normalization_value):
+        value = float(value)
         bulk = float(np.sum(f.values - value)) * f.spacing**2
         out.append(bulk + value * SPHERE_VOLUME)
-    samples = np.asarray(family.parameter_samples, dtype=np.float64)
-    if samples.size >= 2:
-        deriv = list(np.gradient(np.asarray(out), samples))
-    else:
-        deriv = [0.0]
-    return out, deriv
+    return out

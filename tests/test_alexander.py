@@ -203,7 +203,26 @@ def test_s_hamiltonian_reuses_the_mid_path_at_the_upper_end(bump, monkeypatch, s
 
 
 # s_hamiltonian as it stood when each s sample made separate hamiltonian_path
-# sweeps and evaluated its integrand at every node, kept verbatim.
+# sweeps and evaluated its integrand at every node, kept verbatim but for the
+# inverse of the mid path, which hamiltonian_path stored then and
+# _backward_sweep now gives with the same bits.
+
+
+def _backward_sweep(H, nt, grid, dt):
+    """(phi_H^{t_k})^{-1} at the nodes, k = 0, ..., nt - 1, as (n, n, 2) arrays.
+
+    An autonomous H chains integrate_points(H, t_k, t_{k-1}, ...) from the
+    previous image; any other H is re-integrated from t_k back to 0.
+    """
+    nodes = grid.node_points().reshape(-1, 2)
+    times = np.linspace(0.0, 1.0, nt)
+    images = [nodes]
+    for k in range(1, nt):
+        if H.is_autonomous:
+            images.append(integrate_points(H, times[k], times[k - 1], images[-1], dt))
+        else:
+            images.append(integrate_points(H, times[k], 0.0, nodes, dt))
+    return [img.reshape(grid.values.shape + (2,)) for img in images]
 
 
 def _swept_path_s_hamiltonian(family, s_samples, nt, grid, dt, h_s=1e-3):
@@ -213,7 +232,8 @@ def _swept_path_s_hamiltonian(family, s_samples, nt, grid, dt, h_s=1e-3):
     support = family.support_radius
     for s in s_samples:
         H_mid = family.at(s)
-        path_mid = hamiltonian_path(H_mid, nt, grid, dt, with_inverse=True)
+        path_mid = hamiltonian_path(H_mid, nt, grid, dt)
+        inverse_mid = _backward_sweep(H_mid, nt, grid, dt)
         if s + h_s <= 1.0:
             # centered stencil
             stencil = [(s + h_s, 0.5 / h_s), (s - h_s, -0.5 / h_s)]
@@ -230,7 +250,7 @@ def _swept_path_s_hamiltonian(family, s_samples, nt, grid, dt, h_s=1e-3):
                 sidearms.append((Hs, hamiltonian_path(Hs, nt, grid, dt), cv))
         integrands = []
         for k, u in enumerate(times):
-            y = np.stack(path_mid.maps[k].inverse().node_images(), axis=-1)
+            y = inverse_mid[k]
             val = np.zeros_like(qx)
             for Hs, path_s, coeff in sidearms:
                 val += coeff * Hs(u, path_s.maps[k](y))

@@ -4,9 +4,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.chart import jmap, to_chart
+from disclab.chart import jmap
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def to_chart(x, y):
+    """Chart coordinates (bq, bp) of the pair (x, y), arrays of shape (..., 2)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    bq = 0.5 * (x + y)
+    bp = np.empty_like(bq)
+    bp[..., 0] = x[..., 1] - y[..., 1]   # P - p
+    bp[..., 1] = y[..., 0] - x[..., 0]   # q - Q
+    return bq, bp
 
 
 def test_jmap_is_quarter_turn():

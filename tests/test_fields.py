@@ -83,13 +83,16 @@ def test_gradient_is_masked_like_values():
 
     H = ScalarTimeField(lambda t, pts: np.ones(pts.shape[:-1]), 0.8, gradient=grad)
     pts = np.array([[0.1, 0.2], [0.9, 0.0], [0.0, -0.8]])
+    z = np.ascontiguousarray(pts.T)
+    out = np.full_like(z, np.nan)
     assert H.has_gradient
-    assert np.array_equal(H.gradient(0.5, pts), [[0.5, 0.1], [0.0, 0.0], [0.0, 0.0]])
+    H.gradient_into(0.5, z, out)
+    assert np.array_equal(out.T, [[0.5, 0.1], [0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(H(0.5, pts), [1.0, 0.0, 0.0])
     plain = ScalarTimeField(lambda t, pts: np.ones(pts.shape[:-1]), 0.8)
     assert not plain.has_gradient and not radial_bump().has_gradient
     with pytest.raises(TypeError):
-        plain.gradient(0.0, pts)
+        plain.gradient_into(0.0, z, out)
 
 
 def test_evaluator_runs_only_inside_the_support():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from disclab import kernels
 from disclab.fields import (ScalarTimeField, loop_bump, moving_bump, radial_bump,
                             twist_bump, zero_field)
-from disclab.flows import (FD_WIDTH, PlaneMap, _simpson_weights, flow_map, hamiltonian_path,
-                           hofer_length, integrate_points, osc_on_grid, sweep_nodes,
-                           time_integral, vector_field)
+from disclab.flows import (FD_WIDTH, NewtonError, PlaneMap, _simpson_weights, flow_map,
+                           hamiltonian_path, hofer_length, integrate_points, osc_on_grid,
+                           sweep_nodes, time_integral, vector_field)
 from disclab.grids import square_grid
 
 
@@ -297,8 +297,10 @@ def test_spline_field_path_bits_match_unblocked_loop(t0, t1):
 
 
 # The gradient callback of integrate_points for a spline-backed field as it
-# was before gradients were written into the stage buffers, kept verbatim:
-# vector_field -> ScalarTimeField.gradient -> GridField2D.value_and_gradient.
+# was before gradients were written into the stage buffers, kept verbatim.
+# It ran vector_field through two evaluators deleted since, a ScalarTimeField
+# gradient of (..., 2) points and GridField2D's value-and-gradient, copied
+# here as _head_time_one_gradient and _head_value_and_gradient.
 
 _HEAD_BSPLINE3 = np.array([
     [1.0, -3.0, 3.0, -1.0], [4.0, 0.0, -6.0, 3.0],
@@ -355,7 +357,7 @@ def _head_spline_block(self, flat):
 
 
 def _head_time_one_gradient(sham, s, points):
-    # ScalarTimeField.gradient of SHamiltonian.time_one_field()
+    # the deleted ScalarTimeField gradient of SHamiltonian.time_one_field()
     points = np.asarray(points, dtype=np.float64)
     grad = np.asarray(_head_value_and_gradient(sham.field_at(s, 1.0), points)[1],
                       dtype=np.float64)
@@ -423,11 +425,14 @@ def test_spline_time_one_flow_bits_match_stacked_callback(case):
     want = _head_integrate_time_one(sham, 0.0, t1, pts, dt)
     assert np.max(np.abs(want - pts)) > 1e-3
     assert np.array_equal(got, want)
-    # vector_field and ScalarTimeField.gradient keep their values too
+    # vector_field and ScalarTimeField.gradient_into keep their values too
     K1 = sham.time_one_field()
     stage = got[live]
-    assert np.array_equal(K1.gradient(0.5, stage), _head_time_one_gradient(sham, 0.5, stage))
     grad = _head_time_one_gradient(sham, 0.5, stage)
+    z = np.ascontiguousarray(stage.T)
+    out = np.empty_like(z)
+    K1.gradient_into(0.5, z, out)
+    assert np.array_equal(out.T, grad)
     assert np.array_equal(vector_field(K1, 0.5, stage),
                           np.stack([grad[:, 1], -grad[:, 0]], axis=-1))
 
@@ -555,25 +560,25 @@ def test_map_is_identity_outside_support(bump_map_257):
 
 def test_newton_inverse_round_trip(bump_map_257):
     pts = np.array([[0.25, 0.1], [0.5, -0.3], [0.0, 0.6]])
-    inv = bump_map_257.inverse()
-    back = inv(bump_map_257(pts))
+    back = bump_map_257.newton_invert(bump_map_257(pts))
     assert np.max(np.abs(back - pts)) < 1e-5
 
 
-def test_backward_integration_inverse(bump):
-    grid = square_grid(129)
-    phi = flow_map(bump, 1.0, grid=grid, dt=1e-3, with_inverse=True)
-    inv = phi.inverse()
-    pts = np.array([[0.3, 0.2], [-0.1, 0.45]])
-    assert np.max(np.abs(inv(phi(pts)) - pts)) < 1e-6
-    # inverse of the inverse restores the forward grids
-    assert inv.inverse().grid_x is phi.grid_x
-
-
 def test_compose_with_inverse_is_identity(bump_map_129):
-    nodes = bump_map_129.template.node_points()
-    back = bump_map_129.inverse()(bump_map_129(nodes))
+    nodes = bump_map_129.template.node_points().reshape(-1, 2)
+    back = bump_map_129.newton_invert(bump_map_129(nodes))
     assert np.max(np.hypot(*(back - nodes).T)) < 1e-5
+
+
+def test_newton_iterates_stay_on_the_grid():
+    # a shift by 0.6 has no preimage of (-0.7, 0) on a grid of extent 1.05:
+    # damped steps drive the iterate past the grid's left edge, where it is
+    # clipped, and Newton stalls there instead of leaving the grid
+    grid = square_grid(33)
+    phi = PlaneMap.from_node_images(grid, grid.node_points() + (0.6, 0.0), 1.0)
+    with pytest.raises(NewtonError, match="Newton stalled") as err:
+        phi.newton_invert([[-0.7, 0.0]])
+    assert np.array_equal(err.value.point, [-0.7, 0.0])
 
 
 def test_map_save_load(tmp_path, bump_map_129):
@@ -623,29 +628,15 @@ def test_paths_reject_fewer_than_two_times(bump, nt):
         next(sweep_nodes([(bump, False)], nt, grid, 1e-2))
 
 
-def test_path_start_is_its_own_inverse(bump, monkeypatch):
-    grid = square_grid(65)
-    path = hamiltonian_path(bump, nt=3, grid=grid, dt=2e-3, with_inverse=True)
-
-    def no_newton(self, *args, **kwargs):
-        raise AssertionError("the identity map was Newton-inverted")
-
-    monkeypatch.setattr(PlaneMap, "newton_invert", no_newton)
-    nodes = np.stack(grid.nodes(), axis=-1)
-    inv = path.maps[0].inverse()
-    assert np.array_equal(np.stack(inv.node_images(), axis=-1), nodes)
-    # the cubic spline reproduces its node values up to rounding
-    assert np.max(np.abs(inv(nodes) - nodes)) < 1e-15
-
-
-def _stored_inverse_nodes(path):
-    return [np.stack([v.ravel() for v in m.inverse().node_images()], axis=-1)
-            for m in path.maps]
+def _swept_inverse_nodes(H, grid, nt, dt):
+    # the backward sweep, beside a forward one of the same H, at t_1, ..., 1
+    return [imgs[1] for imgs in sweep_nodes([(H, False), (H, True)], nt, grid, dt)]
 
 
 def _reintegrated_inverse_nodes(H, grid, nt, dt):
+    # (phi^t)^{-1}(nodes) integrated back to 0 from each t_k, k >= 1
     nodes = np.stack([c.ravel() for c in grid.nodes()], axis=-1)
-    return [integrate_points(H, t, 0.0, nodes, dt) for t in np.linspace(0.0, 1.0, nt)]
+    return [integrate_points(H, t, 0.0, nodes, dt) for t in np.linspace(0.0, 1.0, nt)[1:]]
 
 
 def test_autonomous_inverses_come_from_one_backward_sweep(monkeypatch):
@@ -659,15 +650,16 @@ def test_autonomous_inverses_come_from_one_backward_sweep(monkeypatch):
         return kernel(pts, dt, nsteps, *args)
 
     monkeypatch.setattr(kernels, "rk4_bump_flow", counting)
-    path = hamiltonian_path(H, nt=17, grid=grid, dt=4e-3, with_inverse=True)
+    inverses = _swept_inverse_nodes(H, grid, 17, 4e-3)
     monkeypatch.undo()
     # one segment per stored time in each direction, with equal step counts
     forward = [n for n in steps if n > 0]
     backward = [-n for n in steps if n < 0]
     assert len(forward) == len(backward) == 16
     assert forward == backward
-    for got, want in zip(_stored_inverse_nodes(path),
-                         _reintegrated_inverse_nodes(H, grid, 17, 4e-3)):
+    wants = _reintegrated_inverse_nodes(H, grid, 17, 4e-3)
+    assert len(inverses) == len(wants) == 16
+    for got, want in zip(inverses, wants):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -675,9 +667,10 @@ def test_autonomous_inverses_come_from_one_backward_sweep(monkeypatch):
 def test_nonautonomous_inverses_are_reintegrated(family):
     H = family(amp=0.05)
     grid = square_grid(65)
-    path = hamiltonian_path(H, nt=5, grid=grid, dt=4e-3, with_inverse=True)
-    for got, want in zip(_stored_inverse_nodes(path),
-                         _reintegrated_inverse_nodes(H, grid, 5, 4e-3)):
+    inverses = _swept_inverse_nodes(H, grid, 5, 4e-3)
+    wants = _reintegrated_inverse_nodes(H, grid, 5, 4e-3)
+    assert len(inverses) == len(wants) == 4
+    for got, want in zip(inverses, wants):
         assert np.array_equal(got, want)
 
 

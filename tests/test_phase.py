@@ -152,8 +152,10 @@ def test_frozen_seeds_share_the_trapezoid_offset_integral(tau, grid65):
 
 
 @pytest.fixture(scope="module")
-def bump_phase(bump, grid257):
-    return ph.phase_function_graphical(bump, grid=grid257, dt=1e-3)
+def bump_phase(bump, grid257, bump_map_257):
+    """f, its identity-region value, and the one-form f integrates."""
+    f, value = ph.phase_function_graphical(bump, grid=grid257, dt=1e-3)
+    return f, value, recover_one_form(bump_map_257)
 
 
 def test_phase_value_is_cal_over_vol(bump_phase, bump, grid257):
@@ -215,8 +217,8 @@ def test_phase_lipschitz_in_the_hamiltonian(grid257):
     # sup |f_H - f_H'| bounded by the Hofer distance of the Hamiltonians
     H1 = radial_bump(amp=0.05, rho=0.8, m=4)
     H2 = radial_bump(amp=0.06, rho=0.8, m=4)
-    f1, _, _ = ph.phase_function_graphical(H1, grid=grid257, dt=2e-3)
-    f2, _, _ = ph.phase_function_graphical(H2, grid=grid257, dt=2e-3)
+    f1, _ = ph.phase_function_graphical(H1, grid=grid257, dt=2e-3)
+    f2, _ = ph.phase_function_graphical(H2, grid=grid257, dt=2e-3)
     gap = float(np.max(np.abs(f1.values - f2.values)))
     assert gap <= 0.01 * 1.001   # ||H1 - H2||_osc = 0.01
 
@@ -264,7 +266,7 @@ def test_hj_residual_hands_G_the_interior_nodes_only():
     samples = list(np.linspace(0.5, 1.0, 5))
     fields, values = [], []
     for a in samples:
-        f, v, _ = ph.phase_function_graphical(fam.at(a), grid=grid, dt=1e-2)
+        f, v = ph.phase_function_graphical(fam.at(a), grid=grid, dt=1e-2)
         fields.append(f)
         values.append(v)
     pfam = ph.PhaseFamily(samples, fields, values)
@@ -292,25 +294,13 @@ def test_hj_residual_hands_G_the_interior_nodes_only():
 
 
 def test_phase_family_value_and_lipschitz():
+    # each member's integral takes that member's value: f - v_a = q1 has
+    # chart integral 0 on the symmetric grid, so I(a) = v_a * vol
     fam = make_linear_family()
-    assert fam.value_at(1) == pytest.approx(0.15)
-
-
-def test_phase_family_constant_scalar_value():
-    grid = square_grid(17, extent=0.5)
-    f = grid.with_values(np.full((17, 17), 0.25))
-    fam = ph.PhaseFamily([0.0], [f], 0.25)
-    assert fam.value_at(0) == 0.25
-
-
-def test_phase_family_save_load(tmp_path):
-    fam = make_linear_family()
-    fam.save(tmp_path / "family")
-    back = ph.PhaseFamily.load(tmp_path / "family")
-    assert back.parameter_samples == fam.parameter_samples
-    assert back.normalization_value == fam.normalization_value
-    for a, b in zip(back.fields, fam.fields):
-        assert np.array_equal(a.values, b.values)
+    assert fam.normalization_value[1] == pytest.approx(0.15)
+    integrals = ph.phase_integral(fam)
+    for ival, v in zip(integrals, fam.normalization_value):
+        assert ival == pytest.approx(v * SPHERE_VOLUME, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +368,18 @@ def test_phase_integral_of_constant_family():
     grid = square_grid(33, extent=1.0)
     v = 0.4
     f = grid.with_values(np.full((33, 33), v))
-    fam = ph.PhaseFamily([0.0, 0.5, 1.0], [f, f, f], v)
-    integrals, deriv = ph.phase_integral(fam)
+    fam = ph.PhaseFamily([0.0, 0.5, 1.0], [f, f, f], [v, v, v])
+    integrals = ph.phase_integral(fam)
     for ival in integrals:
         assert ival == pytest.approx(v * SPHERE_VOLUME, rel=1e-12)
+    deriv = np.gradient(np.asarray(integrals), fam.parameter_samples)
     assert np.max(np.abs(deriv)) < 1e-12
 
 
 def test_phase_integral_at_time_one(bump_phase, bump, grid257):
     f, value, _ = bump_phase
-    fam = ph.PhaseFamily([1.0], [f], value)
-    integrals, _ = ph.phase_integral(fam)
+    fam = ph.PhaseFamily([1.0], [f], [value])
+    integrals = ph.phase_integral(fam)
     # the chart integral of the potential cancels the identity-region
     # contribution value * vol: the phase integral vanishes
     cal = cal_path(bump, grid257)
