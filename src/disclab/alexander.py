@@ -40,7 +40,7 @@ class RescaledPath:
 
 
 def rescale(H, a, eta=None):
-    """Rescaled path Hamiltonian a^2 H(t, x/a) for a in (0, 1]."""
+    """Rescaled path Hamiltonian a^2 H(t, x/a) of a SeparableBump H, for a in (0, 1]."""
     a = float(a)
     if not 0.0 < a <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {a}")
@@ -52,13 +52,11 @@ def rescale(H, a, eta=None):
         raise ValueError(
             f"support radius {H.support_radius} exceeds 1 - eta = {1.0 - eta}"
         )
+    if not isinstance(H, SeparableBump):
+        raise TypeError(f"rescale needs a SeparableBump, got {type(H).__name__}")
     if a == 1.0:
         return RescaledPath(H, 1.0, eta, H)
-    if isinstance(H, SeparableBump):
-        ham = H.rescaled(a)
-    else:
-        ham = ScalarTimeField(lambda t, pts: a * a * H(t, pts / a), a * H.support_radius)
-    return RescaledPath(H, a, eta, ham)
+    return RescaledPath(H, a, eta, H.rescaled(a))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ class TwoParameterFamily:
 
 def linear_family(H):
     """H(s) = s * H: the straight-line two-parameter family with H(0) = 0."""
-    return TwoParameterFamily(lambda s: H.scaled(s), H.support_radius)
+    return TwoParameterFamily(H.amplified, H.support_radius)
 
 
 def alexander_family(H, eta=None):
@@ -274,7 +272,7 @@ class ShrinkDiagnostics:
 
 
 def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
-    """K_i(t,x) = a_i^{-2} H(t, x/a_i): constant Calabi, shrinking support.
+    """K_i(t,x) = a_i^{-2} H(t, x/a_i) of a SeparableBump H: constant Calabi, shrinking support.
 
     Diagnostics per member: Calabi invariant, C0 distance of the time-one
     map to the identity, Hofer length.  Each member is measured on a grid
@@ -290,14 +288,12 @@ def shrinking_calabi_sequence(H, scales, node_count=257, grid=None, nt=129):
         raise ValueError("scales must be strictly decreasing")
     if H.support_radius is None:
         raise ValueError("need a compactly supported Hamiltonian")
-    exact = isinstance(H, SeparableBump) and H.is_radial()
+    if not isinstance(H, SeparableBump):
+        raise TypeError(f"the shrinking sequence needs a SeparableBump, got {type(H).__name__}")
+    exact = H.is_radial()
     out = []
     for a in scales:
-        if isinstance(H, SeparableBump):
-            member = H.rescaled(a).amplified(a ** -4)
-        else:
-            member = ScalarTimeField(lambda t, pts, a=a: H(t, pts / a) / (a * a),
-                                     a * H.support_radius)
+        member = H.rescaled(a).amplified(a ** -4)
         if grid is not None:
             if a * H.support_radius < 4.0 * grid.spacing:
                 raise ValueError(

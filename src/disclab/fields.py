@@ -7,12 +7,13 @@ SeparableBump family
     H(t, x) = amp * tau(t) * (1 - |x - c(t)|^2 / rho^2)^m,  m >= 2,
 
 carries enough algebraic structure for the closed-form vector field of the
-bump flow kernel (disclab.kernels) and for exact rescaling; everything
-else goes through the generic evaluator path.  Its value takes the one
-profile power u^m by repeated multiplication, in place, as the kernel
-takes u^(m-1), and needs no support mask when its center is fixed.
-A fixed-center bump with a time factor is tau(t) times one spatial
-profile, and declares so through `time_profiles`.
+bump flow kernel (disclab.kernels) and for exact rescaling; any other
+field that is flowed carries a gradient evaluator, from which the flows
+take X_H.  Its value takes the one profile power u^m by repeated
+multiplication, in place, as the kernel takes u^(m-1), and needs no
+support mask when its center is fixed.  A fixed-center bump with a time
+factor is tau(t) times one spatial profile, and declares so through
+`time_profiles`.
 """
 
 import functools
@@ -31,7 +32,8 @@ class ScalarTimeField:
     inside the support and is zero at the others.  An optional gradient
     evaluator, gradient(t, z, out), writes (dH/dq, dH/dp) at points z of
     shape (2, n) into out of shape (2, n), the layout of the RK4 loop's
-    stage buffers; flows then use it instead of finite differences.
+    stage buffers; flows take X_H from it.  A field without one can be
+    evaluated and integrated, but not flowed.
 
     A field that is a fixed set of spatial profiles with time weights,
     H(t, .) = sum_i w_i(t) * P_i, declares it through `time_profiles`:
@@ -64,10 +66,6 @@ class ScalarTimeField:
         vals[inside] = self._evaluator(t, points[inside])
         return vals
 
-    @property
-    def has_gradient(self):
-        return self._gradient is not None
-
     def gradient_into(self, t, z, out):
         """Write (dH/dq, dH/dp) at points z, shape (2, n), into out, zero outside the support."""
         if self._gradient is None:
@@ -80,9 +78,6 @@ class ScalarTimeField:
 
     def _outside(self, x, y):
         return np.hypot(x, y) >= self.support_radius
-
-    def scaled(self, factor):
-        return ScalarTimeField(lambda t, pts: factor * self(t, pts), self.support_radius)
 
 
 def _zero_gradient(t, z, out):
@@ -184,10 +179,6 @@ class SeparableBump(ScalarTimeField):
         if self.center is None:
             return np.zeros(2)
         return np.asarray(self.center(t), dtype=np.float64)
-
-    def scaled(self, factor):
-        # keep the structured family so flows stay on the bump kernel
-        return self.amplified(factor)
 
     def rescaled(self, a):
         """The rescaled-path Hamiltonian a^2 H(t, x/a): same family, shrunk."""

@@ -4,12 +4,12 @@ Sign convention: Omega = dq^dp and i_{X_H} Omega = dH, so
 X_H = (dH/dp, -dH/dq).  Every flow runs through the one classical RK4
 stepper, disclab.kernels.rk4: one in-place loop over blocks of live
 points, with a field callback that writes X_H into the loop's (2, n)
-stage buffers.  A separable bump hands it the closed-form X_H of
-kernels.rk4_bump_flow.  A field that carries a gradient evaluator
-(grid-backed fields differentiate their cubic spline analytically) writes
-its gradient at the stage points straight into a scratch buffer, from
-which the callback takes X_H.  Any other field is differentiated by
-vector_field's 4th-order centered differences of width FD_WIDTH.
+stage buffers.  X_H has two sources.  A separable bump hands the stepper
+the closed-form X_H of kernels.bump_field.  Any other field writes its
+gradient at the stage points straight into a scratch buffer through
+ScalarTimeField.gradient_into (grid-backed fields differentiate their
+cubic spline analytically), and the callback takes X_H from it; a field
+without a gradient evaluator raises gradient_into's TypeError.
 Symplecticity is monitored, not enforced.  Points starting outside the
 support radius never move.
 
@@ -34,9 +34,6 @@ from . import kernels
 from .fields import SeparableBump
 from .grids import GridField2D, centered_diff4, square_grid
 
-# width of the finite-difference stencil for fields without a gradient
-FD_WIDTH = 1e-4
-
 # Newton inversion stops once every residual is under NEWTON_TOL; after
 # NEWTON_MAX_ITER steps it still accepts residuals up to 1e-8
 NEWTON_TOL = 1e-10
@@ -52,43 +49,7 @@ class NewtonError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# vector field and point integration
-
-
-def vector_field(H, t, points):
-    """X_H = (dH/dp, -dH/dq).
-
-    Uses H.gradient_into when H carries a gradient; a black-box field is
-    differentiated by the 4th-order centered stencil (+-FD_WIDTH,
-    +-2 FD_WIDTH), whose bias is O(FD_WIDTH^4) where H is smooth.  Within
-    2 FD_WIDTH of a C^(m-1) bump's edge circle the stencil straddles the
-    kink and the bias is only O(FD_WIDTH^(m-1)): against the closed-form
-    X_H of separable bumps the gap there reached 1.1e-4, 1.9e-7 and
-    4.2e-10 at m = 2, 3 and 4.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if getattr(H, "has_gradient", False):
-        z = np.ascontiguousarray(pts.reshape(-1, 2).T)
-        out = np.empty_like(z)
-        _gradient_x_h(H, t, z, np.empty_like(z), out)
-        return out.T.reshape(np.shape(points))
-    out = np.stack([_fd4_partial(H, t, pts, 1), -_fd4_partial(H, t, pts, 0)], axis=-1)
-    return out.reshape(np.shape(points))
-
-
-def _gradient_x_h(H, t, z, grad, out):
-    """Write X_H at points z, shape (2, n), into out from H's gradient, via grad."""
-    H.gradient_into(t, z, grad)
-    out[0] = grad[1]
-    np.negative(grad[0], out=out[1])
-
-
-def _fd4_partial(H, t, pts, axis):
-    """dH/dx_axis by the 4th-order centered stencil of width FD_WIDTH."""
-    e = np.zeros(2)
-    e[axis] = FD_WIDTH
-    return (8.0 * (H(t, pts + e) - H(t, pts - e))
-            - (H(t, pts + 2.0 * e) - H(t, pts - 2.0 * e))) / (12.0 * FD_WIDTH)
+# point integration
 
 
 def _bump_levels(H, t0, dt, nsteps):
@@ -146,19 +107,17 @@ def _rk4_segment(H, t0, t1, dt):
         field, _ = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps))
         return field, step, nsteps
     offsets = (0.0, 0.5 * step, step)
+    scratch = {}
 
-    if getattr(H, "has_gradient", False):
-        scratch = {}
-
-        def field(z, k, j, out):
-            n = z.shape[1]
-            if n not in scratch:
-                scratch[n] = np.empty((2, n))
-            _gradient_x_h(H, t0 + k * step + offsets[j], z, scratch[n], out)
-    else:
-        def field(z, k, j, out):
-            out[:] = vector_field(H, t0 + k * step + offsets[j],
-                                  np.stack([z[0], z[1]], axis=-1)).T
+    def field(z, k, j, out):
+        # X_H = (dH/dp, -dH/dq) from the gradient H writes into a scratch buffer
+        n = z.shape[1]
+        if n not in scratch:
+            scratch[n] = np.empty((2, n))
+        grad = scratch[n]
+        H.gradient_into(t0 + k * step + offsets[j], z, grad)
+        out[0] = grad[1]
+        np.negative(grad[0], out=out[1])
 
     return field, step, nsteps
 
@@ -290,10 +249,11 @@ class PlaneMap:
     def newton_invert(self, targets):
         """Solve phi(y) = target for each target by damped Newton, seeded at the targets.
 
+        targets has shape (..., 2); the preimages come back in that shape.
         Every iterate is clipped to the grid's extent, so a target with no
         preimage on the grid fails as a stalled Newton, not off the grid.
         """
-        tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        tgt = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
         y = tgt.copy()
         lo, hi = self.grid_x.extent
         g11, g12, g21, g22 = self._jacobian_grids()

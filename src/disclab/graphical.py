@@ -3,10 +3,12 @@
 A map phi is graphical when its graph, written in the midpoint chart,
 projects one-to-one onto the diagonal.  The working criterion is the
 midpoint map kappa(y) = (y + phi(y)) / 2: phi is graphical iff kappa is
-a diffeomorphism, certified here by a determinant scan plus a sampled
-collision probe.  The graph of a graphical Hamiltonian map is the image
-of a closed one-form, recovered node-by-node by Newton inversion of
-kappa; its potential is the generating function of the map.
+a diffeomorphism, certified here by a determinant scan.  kappa is the
+identity outside the support, so it is proper, and a proper local
+diffeomorphism of the plane is a diffeomorphism: det d(kappa) > 0
+suffices.  The graph of a graphical Hamiltonian map is the image of a
+closed one-form, recovered node-by-node by Newton inversion of kappa;
+its potential is the generating function of the map.
 
 `recover_one_form` is the one graphicality gate: it builds kappa once,
 scans it once, and inverts that same kappa.  `scan` runs that scan alone
@@ -82,37 +84,13 @@ class Scan(NamedTuple):
 def scan(phi):
     """The one graphicality scan of phi.
 
-    The determinant scan certifies that kappa is a local diffeomorphism
-    inside the support.  Only if it passes does the collision probe run:
-    it hashes the kappa-images of the grid nodes into half-cell bins and
-    fails if two nodes with distant preimages collide -- a sampled
-    certificate of global injectivity.
+    phi is graphical when min det d(kappa) over the nodes inside the
+    support exceeds MIN_DET: kappa is then a local diffeomorphism there,
+    and, being proper, a diffeomorphism.
     """
     kappa = midpoint_map(phi)
     min_det = _min_det_inside(kappa)
-    ok = min_det > MIN_DET and not _collision_probe(kappa)
-    return Scan(kappa, ok, min_det)
-
-
-def _collision_probe(kappa):
-    grid = kappa.template
-    h = grid.spacing
-    qx, qy = grid.nodes()
-    ix, iy = kappa.node_images()
-    r = np.hypot(qx, qy)
-    sel = r < kappa.support_radius
-    src = np.stack([qx[sel], qy[sel]], axis=-1)
-    img = np.stack([ix[sel], iy[sel]], axis=-1)
-    bins = {}
-    cell = np.floor(img / (0.5 * h)).astype(np.int64)
-    for k in range(src.shape[0]):
-        key = (int(cell[k, 0]), int(cell[k, 1]))
-        prev = bins.setdefault(key, k)
-        if prev != k:
-            gap = np.hypot(*(src[prev] - src[k]))
-            if gap > 2.0 * h:
-                return True
-    return False
+    return Scan(kappa, min_det > MIN_DET, min_det)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +136,7 @@ def recover_one_form(phi, scanned=None):
     if not ok:
         raise ValueError(
             f"map is not graphical (min det d(kappa) = {min_det:.3e}; the scan "
-            f"needs > {MIN_DET} and no collision of distant nodes)"
+            f"needs > {MIN_DET})"
         )
     grid = kappa.template
     qx, qy = grid.nodes()

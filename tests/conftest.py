@@ -45,3 +45,27 @@ def bump_map_129(bump, grid129):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+def _fd4_x_h(H, t, points, width):
+    """X_H = (dH/dp, -dH/dq) of H(t, .) at (..., 2) points by 4th-order centered differences.
+
+    The stencil takes H at +-width and +-2 width along each axis; its bias
+    is O(width^4) where H is smooth.  Within 2 width of a C^(m-1) bump's
+    edge circle it straddles the kink and the bias is only O(width^(m-1)).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+
+    def partial(axis):
+        e = np.zeros(2)
+        e[axis] = width
+        return (8.0 * (H(t, pts + e) - H(t, pts - e))
+                - (H(t, pts + 2.0 * e) - H(t, pts - 2.0 * e))) / (12.0 * width)
+
+    return np.stack([partial(1), -partial(0)], axis=-1)
+
+
+@pytest.fixture(scope="session")
+def fd4_x_h():
+    """The finite-difference X_H oracle for fields the flows take X_H from in closed form."""
+    return _fd4_x_h

@@ -12,8 +12,7 @@ from disclab import alexander as alx
 from disclab import kernels
 from disclab.calabi import cal_path, spatial_integral
 from disclab.fields import ScalarTimeField, loop_bump, radial_bump, zero_field
-from disclab.flows import (_simpson_weights, hamiltonian_path, hofer_length,
-                           integrate_points, vector_field)
+from disclab.flows import _simpson_weights, hamiltonian_path, hofer_length, integrate_points
 from disclab.grids import GridField2D, sample, square_grid
 
 
@@ -29,6 +28,15 @@ def test_rescale_validation(bump):
         alx.rescale(zero_field(support_radius=None), 0.5)
     with pytest.raises(ValueError):
         alx.rescale(bump, 0.5, eta=0.5)   # support 0.8 > 1 - eta
+
+
+def test_rescalings_take_only_separable_bumps(bump):
+    # a field that is no SeparableBump has no exact rescaling
+    black_box = ScalarTimeField(lambda t, pts: bump(t, pts), bump.support_radius)
+    with pytest.raises(TypeError, match="SeparableBump"):
+        alx.rescale(black_box, 0.5)
+    with pytest.raises(TypeError, match="SeparableBump"):
+        alx.shrinking_calabi_sequence(black_box, [0.5, 0.25], node_count=65, nt=33)
 
 
 def test_rescale_identity_scale(bump):
@@ -400,17 +408,21 @@ def test_blended_s_hamiltonian_equals_per_grid_sum(rng):
         assert np.max(np.abs(sham(s, t, pts) - reference)) < 1e-14
 
 
-def test_time_one_field_gradient_matches_finite_differences(linear_sham, rng):
+def test_time_one_field_gradient_matches_finite_differences(linear_sham, rng, fd4_x_h):
     _, sham = linear_sham
     K1 = sham.time_one_field()
     fd = ScalarTimeField(lambda s, pts: sham(s, 1.0, pts), sham.support_radius)
-    assert K1.has_gradient and not fd.has_gradient
     r = 0.85 * np.sqrt(rng.random(400))
     angle = 2.0 * np.pi * rng.random(400)
     pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    z = np.ascontiguousarray(pts.T)
+    grad = np.empty_like(z)
+    with pytest.raises(TypeError):
+        fd.gradient_into(0.5, z, grad)
     for s in (0.05, 0.3, 0.5625, 1.0):
-        analytic = vector_field(K1, s, pts)
-        assert np.max(np.abs(analytic - vector_field(fd, s, pts))) < 1e-7
+        K1.gradient_into(s, z, grad)
+        analytic = np.stack([grad[1], -grad[0]], axis=-1)
+        assert np.max(np.abs(analytic - fd4_x_h(fd, s, pts, 1e-4))) < 1e-7
         assert np.all(analytic[r >= sham.support_radius] == 0.0)
 
 

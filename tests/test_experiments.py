@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_report_determinism(e6_report, tmp_path):
     assert report_to_csv(again) == report_to_csv(e6_report)
     p1 = emit_report(e6_report, "json", str(tmp_path / "a.json"))
     p2 = emit_report(again, "json", str(tmp_path / "b.json"))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_seed_changes_measurements_not_result():

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from disclab import kernels
 from disclab.fields import (ScalarTimeField, loop_bump, moving_bump, radial_bump,
                             twist_bump, zero_field)
-from disclab.flows import (FD_WIDTH, NewtonError, PlaneMap, _simpson_weights, flow_map,
-                           hamiltonian_path, hofer_length, integrate_points, osc_on_grid,
-                           sweep_nodes, time_integral, vector_field)
+from disclab.flows import (NewtonError, PlaneMap, _rk4_segment, _simpson_weights, flow_map,
+                           hamiltonian_path, hofer_length, integrate_points, integrate_segments,
+                           osc_on_grid, sweep_nodes, time_integral)
 from disclab.grids import square_grid
 
 
 BUMP = radial_bump(amp=0.05, rho=0.8, m=4)
+# width of the finite-difference stencil that checks closed-form X_H
+STENCIL_WIDTH = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +28,23 @@ BUMP = radial_bump(amp=0.05, rho=0.8, m=4)
 
 def test_vector_field_convention():
     # X_H = (dH/dp, -dH/dq); for H = radial bump at (r, 0) the q-derivative
-    # is negative, so the field points in +p there
-    v = vector_field(BUMP, 0.0, np.array([[0.4, 0.0]]))[0]
-    assert abs(v[0]) < 1e-10
-    assert v[1] > 0.0
+    # is negative, so the closed-form field of kernels.bump_field points in
+    # +p there
+    field, _ = kernels.bump_field(BUMP.amp, BUMP.rho, BUMP.m, [1.0], [0.0], [0.0])
+    v = np.empty((2, 1))
+    field(np.array([[0.4], [0.0]]), 0, 0, v)
+    assert abs(v[0, 0]) < 1e-10
+    assert v[1, 0] > 0.0
+
+
+def test_field_without_gradient_is_not_flowed():
+    # a field that is neither a bump nor carries a gradient has no X_H
+    black_box = ScalarTimeField(lambda t, pts: BUMP(t, pts), 0.8)
+    pts = np.array([[0.3, 0.1], [0.5, -0.2]])
+    with pytest.raises(TypeError, match="no gradient"):
+        integrate_points(black_box, 0.0, 1.0, pts, dt=1e-2)
+    with pytest.raises(TypeError, match="no gradient"):
+        list(integrate_segments(black_box, [0.0, 0.5, 1.0], pts, dt=1e-2))
 
 
 def test_rotation_oracle():
@@ -126,12 +141,13 @@ def test_bump_kernel_matches_closed_form_rk4(m, amp, polar, sweep, phase):
 @settings(deadline=None, max_examples=40)
 @given(family=st.sampled_from([radial_bump, moving_bump, loop_bump]), m=st.integers(3, 6),
        amp=st.floats(0.01, 0.2), t=st.floats(0.0, 1.0))
-def test_bump_field_matches_the_stencil_of_a_black_box(family, m, amp, t):
-    # kernels.bump_field's closed-form X_H against vector_field's 4th-order
-    # stencil on the same bump behind a black-box ScalarTimeField, at the
-    # nodes of a 65-node grid.  The bump is only C^(m-1) on its edge circle
-    # |x - c(t)| = rho, where the stencil's bias is O(FD_WIDTH^(m-1)), not
-    # O(FD_WIDTH^4): nodes within the stencil's reach of it are left out
+def test_bump_field_matches_the_stencil_of_a_black_box(family, m, amp, t, fd4_x_h):
+    # kernels.bump_field's closed-form X_H against the 4th-order stencil of
+    # width STENCIL_WIDTH on the same bump behind a black-box
+    # ScalarTimeField, at the nodes of a 65-node grid.  The bump is only
+    # C^(m-1) on its edge circle |x - c(t)| = rho, where the stencil's bias
+    # is O(STENCIL_WIDTH^(m-1)), not O(STENCIL_WIDTH^4): nodes within the
+    # stencil's reach of it are left out
     H = family(amp=amp, m=m)
     nodes = square_grid(65).node_points().reshape(-1, 2)
     c = H.center_at(t)
@@ -139,9 +155,9 @@ def test_bump_field_matches_the_stencil_of_a_black_box(family, m, amp, t):
     z = np.ascontiguousarray(nodes.T)
     closed = np.empty_like(z)
     field(z, 0, 0, closed)
-    stencil = vector_field(ScalarTimeField(lambda t, pts: H(t, pts), H.support_radius),
-                           t, nodes)
-    off_edge = np.abs(np.hypot(*(nodes - c).T) - H.rho) > 2.0 * FD_WIDTH
+    stencil = fd4_x_h(ScalarTimeField(lambda t, pts: H(t, pts), H.support_radius),
+                      t, nodes, STENCIL_WIDTH)
+    off_edge = np.abs(np.hypot(*(nodes - c).T) - H.rho) > 2.0 * STENCIL_WIDTH
     assert np.max(np.abs(closed.T - stencil)[off_edge]) < 1e-8
 
 
@@ -288,8 +304,9 @@ def test_spline_field_path_bits_match_unblocked_loop(t0, t1):
     offsets = (0.0, 0.5 * step, step)
 
     def field(x, y, k, j):
-        v = vector_field(H, t0 + k * step + offsets[j], np.stack([x, y], axis=-1))
-        return v[:, 0], v[:, 1]
+        grad = np.empty((2, x.size))
+        H.gradient_into(t0 + k * step + offsets[j], np.stack([x, y]), grad)
+        return grad[1], -grad[0]
 
     want = _unblocked_rk4(field, pts.copy(), step, nsteps, H.support_radius)
     assert np.max(np.abs(want - pts)) > 1e-4
@@ -425,7 +442,8 @@ def test_spline_time_one_flow_bits_match_stacked_callback(case):
     want = _head_integrate_time_one(sham, 0.0, t1, pts, dt)
     assert np.max(np.abs(want - pts)) > 1e-3
     assert np.array_equal(got, want)
-    # vector_field and ScalarTimeField.gradient_into keep their values too
+    # ScalarTimeField.gradient_into, and the X_H the RK4 segment's field
+    # callback takes from it, keep their values too
     K1 = sham.time_one_field()
     stage = got[live]
     grad = _head_time_one_gradient(sham, 0.5, stage)
@@ -433,8 +451,9 @@ def test_spline_time_one_flow_bits_match_stacked_callback(case):
     out = np.empty_like(z)
     K1.gradient_into(0.5, z, out)
     assert np.array_equal(out.T, grad)
-    assert np.array_equal(vector_field(K1, 0.5, stage),
-                          np.stack([grad[:, 1], -grad[:, 0]], axis=-1))
+    field, _, _ = _rk4_segment(K1, 0.5, 1.0, 0.5)
+    field(z, 0, 0, out)
+    assert np.array_equal(out.T, np.stack([grad[:, 1], -grad[:, 0]], axis=-1))
 
 
 def test_bump_kernel_matches_exact_rotation_on_grid():
@@ -442,18 +461,6 @@ def test_bump_kernel_matches_exact_rotation_on_grid():
     nodes = np.stack([qx.ravel(), qy.ravel()], axis=-1)
     num = integrate_points(BUMP, 0.0, 1.0, nodes, dt=1e-3)
     assert np.max(np.abs(num - BUMP.exact_flow(0.0, 1.0, nodes))) < 1e-12
-
-
-def test_generic_evaluator_matches_bump_kernel():
-    # the same bump run through the closed-form kernel and the generic
-    # 4th-order centered-difference path must agree to integrator accuracy
-    from disclab.fields import ScalarTimeField
-
-    generic = ScalarTimeField(lambda t, pts: BUMP(t, pts), 0.8)
-    pts = np.array([[0.3, 0.1], [0.5, -0.2]])
-    a = integrate_points(BUMP, 0.0, 1.0, pts, dt=1e-3)
-    b = integrate_points(generic, 0.0, 1.0, pts, dt=1e-3)
-    assert np.max(np.abs(a - b)) < 1e-9
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (0.7, 0.15)])
@@ -485,8 +492,6 @@ def test_generic_path_stage_times_match_bump_kernel(t0, t1):
 
 def _segment_field(name):
     """A field of each kind the segmented RK4 run builds its segments for."""
-    from disclab.fields import ScalarTimeField
-
     if name == "fixed":
         return twist_bump(angle=2.0)
     if name == "moving":
@@ -495,13 +500,12 @@ def _segment_field(name):
         return loop_bump(amp=0.2)
     grid = square_grid(65)
     spline = grid.with_values(BUMP(0.0, np.stack(grid.nodes(), axis=-1)))
-    if name == "spline":
-        def gradient(t, z, out):
-            spline.gradient_into(z, out)
-            out *= 4.0 + t
 
-        return ScalarTimeField(lambda t, pts: (4.0 + t) * spline(pts), 0.8, gradient=gradient)
-    return ScalarTimeField(lambda t, pts: (4.0 + t) * BUMP(0.0, pts), 0.8)
+    def gradient(t, z, out):
+        spline.gradient_into(z, out)
+        out *= 4.0 + t
+
+    return ScalarTimeField(lambda t, pts: (4.0 + t) * spline(pts), 0.8, gradient=gradient)
 
 
 # uneven spans, so the segments differ in step size and count, and one
@@ -509,14 +513,12 @@ def _segment_field(name):
 SEGMENT_TIMES = [0.0, 0.013, 0.05, 0.05, 0.052, 0.1]
 
 
-@pytest.mark.parametrize("name", ["fixed", "moving", "loop", "spline", "black_box"])
+@pytest.mark.parametrize("name", ["fixed", "moving", "loop", "spline"])
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
 def test_segmented_run_bits_match_chained_calls(name, backward):
-    from disclab.flows import integrate_segments
-
     H = _segment_field(name)
     times = 0.6 - np.array(SEGMENT_TIMES) if backward else 0.3 + np.array(SEGMENT_TIMES)
-    if name in ("spline", "black_box"):
+    if name == "spline":
         pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3000, 2))
     else:
         # live points past one block
@@ -568,6 +570,18 @@ def test_compose_with_inverse_is_identity(bump_map_129):
     nodes = bump_map_129.template.node_points().reshape(-1, 2)
     back = bump_map_129.newton_invert(bump_map_129(nodes))
     assert np.max(np.hypot(*(back - nodes).T)) < 1e-5
+
+
+def test_newton_inverts_targets_of_any_shape():
+    # an (n, n, 2) array of targets comes back in its own shape, each
+    # preimage the one of the flattened (n*n, 2) targets
+    grid = square_grid(33)
+    phi = flow_map(radial_bump(0.05), 1.0, grid, dt=1e-2)
+    nodes = grid.node_points()
+    back = phi.newton_invert(phi(nodes))
+    assert back.shape == nodes.shape
+    assert np.array_equal(back.reshape(-1, 2), phi.newton_invert(phi(nodes).reshape(-1, 2)))
+    assert np.max(np.hypot(*(back - nodes).reshape(-1, 2).T)) < 1e-8
 
 
 def test_newton_iterates_stay_on_the_grid():

@@ -92,6 +92,40 @@ def test_strong_twist_is_not_graphical():
     assert min_det <= 1e-3
 
 
+def twist_midpoint_det(H, r):
+    """Closed-form det d(kappa) at radius r for the time-one map of a radial bump H.
+
+    The map rotates the circle of radius r by theta(r), the integrated
+    rotation rate, so kappa sends polar (r, a) to (r cos(theta/2),
+    a + theta/2), and det d(kappa) = cos(theta/2) (cos(theta/2) - r theta'
+    sin(theta/2) / 2).  At r = 0 it is cos^2(theta(0)/2).
+    """
+    u = np.maximum(1.0 - r * r / (H.rho * H.rho), 0.0)
+    peak = 2.0 * H.m * H.amp / (H.rho * H.rho)
+    theta = peak * u ** (H.m - 1)
+    dtheta = -2.0 * peak * (H.m - 1) * r / (H.rho * H.rho) * u ** (H.m - 2)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    return c * (c - 0.5 * r * dtheta * s)
+
+
+@pytest.mark.parametrize("angle, graphical", [
+    (0.8, True), (2.6, True), (3.0, True),
+    # cos^2(theta(0)/2) under MIN_DET, and a centre twisted past pi
+    (3.11, False), (3.17, False),
+])
+def test_scan_matches_the_closed_form_midpoint_determinant(angle, graphical):
+    # kappa is proper, so the verdict rests on min det d(kappa) alone
+    H = twist_bump(angle=angle, rho=0.8, m=4)
+    grid = square_grid(129)
+    kappa, ok, min_det = gr.scan(flow_map(H, 1.0, grid=grid, dt=1e-3))
+    inside = kappa.interior_nodes(kappa.support_radius)
+    closed = twist_midpoint_det(H, np.hypot(*grid.nodes()))[inside]
+    assert np.max(np.abs(kappa.det_jacobian()[inside] - closed)) < 5e-4
+    assert min_det == pytest.approx(closed.min(), abs=1e-5)
+    assert (closed.min() > gr.MIN_DET) == graphical
+    assert ok is graphical
+
+
 # ---------------------------------------------------------------------------
 # one-form recovery
 

@@ -191,20 +191,14 @@ def test_lagrangian_selector_matches_recovered_form(bump_phase, bump_map_257):
 
 
 def test_phase_scans_the_map_once(monkeypatch):
-    # recover_one_form is the only graphicality gate: one midpoint map and
-    # one collision probe per phase function
-    counts = {"midpoint_map": 0, "_collision_probe": 0}
-    for name in counts:
-        orig = getattr(gr, name)
-
-        def counted(*args, _name=name, _orig=orig):
-            counts[_name] += 1
-            return _orig(*args)
-
-        monkeypatch.setattr(gr, name, counted)
+    # recover_one_form is the only graphicality gate: one midpoint map per
+    # phase function
+    built = []
+    midpoint = gr.midpoint_map
+    monkeypatch.setattr(gr, "midpoint_map", lambda phi: built.append(phi) or midpoint(phi))
     ph.phase_function_graphical(radial_bump(amp=0.05, rho=0.8, m=4),
                                 grid=square_grid(65), dt=1e-2)
-    assert counts == {"midpoint_map": 1, "_collision_probe": 1}
+    assert len(built) == 1
 
 
 def test_phase_rejects_non_graphical_slice():
