@@ -29,34 +29,19 @@ from .grids import blend, cumulative_trapezoid, square_grid
 # rescaling
 
 
-@dataclass
-class RescaledPath:
-    """The path a*phi^t(x/a) together with its Hamiltonian a^2 H(t, x/a)."""
+def rescale(H, a):
+    """The rescaled-path Hamiltonian a^2 H(t, x/a) of a SeparableBump H, for a in (0, 1].
 
-    base: ScalarTimeField
-    scale: float
-    eta: float
-    hamiltonian: ScalarTimeField
-
-
-def rescale(H, a, eta=None):
-    """Rescaled path Hamiltonian a^2 H(t, x/a) of a SeparableBump H, for a in (0, 1]."""
+    It generates the path a * phi^t(x / a); at a = 1 it is H itself.
+    """
     a = float(a)
     if not 0.0 < a <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {a}")
     if H.support_radius is None:
         raise ValueError("rescaling needs a compactly supported Hamiltonian")
-    if eta is None:
-        eta = 1.0 - H.support_radius
-    if H.support_radius > 1.0 - eta + 1e-12:
-        raise ValueError(
-            f"support radius {H.support_radius} exceeds 1 - eta = {1.0 - eta}"
-        )
     if not isinstance(H, SeparableBump):
         raise TypeError(f"rescale needs a SeparableBump, got {type(H).__name__}")
-    if a == 1.0:
-        return RescaledPath(H, 1.0, eta, H)
-    return RescaledPath(H, a, eta, H.rescaled(a))
+    return H if a == 1.0 else H.rescaled(a)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +67,9 @@ def linear_family(H):
     return TwoParameterFamily(H.amplified, H.support_radius)
 
 
-def alexander_family(H, eta=None):
+def alexander_family(H):
     """H(s) = s^2 H(t, x/s): the rescaling contraction of the path of H."""
-    return TwoParameterFamily(
-        lambda s: rescale(H, s, eta).hamiltonian, H.support_radius
-    )
+    return TwoParameterFamily(lambda s: rescale(H, s), H.support_radius)
 
 
 @dataclass

@@ -14,6 +14,9 @@ its potential is the generating function of the map.
 scans it once, and inverts that same kappa.  `scan` runs that scan alone
 and its result can be handed to `recover_one_form`, so a caller that
 reports the verdict first still scans once.
+
+The trace chain's potentials g_a of the rescaled graphs a * Graph(phi)
+are a plain dict {a: g_a}, which the scaling-law checks read.
 """
 
 from dataclasses import dataclass
@@ -176,53 +179,20 @@ def integrate_generating(alpha, base_value=0.0):
 
 
 # ---------------------------------------------------------------------------
-# trace-chain family of rescaled graphs
+# trace-chain potentials of rescaled graphs
 
 
-@dataclass
-class TraceChainFamily:
-    """Generating functions g_a of the rescaled graphs a * Graph(phi)."""
+def trace_chain_potentials(phi, scales):
+    """{a: g_a}: the generating function of the rescaled graph a * Graph(phi) per scale.
 
-    scales: list
-    potentials: list          # GridField2D per scale, on the adapted grids
-
-    def potential_at(self, a):
-        idx = self.scales.index(a)
-        return self.potentials[idx]
-
-    def restricted(self, scales):
-        """The sub-family at a = 1 and the given scales, without recovering again."""
-        scales = _with_unit_scale(scales)
-        return TraceChainFamily(scales, [self.potential_at(a) for a in scales])
-
-    def scaling_defect(self):
-        """Max over scales and nodes of |g_a(a q) - a^2 g_1(q)|.
-
-        The adapted grids put node a*q of g_a exactly over node q of g_1,
-        so the identity is checked without interpolation.
-        """
-        g1 = self.potentials[self.scales.index(1.0)] if 1.0 in self.scales \
-            else None
-        if g1 is None:
-            raise ValueError("family must contain the scale a = 1")
-        worst = 0.0
-        for a, g in zip(self.scales, self.potentials):
-            worst = max(
-                worst, float(np.max(np.abs(g.values - a * a * g1.values)))
-            )
-        return worst
-
-
-def trace_chain_family(phi, scales):
-    """Recover g_a for each a: midpoint inversion on the a-rescaled graph.
-
-    The base map is recovered first, so a non-graphical phi fails before
-    any rescaled member is built; its one-form serves the scale a = 1.
+    The keys are a = 1 first, then the scales in their given order, each
+    once.  The base map is recovered first, so a non-graphical phi fails
+    before any rescaled member is built; its one-form serves a = 1.  Each
+    g_a lives on the grid of phi shrunk by a, and vanishes on its left edge.
     """
-    scales = _with_unit_scale(scales)
     base = recover_one_form(phi)
-    potentials = []
-    for a in scales:
+    potentials = {}
+    for a in dict.fromkeys([1.0] + [float(a) for a in scales]):
         if a == 1.0:
             alpha = base
         else:
@@ -234,14 +204,8 @@ def trace_chain_family(phi, scales):
                     "criterion is scale-invariant, so the discretization is "
                     "too coarse"
                 ) from exc
-        potentials.append(integrate_generating(alpha, base_value=0.0))
-    return TraceChainFamily(scales, potentials)
-
-
-def _with_unit_scale(scales):
-    """The scales as floats, with a = 1 put first when missing."""
-    scales = [float(a) for a in scales]
-    return scales if 1.0 in scales else [1.0] + scales
+        potentials[a] = integrate_generating(alpha, base_value=0.0)
+    return potentials
 
 
 def _rescaled_map(phi, a):
@@ -253,31 +217,33 @@ def _rescaled_map(phi, a):
     return PlaneMap.from_node_images(target, img, a * phi.support_radius)
 
 
-def trace_chain_dgada(family, a, h_a, probe_points):
+def scaling_defect(potentials, scales):
+    """Max over the scales and the nodes of |g_a(a q) - a^2 g_1(q)|.
+
+    potentials is `trace_chain_potentials`' dict.  Its adapted grids put
+    node a*q of g_a exactly over node q of g_1, so the identity is
+    checked without interpolation.
+    """
+    g1 = potentials[1.0]
+    return max((float(np.max(np.abs(potentials[a].values - a * a * g1.values)))
+                for a in scales), default=0.0)
+
+
+def trace_chain_dgada(potentials, a, h_a, probe_points):
     """Finite-difference check of the derivative of the rescaled potentials.
 
     Compares the centered a-difference of g at fixed chart points with
     2a g_1(q/a) - (1/a) dg_a(q) . q; both sides are O(h) accurate, so the
-    defect should shrink linearly with h_a.
+    defect should shrink linearly with h_a.  potentials is
+    `trace_chain_potentials`' dict and must hold a - h_a, a and a + h_a.
     """
-    scales = family.scales
-    for s in (a - h_a, a, a + h_a):
-        if not any(abs(s - sc) < 1e-12 for sc in scales):
-            raise ValueError(f"scale {s} missing from the family")
-    gm = family.potential_at(_snap(scales, a - h_a))
-    g0 = family.potential_at(_snap(scales, a))
-    gp = family.potential_at(_snap(scales, a + h_a))
-    g1 = family.potential_at(1.0)
+    missing = [s for s in (a - h_a, a, a + h_a) if s not in potentials]
+    if missing:
+        raise ValueError(f"scales {missing} missing from the potentials")
+    gm, g0, gp, g1 = (potentials[s] for s in (a - h_a, a, a + h_a, 1.0))
     pts = np.asarray(probe_points, dtype=np.float64)
     lhs = (gp(pts) - gm(pts)) / (2.0 * h_a)
     d1, d2 = g0.gradient()
     dg_dot_q = d1(pts) * pts[..., 0] + d2(pts) * pts[..., 1]
     rhs = 2.0 * a * g1(pts / a) - dg_dot_q / a
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def _snap(scales, value):
-    for s in scales:
-        if abs(s - value) < 1e-12:
-            return s
-    raise ValueError(f"scale {value} not in family")

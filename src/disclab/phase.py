@@ -170,15 +170,22 @@ class PhaseFamily:
     normalization_value: list         # identity-region value per member
 
 
-@dataclass
-class HJReport:
-    residual: float
-    grid_step: float
-    parameter_step: float
+def phase_family(samples, members, grid, dt):
+    """The PhaseFamily of the Hamiltonians members, one per parameter sample.
+
+    Each member's phase function and identity-region value come from
+    `phase_function_graphical` on the one chart grid, with RK4 step dt.
+    """
+    fields, values = [], []
+    for H in members:
+        f, v = phase_function_graphical(H, grid=grid, dt=dt)
+        fields.append(f)
+        values.append(v)
+    return PhaseFamily(list(samples), fields, values)
 
 
 def hj_residual(family, G):
-    """Max |df/da + G(a, q, df)| over interior nodes and parameters.
+    """Max |df/da + G(a, q, df)| over interior nodes and parameters, a float.
 
     G is called as G(a, q_points, p_points) with arrays of shape (..., 2),
     at the interior nodes only: those two cells or more from the border.
@@ -201,7 +208,7 @@ def hj_residual(family, G):
         p = np.stack([d1[core], d2[core]], axis=-1)
         res = dfda + G(samples[i], f0.node_points()[core], p)
         worst = max(worst, float(np.max(np.abs(res))))
-    return HJReport(worst, family.fields[0].spacing, h_a)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _simpson_slices(H, grid, nt):
 @pytest.mark.parametrize("H", [
     loop_bump(amp=0.05),
     SeparableBump(amp=0.05, rho=0.8, m=4, tau=lambda t: 1.0 + t),
-    rescale(loop_bump(amp=0.05), 0.5).hamiltonian,
+    rescale(loop_bump(amp=0.05), 0.5),
 ], ids=["loop", "ramp", "rescaled_loop"])
 def test_profile_path_equals_the_per_slice_simpson_sum(H, grid129):
     # H = tau(t) * P: Cal^path and the offset integral take one node sum of

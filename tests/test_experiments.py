@@ -13,6 +13,7 @@ from disclab.experiments import (ExperimentConfig, emit_report, make_family,
                                  parse_config, report_to_csv, report_to_json,
                                  run_experiment)
 from disclab.fields import SeparableBump
+from disclab.grids import SPHERE_VOLUME
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def test_seed_changes_measurements_not_result():
 
 
 def test_failed_module_error_is_recorded(monkeypatch):
-    # force an internal failure: an E2 run on a family made non-separable
+    # force an internal failure in E2's runner
     from disclab import experiments as ex
 
     monkeypatch.setitem(
@@ -222,3 +223,23 @@ def test_e8_recovers_each_map_once(monkeypatch):
     assert len(built) == 24
     rescaled = [e for e in built if e < 1.05]
     assert len(rescaled) == len(set(rescaled)) == 9
+
+
+def test_e4_identity_value_is_the_closed_form():
+    # the expected identity value is Cal / vol(sphere) of each autonomous
+    # bump in closed form, amp pi rho^2 / (m + 1), not a second run of the
+    # quadrature that produced the measured value
+    cfg = ExperimentConfig(experiment_id="E4", grid_n=64, dt=1e-2)
+    rep = run_experiment(cfg)
+    assert rep.overall_pass
+    bumps = {
+        "radial_bump": (cfg.amp, cfg.rho),
+        "moving_bump": (cfg.amp, 0.25),
+        "twist": (cfg.angle * cfg.rho**2 / (2.0 * cfg.m), cfg.rho),
+    }
+    for name, (amp, rho) in bumps.items():
+        want = amp * math.pi * rho**2 / (cfg.m + 1) / SPHERE_VOLUME
+        entry = rep.expected[f"{name}_identity_value"]
+        assert entry["provenance"] == "[DERIVED]"
+        assert entry["value"] == pytest.approx(want, rel=1e-12)
+        assert abs(rep.measured[f"{name}_identity_value"] - want) < 1e-9

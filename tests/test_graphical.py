@@ -230,26 +230,17 @@ def test_exact_gradient_round_trip(grid129):
 
 @pytest.fixture(scope="module")
 def chain(bump_map_257):
-    return gr.trace_chain_family(bump_map_257, [0.5, 0.25])
+    return gr.trace_chain_potentials(bump_map_257, [0.5, 0.25])
 
 
 def test_trace_chain_scaling_law(chain):
-    assert chain.scaling_defect() < 5e-5
+    assert gr.scaling_defect(chain, [0.5, 0.25]) < 5e-5
 
 
 def test_trace_chain_base_member(chain, bump_form):
     g_direct = gr.integrate_generating(bump_form)
-    g1 = chain.potential_at(1.0)
+    g1 = chain[1.0]
     assert np.max(np.abs(g1.values - g_direct.values)) < 1e-12
-
-
-def test_trace_chain_restriction_shares_potentials(chain):
-    sub = chain.restricted([0.25])
-    assert sub.scales == [1.0, 0.25]
-    assert sub.potentials[0] is chain.potential_at(1.0)
-    assert sub.potentials[1] is chain.potential_at(0.25)
-    with pytest.raises(ValueError):
-        chain.restricted([0.125])                      # not in the family
 
 
 def test_trace_chain_scans_each_member_once(bump_map_129, monkeypatch):
@@ -258,10 +249,12 @@ def test_trace_chain_scans_each_member_once(bump_map_129, monkeypatch):
     midpoint = gr.midpoint_map
     monkeypatch.setattr(gr, "midpoint_map",
                         lambda phi: built.append(phi) or midpoint(phi))
-    fam = gr.trace_chain_family(bump_map_129, [0.5, 0.25])
-    assert fam.scales == [1.0, 0.5, 0.25]
+    potentials = gr.trace_chain_potentials(bump_map_129, [0.5, 0.25, 0.5, 1.0])
+    assert list(potentials) == [1.0, 0.5, 0.25]
     assert len(built) == 3
     assert built[0] is bump_map_129
+    # the rescaled maps are recovered in the order of the scales
+    assert [phi.support_radius for phi in built[1:]] == pytest.approx([0.4, 0.2])
 
 
 def test_trace_chain_rejects_non_graphical_base(twist_map_129, monkeypatch):
@@ -270,18 +263,18 @@ def test_trace_chain_rejects_non_graphical_base(twist_map_129, monkeypatch):
 
     monkeypatch.setattr(gr, "_rescaled_map", no_rescaling)
     with pytest.raises(ValueError, match="not graphical"):
-        gr.trace_chain_family(twist_map_129, [0.5, 0.25])
+        gr.trace_chain_potentials(twist_map_129, [0.5, 0.25])
 
 
 def test_trace_chain_dgada_first_order(bump_map_257, rng):
     h_a = 0.125
-    fam = gr.trace_chain_family(
+    potentials = gr.trace_chain_potentials(
         bump_map_257,
         [0.5 - h_a, 0.5, 0.5 + h_a, 0.5 - h_a / 2, 0.5 + h_a / 2],
     )
     probes = rng.uniform(-0.2, 0.2, size=(32, 2))
-    d_full = gr.trace_chain_dgada(fam, 0.5, h_a, probes)
-    d_half = gr.trace_chain_dgada(fam, 0.5, h_a / 2, probes)
+    d_full = gr.trace_chain_dgada(potentials, 0.5, h_a, probes)
+    d_half = gr.trace_chain_dgada(potentials, 0.5, h_a / 2, probes)
     assert d_half <= max(0.75 * d_full, 1e-8)
-    with pytest.raises(ValueError):
-        gr.trace_chain_dgada(fam, 0.5, 0.3, probes)   # scales not in family
+    with pytest.raises(ValueError, match="missing"):
+        gr.trace_chain_dgada(potentials, 0.5, 0.3, probes)   # scales not in the dict

@@ -234,9 +234,7 @@ def make_linear_family(c=0.3, n=3):
 
 def test_hj_residual_exact_solution():
     fam = make_linear_family()
-    rep = ph.hj_residual(fam, lambda a, q, p: -0.3 * np.ones(q.shape[:-1]))
-    assert rep.residual < 1e-12
-    assert rep.parameter_step == pytest.approx(0.25)
+    assert ph.hj_residual(fam, lambda a, q, p: -0.3 * np.ones(q.shape[:-1])) < 1e-12
 
 
 def test_hj_residual_needs_three_uniform_samples():
@@ -250,28 +248,45 @@ def test_hj_residual_needs_three_uniform_samples():
         ph.hj_residual(skew, lambda a, q, p: 0.0)
 
 
-def test_hj_residual_hands_G_the_interior_nodes_only():
-    # E8's coarse level at grid_n 64: G sees only the (n - 4)^2 nodes the
-    # residual reduces over, and there E8's points q + J(p)/2 stay on the grid
-    from disclab.alexander import alexander_family
+@pytest.fixture(scope="module")
+def e8_coarse():
+    """E8's coarse level at grid_n 64, dt 1e-2: 33 nodes, a in linspace(0.5, 1, 5).
+
+    (grid, samples, members, phase family, s-Hamiltonian) of the Alexander
+    family of the default radial bump.
+    """
+    from disclab.alexander import alexander_family, s_hamiltonian
 
     grid = square_grid(33)
     fam = alexander_family(radial_bump(amp=0.05, rho=0.8, m=4))
-    samples = list(np.linspace(0.5, 1.0, 5))
-    fields, values = [], []
-    for a in samples:
-        f, v = ph.phase_function_graphical(fam.at(a), grid=grid, dt=1e-2)
-        fields.append(f)
-        values.append(v)
-    pfam = ph.PhaseFamily(samples, fields, values)
+    samples = np.linspace(0.5, 1.0, 5)
+    members = [fam.at(a) for a in samples]
+    sham = s_hamiltonian(fam, s_samples=samples, nt=17, grid=grid, dt=1e-2)
+    return grid, samples, members, ph.phase_family(samples, members, grid, 1e-2), sham
+
+
+def test_phase_family_is_one_phase_function_per_member(e8_coarse):
+    grid, samples, members, pfam, _ = e8_coarse
+    assert pfam.parameter_samples == list(samples)
+    for H, f, v in zip(members, pfam.fields, pfam.normalization_value):
+        f_ref, v_ref = ph.phase_function_graphical(H, grid=grid, dt=1e-2)
+        assert v == v_ref
+        assert np.array_equal(f.values, f_ref.values)
+
+
+def test_hj_residual_hands_G_the_interior_nodes_only(e8_coarse):
+    # E8's coarse level: G sees only the (n - 4)^2 nodes the residual
+    # reduces over, and there E8's points q + J(p)/2 stay on the grid
+    grid, samples, _, pfam, _ = e8_coarse
+    fields = pfam.fields
     seen = []
 
     def G(a, q, p):
         seen.append((a, q.copy(), p.copy()))
         return a * q[..., 0] * p[..., 1]
 
-    rep = ph.hj_residual(pfam, G)
-    assert [a for a, _, _ in seen] == samples[1:-1]
+    residual = ph.hj_residual(pfam, G)
+    assert [a for a, _, _ in seen] == list(samples[1:-1])
     lo, hi = grid.extent
     want = 0.0
     for i, (a, q, p) in enumerate(seen, start=1):
@@ -284,7 +299,27 @@ def test_hj_residual_hands_G_the_interior_nodes_only():
         d1, d2 = np.gradient(fields[i].values, grid.spacing, edge_order=2)
         full = dfda + a * grid.node_points()[..., 0] * d2
         want = max(want, float(np.max(np.abs(full[2:-2, 2:-2]))))
-    assert rep.residual == want
+    assert residual == want
+
+
+def test_hj_residual_of_the_sphere_normalized_k_matches_the_node_sum(e8_coarse):
+    # E8 normalizes K(a, 1, .) by normalize_on_sphere; the reference is a
+    # node sum of K(a, 1, .) over the grid, h^2 / vol(sphere), per a.  The
+    # residuals agree to the last bit, so a change to how calabi integrates
+    # time profiles cannot move E8 unseen.
+    grid, _, _, pfam, sham = e8_coarse
+    nodes = grid.node_points()
+    offsets = {}
+
+    def G_ref(a, q, p):
+        if a not in offsets:
+            offsets[a] = float(np.sum(sham(a, 1.0, nodes))) * grid.spacing**2 / SPHERE_VOLUME
+        return sham(a, 1.0, q + 0.5 * jmap(p)) - offsets[a]
+
+    nk = normalize_on_sphere(sham.time_one_field(), grid)
+    got = ph.hj_residual(pfam, lambda a, q, p: nk(a, q + 0.5 * jmap(p)))
+    assert got == ph.hj_residual(pfam, G_ref)
+    assert 0.0 < got < 1e-2
 
 
 def test_phase_family_value_and_lipschitz():
