@@ -22,7 +22,8 @@ import numpy as np
 
 from .fields import ScalarTimeField
 from .flows import time_integral
-from .grids import SPHERE_VOLUME, GridField2D, cumulative_trapezoid, square_grid
+from .grids import (SPHERE_VOLUME, GridField2D, cumulative_trapezoid, node_derivative,
+                    square_grid)
 
 
 def _check_supported(H, grid):
@@ -94,20 +95,25 @@ class CalabiReport:
 def pullback_defect_form(phi, gauge=None):
     """Components of beta = phi^*alpha - alpha on the map's grid.
 
-    alpha = -p dq; optionally alpha is replaced by alpha + d(gauge) for a
-    compactly supported gauge function (the value of Cal must not move).
+    alpha = -p dq, so beta = -P dQ + p dq with (Q, P) = phi(q, p): b1 =
+    -P dQ/dq + p and b2 = -P dQ/dp.  Only the two partials of Q are taken,
+    each one grids.node_derivative pass.  Optionally alpha is replaced by
+    alpha + d(gauge) for a compactly supported gauge function (the value
+    of Cal must not move).
     """
     grid = phi.template
-    qx, qy = grid.nodes()
-    P = phi.grid_y.values
-    j11, j12, _, _ = phi.jacobian_at_nodes()   # dQ/dq, dQ/dp
-    b1 = -P * j11 + qy
-    b2 = -P * j12
+    h = grid.spacing
+    Q = phi.grid_x.values
+    neg_p = -phi.grid_y.values
+    # p at node (i, j) depends on j only: broadcast the grid's y-axis
+    p_nodes = grid.origin[1] + h * np.arange(grid.n)
+    b1 = neg_p * node_derivative(Q, h, 0) + p_nodes
+    b2 = neg_p * node_derivative(Q, h, 1)
     if gauge is not None:
-        pts = np.stack([qx, qy], axis=-1)
-        img = np.stack([phi.grid_x.values, phi.grid_y.values], axis=-1)
+        pts = np.stack(grid.nodes(), axis=-1)
+        img = np.stack([Q, phi.grid_y.values], axis=-1)
         diff = gauge(img) - gauge(pts)
-        g1, g2 = np.gradient(diff, grid.spacing, edge_order=2)
+        g1, g2 = np.gradient(diff, h, edge_order=2)
         b1 = b1 + g1
         b2 = b2 + g2
     return b1, b2

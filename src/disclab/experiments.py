@@ -66,8 +66,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not 0.0 < self.dt <= 1e-2:
             raise ValueError(f"dt must lie in (0, 1e-2], got {self.dt}")
-        if self.h_a <= 0.0:
-            raise ValueError(f"h_a must be positive, got {self.h_a}")
+        # E8 differentiates at the scales 0.5 +- h_a, which must lie in (0, 1)
+        if not 0.0 < self.h_a < 0.5:
+            raise ValueError(f"h_a must lie in (0, 0.5), got {self.h_a}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.m < 2:

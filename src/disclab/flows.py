@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .fields import SeparableBump
-from .grids import GridField2D, centered_diff4, square_grid
+from .grids import GridField2D, node_derivative, square_grid
 
 # Newton inversion stops once every residual is under NEWTON_TOL; after
 # NEWTON_MAX_ITER steps it still accepts residuals up to 1e-8
@@ -195,27 +195,17 @@ class PlaneMap:
     # -- jacobian ----------------------------------------------------------
 
     def jacobian_at_nodes(self):
-        """d(phi) at interior nodes by 4th-order centered differences.
+        """d(phi) at the nodes, each partial one grids.node_derivative pass.
 
-        Returns arrays (J11, J12, J21, J22) on the full grid (2nd-order
-        stencils fill the two-cell border, where the map is the identity
-        for every built-in family anyway).
+        Returns arrays (J11, J12, J21, J22) = (dQ/dq, dQ/dp, dP/dq, dP/dp)
+        on the full grid: 4th-order centered differences two or more nodes
+        from the border, 2nd-order stencils on the two-node border, where
+        the map is the identity for every built-in family anyway.
         """
         h = self.grid_x.spacing
-
-        def deriv(vals, axis):
-            d = np.gradient(vals, h, axis=axis, edge_order=2)
-            core = centered_diff4(vals, h, axis)
-            sl = [slice(None)] * 2
-            sl[axis] = slice(2, -2)
-            d[tuple(sl)] = core[tuple(sl)]
-            return d
-
-        j11 = deriv(self.grid_x.values, 0)
-        j12 = deriv(self.grid_x.values, 1)
-        j21 = deriv(self.grid_y.values, 0)
-        j22 = deriv(self.grid_y.values, 1)
-        return j11, j12, j21, j22
+        Q, P = self.grid_x.values, self.grid_y.values
+        return (node_derivative(Q, h, 0), node_derivative(Q, h, 1),
+                node_derivative(P, h, 0), node_derivative(P, h, 1))
 
     def det_jacobian(self):
         j11, j12, j21, j22 = self.jacobian_at_nodes()

@@ -16,6 +16,9 @@ of each point.
 ``blend`` forms a linear combination of grid fields by combining their
 spline coefficients, so the blend is evaluated once instead of term by
 term; its node values are summed only if something reads them.
+``node_derivative`` is the one stencil for derivatives of node values:
+4th-order centered two or more nodes from the border, np.gradient's
+2nd-order formulas on it; every Jacobian of a sampled map takes it.
 ``cumulative_trapezoid`` is the running trapezoid rule the time and ray
 integrals share.
 """
@@ -299,14 +302,53 @@ def square_grid(n=256, extent=1.05):
     return GridField2D((-extent, -extent), spacing, np.zeros((n, n)))
 
 
-def centered_diff4(values, spacing, axis):
-    """Derivative of node values along axis by the 4th-order centered stencil.
+def node_derivative(values, spacing, axis):
+    """Derivative along axis of values sampled at uniformly spaced nodes.
 
-    The stencil wraps around the array ends, so only entries at least two
-    nodes away from the border along axis are valid.
+    Nodes two or more steps from the border along axis take the 4th-order
+    centered stencil (v[i+2] - 8 v[i+1] + 8 v[i-1] - v[i-2]) / (-12 h).
+    The two border nodes on each side take np.gradient's edge_order=2
+    formulas: the one-sided 3-point stencil at the end node and the 2nd-order
+    centered difference next to it.  Each formula is evaluated in the order
+    written here, so the bits match np.gradient with the 4th-order stencil
+    patched into its interior.
     """
-    return (np.roll(values, -2, axis) - 8.0 * np.roll(values, -1, axis)
-            + 8.0 * np.roll(values, 1, axis) - np.roll(values, 2, axis)) / (-12.0 * spacing)
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    axis %= v.ndim
+    n = v.shape[axis]
+    if n < 5:
+        raise ValueError(f"node_derivative needs 5 or more nodes along axis, got {n}")
+    out = np.empty_like(v)
+    # The stencil runs over the flattened array, in which neighbours along
+    # axis lie `step` apart, so every operation has one contiguous inner
+    # loop, whatever the axis.  Where the run crosses from one line along
+    # axis into the next, it lands on the border nodes, rewritten below.
+    step = math.prod(v.shape[axis + 1:])
+    flat = v.reshape(-1)
+    size = flat.size
+
+    def shifted(k):
+        return flat[(2 + k) * step:size - (2 - k) * step]
+
+    core = out.reshape(-1)[2 * step:size - 2 * step]
+    scratch = np.multiply(8.0, shifted(1))
+    np.subtract(shifted(2), scratch, out=core)
+    np.multiply(8.0, shifted(-1), out=scratch)
+    core += scratch
+    core -= shifted(-2)
+    core /= -12.0 * spacing
+    head = (slice(None),) * axis
+
+    def at(index):
+        return v[head + (index,)]
+
+    h2 = 2.0 * spacing
+    out[head + (1,)] = (at(2) - at(0)) / h2
+    out[head + (n - 2,)] = (at(n - 1) - at(n - 3)) / h2
+    out[head + (0,)] = (-1.5 / spacing) * at(0) + (2.0 / spacing) * at(1) + (-0.5 / spacing) * at(2)
+    out[head + (n - 1,)] = ((0.5 / spacing) * at(n - 3) + (-2.0 / spacing) * at(n - 2)
+                            + (1.5 / spacing) * at(n - 1))
+    return out
 
 
 def cumulative_trapezoid(y, x=None, dx=1.0, axis=0):

@@ -69,3 +69,25 @@ def _fd4_x_h(H, t, points, width):
 def fd4_x_h():
     """The finite-difference X_H oracle for fields the flows take X_H from in closed form."""
     return _fd4_x_h
+
+
+# PlaneMap's node derivative as it stood before grids.node_derivative, kept
+# verbatim: np.gradient's edge_order=2 pass with the 4th-order stencil, built
+# from rolled copies, patched into the nodes two or more from the border.
+# node_derivative keeps every per-element operation in this order, so its
+# output bits match.
+
+def _head_node_derivative(vals, h, axis):
+    d = np.gradient(vals, h, axis=axis, edge_order=2)
+    core = (np.roll(vals, -2, axis) - 8.0 * np.roll(vals, -1, axis)
+            + 8.0 * np.roll(vals, 1, axis) - np.roll(vals, 2, axis)) / (-12.0 * h)
+    sl = [slice(None)] * 2
+    sl[axis] = slice(2, -2)
+    d[tuple(sl)] = core[tuple(sl)]
+    return d
+
+
+@pytest.fixture(scope="session")
+def head_node_derivative():
+    """The reference the node derivative stencil must match bit for bit."""
+    return _head_node_derivative

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from disclab.calabi import (cal_path, normalize_on_sphere, primitive_and_cal_def1,
+from disclab.calabi import (PRIMITIVE_RESIDUAL_TOL, CalabiReport, cal_path,
+                            normalize_on_sphere, plaquette_circulation,
+                            primitive_and_cal_def1, pullback_defect_form, ray_primitives,
                             slice_integrals, spatial_integral)
 from disclab.alexander import rescale
 from disclab.fields import (ScalarTimeField, SeparableBump, loop_bump,
@@ -184,6 +186,86 @@ def test_primitive_gauge_invariance(bump_map_257):
     plain = primitive_and_cal_def1(bump_map_257)
     gauged = primitive_and_cal_def1(bump_map_257, gauge=gauge)
     assert abs(plain.cal_def1 - gauged.cal_def1) < 1e-6
+
+
+# pullback_defect_form and primitive_and_cal_def1 as they stood when the
+# Jacobian took all four partials, kept verbatim but for the Jacobian, which
+# the verbatim node derivative of conftest.py supplies.  The new form takes
+# two partials through grids.node_derivative and the same operations per
+# element, so every report field keeps its bits.
+
+def _head_pullback_defect_form(phi, derivative, gauge=None):
+    grid = phi.template
+    qx, qy = grid.nodes()
+    P = phi.grid_y.values
+    h = grid.spacing
+    j11 = derivative(phi.grid_x.values, h, 0)
+    j12 = derivative(phi.grid_x.values, h, 1)
+    b1 = -P * j11 + qy
+    b2 = -P * j12
+    if gauge is not None:
+        pts = np.stack([qx, qy], axis=-1)
+        img = np.stack([phi.grid_x.values, phi.grid_y.values], axis=-1)
+        diff = gauge(img) - gauge(pts)
+        g1, g2 = np.gradient(diff, grid.spacing, edge_order=2)
+        b1 = b1 + g1
+        b2 = b2 + g2
+    return b1, b2
+
+
+def _head_primitive_and_cal_def1(phi, derivative, cal_path_value=None, gauge=None):
+    grid = phi.template
+    h_sp = grid.spacing
+    b1, b2 = _head_pullback_defect_form(phi, derivative, gauge=gauge)
+    circ = plaquette_circulation(b1, b2, h_sp)
+    residual = float(np.max(np.abs(circ)))
+    assert residual <= PRIMITIVE_RESIDUAL_TOL
+    h_rows, h_cols = ray_primitives(b1, b2, h_sp)
+    path_independence = float(np.max(np.abs(h_rows - h_cols)))
+    cal1 = 0.5 * float(np.sum(h_rows)) * h_sp * h_sp
+    cal1_coarse = 0.5 * float(np.sum(h_rows[::2, ::2])) * (2 * h_sp) ** 2
+    quad_err = abs(cal1 - cal1_coarse) / 3.0
+    cal_p = cal1 if cal_path_value is None else cal_path_value
+    return CalabiReport(
+        cal_def1=cal1,
+        cal_path=cal_p,
+        primitive_residual=residual,
+        agreement_error=abs(cal1 - cal_p),
+        path_independence=path_independence,
+        quadrature_error=quad_err,
+        grid_n=grid.n,
+    )
+
+
+def _offset_gauge(pts):
+    r2 = (pts[..., 0] - 0.1) ** 2 + pts[..., 1] ** 2
+    u = 1.0 - r2 / 0.64
+    return 0.05 * np.where(u > 0.0, u, 0.0) ** 4
+
+
+@pytest.fixture(scope="module")
+def rotation_map_129():
+    """The exact time-1 map of a radial bump, sampled on the 129-node grid."""
+    grid = square_grid(129)
+    H = radial_bump(amp=0.07, rho=0.8, m=4)
+    return PlaneMap.from_node_images(grid, H.exact_flow(0.0, 1.0, grid.node_points()),
+                                     H.support_radius)
+
+
+@pytest.mark.parametrize("gauge", [None, _offset_gauge])
+def test_primitive_bits_match_four_partial_jacobian(rotation_map_129, gauge,
+                                                    head_node_derivative):
+    phi = rotation_map_129
+    got = pullback_defect_form(phi, gauge=gauge)
+    want = _head_pullback_defect_form(phi, head_node_derivative, gauge=gauge)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for cal_path_value in (None, 0.0):
+        rep = primitive_and_cal_def1(phi, cal_path_value=cal_path_value, gauge=gauge)
+        ref = _head_primitive_and_cal_def1(phi, head_node_derivative,
+                                           cal_path_value=cal_path_value, gauge=gauge)
+        assert rep == ref
+    assert rep.cal_def1 != 0.0
 
 
 def test_primitive_of_identity_is_zero(grid129):

@@ -40,6 +40,8 @@ def test_config_defaults():
     {"dt": 0.0},
     {"dt": 0.5},              # above the cap
     {"h_a": -1.0},
+    {"h_a": 0.5},             # E8's scale 0.5 - h_a would be 0
+    {"h_a": 0.6},             # and negative
     {"family": "unknown"},
     {"tolerances": {"x": -1.0}},
     {"m": 0},                 # H constant on the support

@@ -540,6 +540,17 @@ def test_flow_map_symplecticity(bump_map_257):
     assert bump_map_257.jacobian_defect() < 1e-4
 
 
+def test_jacobian_bits_match_patched_gradient(bump_map_129, head_node_derivative):
+    Q, P = bump_map_129.node_images()
+    h = bump_map_129.template.spacing
+    want = (head_node_derivative(Q, h, 0), head_node_derivative(Q, h, 1),
+            head_node_derivative(P, h, 0), head_node_derivative(P, h, 1))
+    got = bump_map_129.jacobian_at_nodes()
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_identity_map():
     grid = square_grid(65)
     ident = PlaneMap.identity(grid, 0.8)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import disclab
 from disclab.grids import (GridField2D, _collocation_inverse, _disc_weights, blend,
-                           cumulative_trapezoid, disc_weights, integrate_disc, sample,
-                           square_grid)
+                           cumulative_trapezoid, disc_weights, integrate_disc,
+                           node_derivative, sample, square_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +317,43 @@ def test_blend_sums_values_only_when_read(rng):
     assert np.array_equal(b.values, 0.3 * f1.values - 1.7 * f2.values)
     assert np.array_equal(b._spline_coeffs(),
                           0.3 * f1._spline_coeffs() - 1.7 * f2._spline_coeffs())
+
+
+# ---------------------------------------------------------------------------
+# node derivatives
+
+
+@pytest.mark.parametrize("n", [16, 17, 65, 513])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("kind", ["random", "smooth", "transposed"])
+def test_node_derivative_bits_match_patched_gradient(n, axis, kind, rng,
+                                                     head_node_derivative):
+    g = square_grid(n)
+    if kind == "random":
+        vals = rng.normal(size=(n, n))
+    elif kind == "transposed":
+        # not C-contiguous: neighbours along axis 1 lie n apart in memory
+        vals = rng.normal(size=(n, n)).T
+    else:
+        qx, qy = g.nodes()
+        vals = np.sin(3.0 * qx) * np.cos(2.0 * qy) + qx ** 3 * qy
+    got = node_derivative(vals, g.spacing, axis)
+    assert np.array_equal(got, head_node_derivative(vals, g.spacing, axis))
+
+
+def test_node_derivative_is_exact_for_low_degrees():
+    # 4th order two or more nodes from the border, 2nd order on it
+    g = square_grid(17)
+    qx, qy = g.nodes()
+    d = node_derivative(qx ** 4 + qy, g.spacing, 0)
+    assert np.max(np.abs(d - 4.0 * qx ** 3)[2:-2]) < 1e-12
+    d = node_derivative(qx * qy ** 2, g.spacing, 1)
+    assert np.max(np.abs(d - 2.0 * qx * qy)) < 1e-12
+
+
+def test_node_derivative_needs_five_nodes():
+    with pytest.raises(ValueError, match="5 or more"):
+        node_derivative(np.zeros((4, 16)), 0.1, 0)
 
 
 # ---------------------------------------------------------------------------
