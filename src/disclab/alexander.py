@@ -21,8 +21,8 @@ from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
 # hamiltonian_path is not called here, but bench/test_oracles.py checks that
 # the benchmark's tracer finds and rebinds it in this module
-from .flows import PlaneMap, hamiltonian_path, hofer_length, sweep_nodes
-from .grids import blend, cumulative_trapezoid, square_grid
+from .flows import hamiltonian_path, hofer_length, sweep_nodes
+from .grids import blend, cumulative_trapezoid, square_grid, values_at
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +221,21 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
 def _s_integrand(arms, u, grid, images, y):
     """sum of c * H_s(u, phi_s^u(y)) over the stencil's arms (H_s, c).
 
-    images holds each arm's node images phi_s^u(nodes).
+    images holds each arm's node images phi_s^u(nodes), which sample the
+    arm's map on grid.  The coordinate grids of all arms are evaluated at y
+    in one grids.values_at call, so they share its extent check and
+    per-block spline plan.  Each arm then leaves the points of y at or past
+    its support radius fixed, as PlaneMap does.
     """
+    shape = grid.values.shape
+    coords = values_at([grid.with_values(img[..., axis].reshape(shape))
+                        for img in images for axis in (0, 1)], y)
+    r = np.hypot(y[..., 0], y[..., 1])
     val = np.zeros(len(y))
-    for (Hs, coeff), img in zip(arms, images):
-        phi = PlaneMap.from_node_images(grid, img, Hs.support_radius)
-        val += coeff * Hs(u, phi(y))
+    for k, (Hs, coeff) in enumerate(arms):
+        out = np.stack(coords[2 * k:2 * k + 2], axis=-1)
+        fixed = r >= Hs.support_radius
+        val += coeff * Hs(u, np.where(fixed[..., None], y, out))
     return val
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .fields import SeparableBump
-from .grids import GridField2D, node_derivative, square_grid
+from .grids import GridField2D, node_derivative, square_grid, values_at
 
 # Newton inversion stops once every residual is under NEWTON_TOL; after
 # NEWTON_MAX_ITER steps it still accepts residuals up to 1e-8
@@ -176,8 +176,13 @@ class PlaneMap:
                    grid.with_values(img[..., 1].reshape(shape)), support_radius)
 
     def __call__(self, points):
+        """phi at points of shape (..., 2); points at or past support_radius stay fixed.
+
+        Both coordinate grids are evaluated in one grids.values_at call,
+        so they share its extent check and per-block spline plan.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        out = np.stack([self.grid_x(pts), self.grid_y(pts)], axis=-1)
+        out = np.stack(values_at([self.grid_x, self.grid_y], pts), axis=-1)
         r = np.hypot(pts[..., 0], pts[..., 1])
         fixed = r >= self.support_radius
         return np.where(fixed[..., None], pts, out)
@@ -242,11 +247,13 @@ class PlaneMap:
         targets has shape (..., 2); the preimages come back in that shape.
         Every iterate is clipped to the grid's extent, so a target with no
         preimage on the grid fails as a stalled Newton, not off the grid.
+        Each iteration evaluates the map once and its four Jacobian grids
+        at the active iterates in one grids.values_at call.
         """
         tgt = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
         y = tgt.copy()
         lo, hi = self.grid_x.extent
-        g11, g12, g21, g22 = self._jacobian_grids()
+        jac = self._jacobian_grids()
         converged = False
         for _ in range(NEWTON_MAX_ITER):
             res = self(y) - tgt
@@ -257,10 +264,7 @@ class PlaneMap:
                 break
             ya = y[active]
             ra = res[active]
-            a11 = g11(ya)
-            a12 = g12(ya)
-            a21 = g21(ya)
-            a22 = g22(ya)
+            a11, a12, a21, a22 = values_at(jac, ya)
             det = a11 * a22 - a12 * a21
             bad = np.abs(det) < 1e-14
             if bad.any():

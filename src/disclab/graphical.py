@@ -27,7 +27,7 @@ import numpy as np
 from .chart import jmap
 from .calabi import plaquette_circulation
 from .flows import NewtonError, PlaneMap
-from .grids import GridField2D, cumulative_trapezoid, square_grid
+from .grids import GridField2D, cumulative_trapezoid, square_grid, values_at
 
 # kappa counts as a diffeomorphism only where min det d(kappa) exceeds this
 MIN_DET = 1e-3
@@ -110,7 +110,7 @@ class OneFormField:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=np.float64)
-        out = np.stack([self.a1(pts), self.a2(pts)], axis=-1)
+        out = np.stack(values_at([self.a1, self.a2], pts), axis=-1)
         r = np.hypot(pts[..., 0], pts[..., 1])
         return np.where((r >= self.support_radius)[..., None], 0.0, out)
 
@@ -243,7 +243,7 @@ def trace_chain_dgada(potentials, a, h_a, probe_points):
     gm, g0, gp, g1 = (potentials[s] for s in (a - h_a, a, a + h_a, 1.0))
     pts = np.asarray(probe_points, dtype=np.float64)
     lhs = (gp(pts) - gm(pts)) / (2.0 * h_a)
-    d1, d2 = g0.gradient()
-    dg_dot_q = d1(pts) * pts[..., 0] + d2(pts) * pts[..., 1]
+    d1, d2 = values_at(g0.gradient(), pts)
+    dg_dot_q = d1 * pts[..., 0] + d2 * pts[..., 1]
     rhs = 2.0 * a * g1(pts / a) - dg_dot_q / a
     return float(np.max(np.abs(lhs - rhs)))

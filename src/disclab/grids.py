@@ -7,12 +7,17 @@ mirror rule: the spline is even about every edge of the grid.  Its
 coefficients solve the B-spline collocation system exactly, so the
 interpolant reproduces the stored node values; the solve is one cached
 inverse matrix applied along both axes.  A grid field answers only on its
-grid: both entry points, ``__call__`` for the value at (..., 2) points and
-``gradient_into`` for both partials at (2, n) points, the RK4 loop's
-layout, written into a caller's buffer, raise ValueError for a point off
-the closed extent or not finite.  Both then run the one B-spline
-evaluation ``_spline_block``, from one gather of the 4x4 coefficient taps
-of each point.
+grid: both entry points raise ValueError for a point off the closed extent
+or not finite.  ``values_at`` is the one value path: it evaluates any
+number of fields on one template at the same (..., 2) points, and
+``GridField2D.__call__`` is ``values_at`` of one field.
+``gradient_into`` writes both partials at (2, n) points, the RK4 loop's
+layout, into a caller's buffer.  Both run blocks of points through the one
+B-spline evaluation: a plan, ``_spline_plan``, holds each point's cell
+weights and the flat index of its 4x4 coefficient taps, and depends only
+on the template; ``_spline_sums`` then gathers one field's taps and
+contracts them.  Fields that share a template and a point set share the
+plan of each block.
 ``blend`` forms a linear combination of grid fields by combining their
 spline coefficients, so the blend is evaluated once instead of term by
 term; its node values are summed only if something reads them.
@@ -108,13 +113,7 @@ class GridField2D:
 
         Points off the extent, or not finite, raise ValueError.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        shape = pts.shape[:-1]
-        z = pts.reshape(-1, 2).T
-        self._check_extent(z)
-        value = np.empty(z.shape[1])
-        self._spline_blocks(z, value=value)
-        return value.reshape(shape)
+        return values_at([self], points)[0]
 
     def gradient_into(self, z, out):
         """Write df/dx and df/dy of the cubic spline at points z, shape (2, n), into out.
@@ -124,7 +123,10 @@ class GridField2D:
         written.
         """
         self._check_extent(z)
-        self._spline_blocks(z, out)
+        for block in _blocks(z.shape[1]):
+            m = self._spline_sums(self._spline_plan(z[:, block], 2))
+            np.divide(m[1, 0], self.spacing, out=out[0, block])
+            np.divide(m[0, 1], self.spacing, out=out[1, block])
 
     def _check_extent(self, z):
         """Refuse points z, shape (2, n), unless all lie in the closed extent.
@@ -140,27 +142,16 @@ class GridField2D:
                 and z[1].min() >= lo[1] and z[1].max() <= hi[1]):
             raise ValueError(f"points must be finite and inside the grid extent [{lo}, {hi}]")
 
-    def _spline_blocks(self, z, grad=None, value=None):
-        """Value and/or gradient at points z, shape (2, n), in the extent."""
-        kinds = 1 if grad is None else 2
-        # blocks bound the 16-taps-per-point temporaries, which the
-        # allocator then reuses instead of mapping fresh pages per call
-        for start in range(0, z.shape[1], _BLOCK):
-            block = slice(start, start + _BLOCK)
-            u = (z[:, block] - self.origin[:, None]) / self.spacing
-            m = self._spline_block(u, kinds)
-            if value is not None:
-                value[block] = m[0, 0]
-            if grad is not None:
-                np.divide(m[1, 0], self.spacing, out=grad[0, block])
-                np.divide(m[0, 1], self.spacing, out=grad[1, block])
+    def _spline_plan(self, z, kinds):
+        """The field-free part of the spline sums at points z, shape (2, N), in the extent.
 
-    def _spline_block(self, u, kinds):
-        """The spline sums m at grid coordinates u, shape (2, N): node i sits at u = i.
-
-        m[0, 0] is the value; with kinds = 2, m[1, 0] and m[0, 1] are d/dx
-        and d/dy in grid units.
+        Returns the B-spline weights w[kind, tap, axis, point] (kind 0
+        weighs values; with kinds = 2, kind 1 weighs d/dt in grid units)
+        and the flat index of each point's 4x4 coefficient taps.  Both
+        depend only on the points and the grid template, so every field on
+        the template shares them.
         """
+        u = (z - self.origin[:, None]) / self.spacing
         # u >= 0, so truncation is the floor; the last cell is closed: a
         # point on the upper edge sits at t = 1
         c = u.astype(np.intp)
@@ -171,12 +162,20 @@ class GridField2D:
         powers[1] = t
         np.multiply(t, t, out=powers[2])
         np.multiply(powers[2], t, out=powers[3])
-        # w[kind, tap, axis, point]: kind 0 weighs values, kind 1 d/dt
         w = (_BSPLINE3[:4 * kinds] @ powers.reshape(4, -1)).reshape((kinds, 4) + t.shape)
         # tap (cx + a, cy + b) of cell (cx, cy), a, b = -1 .. 2, sits at flat
         # index (cx + a + 1)(n + 3) + (cy + b + 1) of the mirrored coefficients
         stride = self.n + 3
         index = (c[0] * stride + c[1]) + (_TAPS * stride + _TAPS.T)[:, :, None]
+        return w, index
+
+    def _spline_sums(self, plan):
+        """This field's spline sums m under a plan of _spline_plan.
+
+        m[0, 0] is the value; with kinds = 2, m[1, 0] and m[0, 1] are d/dx
+        and d/dy in grid units.
+        """
+        w, index = plan
         taps = np.take(self._mirrored_coeffs(), index)
         rows = np.einsum("abn,jbn->jan", taps, w[:, :, 1])
         return np.einsum("ian,jan->ijn", w[:, :, 0], rows)
@@ -219,8 +218,16 @@ class GridField2D:
         return cls(origin, float(meta["spacing"]), values)
 
 
-# points per block of the spline evaluation in GridField2D._spline_blocks
+# points per block of the spline evaluation: blocks bound the
+# 16-taps-per-point temporaries, which the allocator then reuses instead of
+# mapping fresh pages per call
 _BLOCK = 1024
+
+
+def _blocks(count):
+    """Slices of count points, _BLOCK at a time."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
+
 
 # Cubic B-spline weights of the taps -1, 0, 1, 2 of a cell as polynomials
 # in the cell fraction t: row (kind, tap) holds the coefficients of
@@ -253,6 +260,38 @@ def _collocation_inverse(n):
     return inverse
 
 
+def values_at(fields, points):
+    """The values of grid fields on one template at points of shape (..., 2).
+
+    Returns one array of shape (...) per field.  The extent is checked
+    once, so a point off it or not finite raises ValueError before any
+    field is evaluated.  Each block of points takes one plan, its cells,
+    B-spline weights and tap index, which every field then contracts with
+    its own coefficients; a field's values have the same bits as when it
+    is evaluated alone.
+    """
+    template = _one_template(fields)
+    pts = np.asarray(points, dtype=np.float64)
+    shape = pts.shape[:-1]
+    z = pts.reshape(-1, 2).T
+    template._check_extent(z)
+    values = [np.empty(z.shape[1]) for _ in fields]
+    for block in _blocks(z.shape[1]):
+        plan = template._spline_plan(z[:, block], 1)
+        for f, value in zip(fields, values):
+            value[block] = f._spline_sums(plan)[0, 0]
+    return [value.reshape(shape) for value in values]
+
+
+def _one_template(fields):
+    """The first of fields, after checking that all share its grid template."""
+    f0 = fields[0]
+    for f in fields[1:]:
+        if f.n != f0.n or f.spacing != f0.spacing or (f.origin != f0.origin).any():
+            raise ValueError("grid fields must share one grid template")
+    return f0
+
+
 def blend(terms):
     """The grid field sum(c * f) of terms [(c, f), ...] on one template.
 
@@ -262,11 +301,7 @@ def blend(terms):
     values are summed only when read: evaluation needs the coefficients
     alone.
     """
-    f0 = terms[0][1]
-    for _, f in terms[1:]:
-        if (f.n != f0.n or f.spacing != f0.spacing
-                or not np.array_equal(f.origin, f0.origin)):
-            raise ValueError("blend needs fields on one grid template")
+    _one_template([f for _, f in terms])
     return _Blend(terms)
 
 

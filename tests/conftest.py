@@ -91,3 +91,81 @@ def _head_node_derivative(vals, h, axis):
 def head_node_derivative():
     """The reference the node derivative stencil must match bit for bit."""
     return _head_node_derivative
+
+
+# GridField2D's value path as it stood before grids.values_at, kept verbatim
+# but for `self` passed as an argument: one extent check, cell search,
+# weight matmul and tap index per field and block.  values_at shares that
+# plan among the fields of one template and keeps every per-element
+# operation, so its output bits match.
+
+_HEAD_BLOCK = 1024
+_HEAD_BSPLINE3 = np.array([
+    [1.0, -3.0, 3.0, -1.0], [4.0, 0.0, -6.0, 3.0],
+    [1.0, 3.0, 3.0, -3.0], [0.0, 0.0, 0.0, 1.0],
+    [-3.0, 6.0, -3.0, 0.0], [0.0, -12.0, 9.0, 0.0],
+    [3.0, 6.0, -9.0, 0.0], [0.0, 0.0, 3.0, 0.0],
+]) / 6.0
+_HEAD_TAPS = np.arange(4)[:, None]
+
+
+def _head_grid_call(self, points):
+    pts = np.asarray(points, dtype=np.float64)
+    shape = pts.shape[:-1]
+    z = pts.reshape(-1, 2).T
+    self._check_extent(z)
+    value = np.empty(z.shape[1])
+    _head_spline_blocks(self, z, value=value)
+    return value.reshape(shape)
+
+
+def _head_spline_blocks(self, z, grad=None, value=None):
+    kinds = 1 if grad is None else 2
+    for start in range(0, z.shape[1], _HEAD_BLOCK):
+        block = slice(start, start + _HEAD_BLOCK)
+        u = (z[:, block] - self.origin[:, None]) / self.spacing
+        m = _head_spline_block(self, u, kinds)
+        if value is not None:
+            value[block] = m[0, 0]
+        if grad is not None:
+            np.divide(m[1, 0], self.spacing, out=grad[0, block])
+            np.divide(m[0, 1], self.spacing, out=grad[1, block])
+
+
+def _head_spline_block(self, u, kinds):
+    c = u.astype(np.intp)
+    np.minimum(c, self.n - 2, out=c)
+    t = u - c
+    powers = np.empty((4,) + t.shape)
+    powers[0] = 1.0
+    powers[1] = t
+    np.multiply(t, t, out=powers[2])
+    np.multiply(powers[2], t, out=powers[3])
+    w = (_HEAD_BSPLINE3[:4 * kinds] @ powers.reshape(4, -1)).reshape((kinds, 4) + t.shape)
+    stride = self.n + 3
+    index = (c[0] * stride + c[1]) + (_HEAD_TAPS * stride + _HEAD_TAPS.T)[:, :, None]
+    taps = np.take(self._mirrored_coeffs(), index)
+    rows = np.einsum("abn,jbn->jan", taps, w[:, :, 1])
+    return np.einsum("ian,jan->ijn", w[:, :, 0], rows)
+
+
+def _head_plane_map_call(phi, points):
+    # PlaneMap.__call__, one grid at a time
+    pts = np.asarray(points, dtype=np.float64)
+    out = np.stack([_head_grid_call(phi.grid_x, pts), _head_grid_call(phi.grid_y, pts)],
+                   axis=-1)
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    fixed = r >= phi.support_radius
+    return np.where(fixed[..., None], pts, out)
+
+
+@pytest.fixture(scope="session")
+def head_grid_call():
+    """The reference a grid field's values must match bit for bit."""
+    return _head_grid_call
+
+
+@pytest.fixture(scope="session")
+def head_plane_map_call():
+    """The reference a sampled map's values must match bit for bit."""
+    return _head_plane_map_call

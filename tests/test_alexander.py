@@ -12,7 +12,8 @@ from disclab import alexander as alx
 from disclab import kernels
 from disclab.calabi import cal_path, spatial_integral
 from disclab.fields import ScalarTimeField, loop_bump, radial_bump, zero_field
-from disclab.flows import _simpson_weights, hamiltonian_path, hofer_length, integrate_points
+from disclab.flows import (PlaneMap, _simpson_weights, hamiltonian_path, hofer_length,
+                           integrate_points, sweep_nodes)
 from disclab.grids import GridField2D, sample, square_grid
 
 
@@ -286,6 +287,44 @@ def test_s_hamiltonian_bits_match_swept_paths(family, n):
         for g, w in zip(got_row, want_row, strict=True):
             assert np.array_equal(g.values, w.values)
     assert max(np.max(np.abs(g.values)) for g in got.values[-1]) > 1e-3
+
+
+# _s_integrand as it stood before grids.values_at, kept verbatim but for
+# the map's value path, the fixture's copy that evaluates one grid at a time.
+
+def _head_s_integrand(arms, u, grid, images, y, plane_map_call):
+    val = np.zeros(len(y))
+    for (Hs, coeff), img in zip(arms, images):
+        phi = PlaneMap.from_node_images(grid, img, Hs.support_radius)
+        val += coeff * Hs(u, plane_map_call(phi, y))
+    return val
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0], ids=["centered", "one-sided"])
+def test_s_integrand_bits_match_one_arm_at_a_time(s, head_plane_map_call):
+    # the arms of s_hamiltonian's stencil at s, on its sweeps' node images;
+    # y spans several blocks and reaches past every arm's support
+    fam = alx.alexander_family(radial_bump(0.05, 0.8, 4))
+    grid = square_grid(65)
+    h = alx.S_STEP
+    if s + h <= 1.0:
+        stencil = [(s + h, 0.5 / h), (s - h, -0.5 / h)]
+    else:
+        stencil = [(s, 1.5 / h), (s - h, -2.0 / h), (s - 2.0 * h, 0.5 / h)]
+    H_mid = fam.at(s)
+    arms = [(H_mid if sv == s else fam.at(sv), cv) for sv, cv in stencil]
+    sweeps = [(H_mid, True)] + [(Hs, False) for Hs, _ in arms]
+    nodes = grid.node_points().reshape(-1, 2)
+    sel = np.union1d([0], np.flatnonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < 0.9))
+    assert len(sel) > 2048
+    steps = [(0.0, [nodes] * len(arms), nodes[sel])]
+    for u, imgs in zip(np.linspace(0.0, 1.0, 5)[1:], sweep_nodes(sweeps, 5, grid, 1e-2)):
+        steps.append((u, imgs[1:], imgs[0][sel]))
+    for u, images, y in steps:
+        got = alx._s_integrand(arms, u, grid, images, y)
+        want = _head_s_integrand(arms, u, grid, images, y, head_plane_map_call)
+        assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got)) > 1e-3
 
 
 @pytest.fixture(scope="module")

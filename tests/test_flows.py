@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from disclab import kernels
 from disclab.fields import (ScalarTimeField, loop_bump, moving_bump, radial_bump,
                             twist_bump, zero_field)
-from disclab.flows import (NewtonError, PlaneMap, _rk4_segment, _simpson_weights, flow_map,
-                           hamiltonian_path, hofer_length, integrate_points, integrate_segments,
-                           osc_on_grid, sweep_nodes, time_integral)
+from disclab.flows import (NEWTON_MAX_ITER, NEWTON_TOL, NewtonError, PlaneMap, _rk4_segment,
+                           _simpson_weights, flow_map, hamiltonian_path, hofer_length,
+                           integrate_points, integrate_segments, osc_on_grid, sweep_nodes,
+                           time_integral)
 from disclab.grids import square_grid
 
 
@@ -593,6 +594,74 @@ def test_newton_inverts_targets_of_any_shape():
     assert back.shape == nodes.shape
     assert np.array_equal(back.reshape(-1, 2), phi.newton_invert(phi(nodes).reshape(-1, 2)))
     assert np.max(np.hypot(*(back - nodes).reshape(-1, 2).T)) < 1e-8
+
+
+# PlaneMap.newton_invert as it stood before grids.values_at, kept verbatim
+# but for `self` passed as an argument and each grid field, and the map
+# itself, evaluated one at a time through the fixtures' copies of that
+# value path.
+
+def _head_newton_invert(self, targets, grid_call, plane_map_call):
+    tgt = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
+    y = tgt.copy()
+    lo, hi = self.grid_x.extent
+    g11, g12, g21, g22 = self._jacobian_grids()
+    converged = False
+    for _ in range(NEWTON_MAX_ITER):
+        res = plane_map_call(self, y) - tgt
+        err = np.hypot(res[:, 0], res[:, 1])
+        active = err > NEWTON_TOL
+        if not active.any():
+            converged = True
+            break
+        ya = y[active]
+        ra = res[active]
+        a11 = grid_call(g11, ya)
+        a12 = grid_call(g12, ya)
+        a21 = grid_call(g21, ya)
+        a22 = grid_call(g22, ya)
+        det = a11 * a22 - a12 * a21
+        bad = np.abs(det) < 1e-14
+        if bad.any():
+            idx = np.nonzero(active)[0][np.nonzero(bad)[0][0]]
+            raise NewtonError(
+                f"singular jacobian while inverting at target {tgt[idx]}",
+                point=tgt[idx],
+            )
+        dx = (a22 * ra[:, 0] - a12 * ra[:, 1]) / det
+        dy = (-a21 * ra[:, 0] + a11 * ra[:, 1]) / det
+        step = np.stack([dx, dy], axis=-1)
+        norm = np.hypot(step[:, 0], step[:, 1])
+        lam = np.where(norm > 0.25, 0.25 / np.maximum(norm, 1e-300), 1.0)
+        y[active] = np.clip(ya - lam[:, None] * step, lo, hi)
+    if not converged:
+        res = plane_map_call(self, y) - tgt
+        err = np.hypot(res[:, 0], res[:, 1])
+        if np.max(err) > 1e-8:
+            idx = int(np.argmax(err))
+            raise NewtonError(
+                f"Newton stalled at target {tgt[idx]} (residual {err[idx]:.3e})",
+                point=tgt[idx],
+            )
+    return y.reshape(np.shape(targets))
+
+
+def test_map_and_newton_bits_match_one_grid_at_a_time(bump_map_129, rng, head_grid_call,
+                                                      head_plane_map_call):
+    phi = bump_map_129
+    lo, hi = phi.template.extent
+    # several blocks of points, inside and outside the support, the
+    # extent's corners included
+    pts = np.concatenate([rng.uniform(lo, hi, size=(2500, 2)), [lo, hi, [lo[0], hi[1]]]])
+    got = phi(pts)
+    assert got.tobytes() == head_plane_map_call(phi, pts).tobytes()
+    assert phi(pts.reshape(-1, 1, 2)).tobytes() == got.tobytes()
+    # Newton's targets: the images of the nodes in and near the support
+    nodes = phi.template.node_points().reshape(-1, 2)
+    targets = phi(nodes[np.hypot(nodes[:, 0], nodes[:, 1]) < 0.85])
+    assert len(targets) > 2048
+    want = _head_newton_invert(phi, targets, head_grid_call, head_plane_map_call)
+    assert phi.newton_invert(targets).tobytes() == want.tobytes()
 
 
 def test_newton_iterates_stay_on_the_grid():

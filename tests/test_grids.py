@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import disclab
 from disclab.grids import (GridField2D, _collocation_inverse, _disc_weights, blend,
                            cumulative_trapezoid, disc_weights, integrate_disc,
-                           node_derivative, sample, square_grid)
+                           node_derivative, sample, square_grid, values_at)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,76 @@ def test_spline_bits_do_not_depend_on_the_batch(rng):
     pts = _extent_points(f, rng, count=600)
     assert len(pts) > 1024
     value, grad = f(pts), _gradient(f, pts)
+    # and the same bits beside another field of the template
+    other = f.with_values(rng.normal(size=(40, 40)))
+    assert np.array_equal(values_at([other, f], pts)[1], value)
     for part in (slice(0, 7), slice(7, 1030), slice(1030, None)):
         assert np.array_equal(f(pts[part]), value[part])
         assert np.array_equal(_gradient(f, pts[part]), grad[part])
+        assert np.array_equal(values_at([other, f], pts[part])[1], value[part])
     # an interior point gets the same bits whether or not its block also
     # holds a point in an edge cell
     inner = rng.uniform(f.extent[0] + 3 * f.spacing, f.extent[1] - 3 * f.spacing, size=(50, 2))
     edge = np.concatenate([inner, [f.extent[0]]])
     assert np.array_equal(f(inner), f(edge)[:-1])
     assert np.array_equal(_gradient(f, inner), _gradient(f, edge)[:-1])
+
+
+@pytest.mark.parametrize("n", [16, 65, 129])
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049])
+def test_values_at_bits_match_one_field_at_a_time(n, count, head_grid_call):
+    # the fields share each block's plan, and each keeps the bits the old
+    # value path, one field at a time, gave it
+    rng = np.random.default_rng(1000 * n + count)
+    g = GridField2D((-1.05, -0.4), 2.1 / (n - 1), np.zeros((n, n)))
+    fields = [g.with_values(rng.uniform(-1.0, 1.0, size=(n, n))) for _ in range(3)]
+    lo, hi = g.extent
+    pts = rng.uniform(lo, hi, size=(count, 2))
+    # the closed upper corner and edges, where a point sits at t = 1 of the
+    # last cell, and the lower corner; the corner alone when count is 1
+    edges = np.array([hi, [hi[0], 0.5 * (lo[1] + hi[1])], [lo[0], hi[1]], lo])
+    spots = rng.choice(count, size=min(count, len(edges)), replace=False)
+    pts[spots] = edges[:len(spots)]
+    got = values_at(fields, pts)
+    assert len(got) == len(fields)
+    for f, value in zip(fields, got):
+        want = head_grid_call(f, pts)
+        assert value.shape == want.shape == (count,)
+        assert value.tobytes() == want.tobytes()
+        assert f(pts).tobytes() == want.tobytes()
+    # points of any leading shape
+    for f, value in zip(fields, values_at(fields, pts[:, None])):
+        assert value.shape == (count, 1)
+        assert value.tobytes() == head_grid_call(f, pts).tobytes()
+
+
+def test_values_at_refuses_mixed_templates_and_points_off_the_extent(rng, monkeypatch):
+    g = square_grid(33)
+    f = g.with_values(rng.normal(size=(33, 33)))
+    pts = _extent_points(f, rng, count=1000)
+    for other in (square_grid(34), square_grid(33, extent=1.0),
+                  GridField2D((-1.05, -1.0), g.spacing, np.zeros((33, 33)))):
+        with pytest.raises(ValueError, match="template"):
+            values_at([f, other], pts)
+    # one bad point in the last block is refused before any block is evaluated
+    assert len(pts) > 1024
+    sums = []
+    spline_sums = GridField2D._spline_sums
+
+    def counting(self, plan):
+        sums.append(self)
+        return spline_sums(self, plan)
+
+    monkeypatch.setattr(GridField2D, "_spline_sums", counting)
+    other = f.with_values(rng.normal(size=(33, 33)))
+    lo, hi = f.extent
+    for bad in ([hi[0] + 1e-9, 0.0], [0.0, np.nextafter(lo[1], -np.inf)], [np.nan, 0.0],
+                [0.0, np.inf]):
+        with pytest.raises(ValueError, match="extent"):
+            values_at([f, other], np.concatenate([pts, [bad]]))
+    assert sums == []
+    values_at([f, other], pts)
+    assert len(sums) == 2 * -(-len(pts) // 1024)
 
 
 def test_extent_is_closed_at_the_upper_corner():
