@@ -6,10 +6,18 @@ while boosting amplitude like a^{-2} keeps the Calabi invariant constant
 while the maps converge uniformly to the identity and the Hofer length
 blows up like a^{-2} -- the C0-discontinuity sequence.
 
-The s-direction Hamiltonian K of a two-parameter family {phi_{H(s)}^t}
-is measured directly from flows:
-    K(s, t, x) = int_0^t [d/ds (H(s,u, .) o phi_s^u)] o (phi_s^u)^{-1} (x) du
-with the gauge K(s, 0, .) = 0 and K = 0 outside all supports.
+The s-direction Hamiltonian K of a two-parameter family {phi_s^t}, the
+flows of H(s), satisfies d/ds phi_s^t = X_K o phi_s^t, and Duhamel's
+formula gives it as
+
+    K(s, t, x) = int_0^t (dH/ds)(s, u, .) o phi_s^u o (phi_s^t)^{-1} (x) du,
+
+with the gauge K(s, 0, .) = 0, and K = 0 wherever dH/ds vanishes along
+the path.  The path u -> phi_s^u((phi_s^t)^{-1}(x)) is the trajectory of
+H(s) run backward from x at time t to time 0, so s_hamiltonian takes K at
+the grid nodes from one backward RK4 run per stored time, or for an
+autonomous H(s) one run in all, whose state carries the integral of
+dH/ds as a third row.
 """
 
 import csv
@@ -17,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .calabi import cal_path
 from .fields import ScalarTimeField, SeparableBump
 # hamiltonian_path is not called here, but bench/test_oracles.py checks that
 # the benchmark's tracer finds and rebinds it in this module
-from .flows import hamiltonian_path, hofer_length, sweep_nodes
-from .grids import blend, cumulative_trapezoid, square_grid, values_at
+from .flows import _rk4_segment, hamiltonian_path, hofer_length
+from .grids import blend, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -47,29 +56,46 @@ def rescale(H, a):
 # ---------------------------------------------------------------------------
 # two-parameter families and the s-Hamiltonian
 
-# step of the finite-difference stencil in s of s_hamiltonian
+# step of the finite-difference stencil in s of dH/ds, for families
+# without Euler coefficients
 S_STEP = 1e-3
 
 
 class TwoParameterFamily:
-    """s in [0,1] -> a path Hamiltonian H(s); H(0) need not vanish."""
+    """s in [0,1] -> a path Hamiltonian H(s); H(0) need not vanish.
 
-    def __init__(self, at, support_radius):
+    s_hamiltonian integrates dH/ds along the flows of H(s).  euler, if
+    given, maps s to the Euler coefficients (alpha, beta) of a family of
+    SeparableBumps, dH/ds(s) = alpha H(s) + beta x . grad H(s), which
+    kernels.bump_field writes in closed form as the stepper's value row.
+    Without them dH/ds is a finite difference in s of H values, step
+    S_STEP, evaluated at the stage points of the run.
+    """
+
+    def __init__(self, at, support_radius, euler=None):
         self._at = at
         self.support_radius = float(support_radius)
+        self.euler = euler
 
     def at(self, s):
         return self._at(s)
 
 
 def linear_family(H):
-    """H(s) = s * H: the straight-line two-parameter family with H(0) = 0."""
-    return TwoParameterFamily(H.amplified, H.support_radius)
+    """H(s) = s * H: the straight-line two-parameter family with H(0) = 0.
+
+    dH/ds = H = H(s) / s.
+    """
+    return TwoParameterFamily(H.amplified, H.support_radius, euler=lambda s: (1.0 / s, 0.0))
 
 
 def alexander_family(H):
-    """H(s) = s^2 H(t, x/s): the rescaling contraction of the path of H."""
-    return TwoParameterFamily(lambda s: rescale(H, s), H.support_radius)
+    """H(s) = s^2 H(t, x/s): the rescaling contraction of the path of H.
+
+    d/da [a^2 H(x/a)] = (2 H_a - x . grad H_a) / a with H_a = a^2 H(x/a).
+    """
+    return TwoParameterFamily(lambda s: rescale(H, s), H.support_radius,
+                              euler=lambda a: (2.0 / a, -1.0 / a))
 
 
 @dataclass
@@ -157,18 +183,19 @@ class _TimeOneField(ScalarTimeField):
 
 
 def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
-    """Measure the s-Hamiltonian K of a two-parameter family from its flows.
+    """Measure the s-Hamiltonian K of a two-parameter family by Duhamel's formula.
 
-    For each s the s-derivative of H(s, u, phi_s^u(y)) is taken by a
-    finite-difference stencil in s: centered, on the paths at s + S_STEP and
-    s - S_STEP, or one-sided and second order at the upper end, on the paths
-    at s, s - S_STEP and s - 2 S_STEP.  It is pushed to x = phi_s^u(y) through
-    the inverse of the mid path at s, and integrated over u by the
-    trapezoid rule.  The sweeps of one s sample step together
-    (flows.sweep_nodes): the mid path only backward, for its inverse,
-    unless its forward sweep is the one-sided stencil's arm at s.  The
-    integrand is evaluated only at the nodes inside the support and at the
-    grid corner that pins the gauge; K is zero at every other node.
+    For each s, K(s, t_k, .) at the grid nodes is the third row of a
+    backward RK4 run of H(s) on the state (x, y, A), from (node, 0) at
+    time t_k to time 0, whose rate of A is -dH/ds(s): A ends at the
+    integral of dH/ds along the trajectory (flows._rk4_segment's value
+    row).  An autonomous H(s) has phi^u o (phi^t)^{-1} = phi^(u - t), so
+    one run backward through the stored times, segment by segment, gives
+    K at every t_k; any other H(s) takes one run from each t_k back to 0.
+    The runs step the nodes inside H(s)'s support, outside which
+    alpha H + beta x . grad H vanishes, or, for a family without Euler
+    coefficients, every node inside the family's support.  K is exactly
+    zero at every other node and at t = 0.
     """
     if s_samples is None:
         s_samples = np.linspace(0.0625, 1.0, 16)
@@ -185,58 +212,56 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
     if grid is None:
         grid = square_grid(129)
     times = np.linspace(0.0, 1.0, nt)
-    support = family.support_radius
     nodes = grid.node_points().reshape(-1, 2)
-    # sel holds node 0, the grid corner that pins the gauge, and every node
-    # inside the support; K is zero at the others
-    sel = np.union1d([0], np.flatnonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < support))
     all_values = []
     for s in s_samples:
-        H_mid = family.at(s)
-        if s + S_STEP <= 1.0:
-            # centered stencil
-            stencil = [(s + S_STEP, 0.5 / S_STEP), (s - S_STEP, -0.5 / S_STEP)]
-        else:
-            # one-sided second-order stencil at the upper end
-            stencil = [(s, 1.5 / S_STEP), (s - S_STEP, -2.0 / S_STEP),
-                       (s - 2.0 * S_STEP, 0.5 / S_STEP)]
-        # the arm at s itself is the mid path's forward sweep
-        arms = [(H_mid if sv == s else family.at(sv), cv) for sv, cv in stencil]
-        # sweep 0 is the mid path's backward sweep, for y = (phi_s^u)^{-1}(x)
-        sweeps = [(H_mid, True)] + [(Hs, False) for Hs, _ in arms]
-        integrand = np.empty((nt, sel.size))
-        integrand[0] = _s_integrand(arms, times[0], grid, [nodes] * len(arms), nodes[sel])
-        for k, imgs in enumerate(sweep_nodes(sweeps, nt, grid, dt), start=1):
-            integrand[k] = _s_integrand(arms, times[k], grid, imgs[1:], imgs[0][sel])
-        K_sel = cumulative_trapezoid(integrand, times, axis=0)
-        # the gauge: K = 0 at the corner, sel[0]
-        K_sel -= K_sel[:, :1]
+        H = family.at(s)
+        value, support, autonomous = _s_rate(family, s, H)
+        live = kernels.live_points(nodes, support)
+        pts = nodes[live]
+        start = np.zeros((3, len(pts)))
+        start[:2] = pts.T
         K = np.zeros((nt, nodes.shape[0]))
-        K[:, sel] = K_sel
+        if autonomous:
+            segments = [_rk4_segment(H, times[k], times[k - 1], dt, value)
+                        for k in range(1, nt)]
+            for k, z in enumerate(kernels.rk4(segments, start), start=1):
+                K[k, live] = z[2]
+        else:
+            for k in range(1, nt):
+                (z,) = kernels.rk4([_rk4_segment(H, times[k], 0.0, dt, value)], start.copy())
+                K[k, live] = z[2]
         K = K.reshape((nt,) + grid.values.shape)
         all_values.append([grid.with_values(K[k]) for k in range(nt)])
-    return SHamiltonian(s_samples, times, all_values, support)
+    return SHamiltonian(s_samples, times, all_values, family.support_radius)
 
 
-def _s_integrand(arms, u, grid, images, y):
-    """sum of c * H_s(u, phi_s^u(y)) over the stencil's arms (H_s, c).
+def _s_rate(family, s, H):
+    """(value row, support radius, autonomous) of dH/ds at s for s_hamiltonian's runs.
 
-    images holds each arm's node images phi_s^u(nodes), which sample the
-    arm's map on grid.  The coordinate grids of all arms are evaluated at y
-    in one grids.values_at call, so they share its extent check and
-    per-block spline plan.  Each arm then leaves the points of y at or past
-    its support radius fixed, as PlaneMap does.
+    With Euler coefficients the value row is their pair at s, which
+    vanishes with H(s).  Otherwise it writes minus the finite difference
+    in s of H values, centered or, at the upper end, one-sided and second
+    order, which vanishes outside the family's support.  autonomous holds
+    when no Hamiltonian the run reads depends on t.
     """
-    shape = grid.values.shape
-    coords = values_at([grid.with_values(img[..., axis].reshape(shape))
-                        for img in images for axis in (0, 1)], y)
-    r = np.hypot(y[..., 0], y[..., 1])
-    val = np.zeros(len(y))
-    for k, (Hs, coeff) in enumerate(arms):
-        out = np.stack(coords[2 * k:2 * k + 2], axis=-1)
-        fixed = r >= Hs.support_radius
-        val += coeff * Hs(u, np.where(fixed[..., None], y, out))
-    return val
+    if family.euler is not None:
+        return family.euler(s), H.support_radius, H.is_autonomous
+    if s + S_STEP <= 1.0:
+        stencil = [(s + S_STEP, 0.5 / S_STEP), (s - S_STEP, -0.5 / S_STEP)]
+    else:
+        stencil = [(s, 1.5 / S_STEP), (s - S_STEP, -2.0 / S_STEP),
+                   (s - 2.0 * S_STEP, 0.5 / S_STEP)]
+    arms = [(H if sv == s else family.at(sv), c) for sv, c in stencil]
+
+    def value(t, z, row):
+        pts = z[:2].T
+        row.fill(0.0)
+        for Hs, c in arms:
+            row -= c * Hs(t, pts)
+
+    autonomous = H.is_autonomous and all(Hs.is_autonomous for Hs, _ in arms)
+    return value, family.support_radius, autonomous
 
 
 def calabi_match(sham, family, grid=None, nt=65):

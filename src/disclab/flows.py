@@ -17,13 +17,9 @@ integrate_points runs one cloud from t0 to t1 as one segment of
 kernels.rk4.  integrate_segments runs a cloud through a list of stored
 times in one stepper run, one segment per pair of consecutive times, each
 with the step size and stage times integrate_points would give it, and
-hands back the cloud at every stored time.
-
-sweep_nodes steps the grid nodes of several flows together through the
-stored times of a path, forward or backward, one segment at a time;
-hamiltonian_path is its case of one Hamiltonian.  The small clouds of
-several autonomous bumps of one exponent take one kernel call per
-segment, with per-point amp, rho and support radius.
+hands back the cloud at every stored time.  Their segments can carry a
+third row, a value the field's callback writes the rate of, which the
+stepper integrates along each trajectory (alexander.s_hamiltonian).
 """
 
 from dataclasses import dataclass
@@ -97,29 +93,46 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
     return kernels.rk4_points(pts, [_rk4_segment(H, t0, t1, dt)], H.support_radius)
 
 
-def _rk4_segment(H, t0, t1, dt):
-    """(field, step, nsteps): the kernels.rk4 segment that integrate_points steps from t0 to t1."""
+def _rk4_segment(H, t0, t1, dt, value=None):
+    """(field, step, nsteps): the kernels.rk4 segment that integrate_points steps from t0 to t1.
+
+    value adds a third row to the stepped state, whose rate the field
+    writes into out[2]: for a SeparableBump a pair (alpha, beta), the
+    value row -(alpha H + beta x . grad H) of kernels.bump_field; for any
+    H a callable value(t, z, row) that writes the rate at the stage
+    states z, shape (3, n), and stage time t into row, shape (n,).
+    """
     if t1 == t0:
         # a span of length zero takes no step
         return None, 0.0, 0
     nsteps, step = _steps(t0, t1, dt)
-    if isinstance(H, SeparableBump):
-        field, _ = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps))
-        return field, step, nsteps
     offsets = (0.0, 0.5 * step, step)
-    scratch = {}
+    if isinstance(H, SeparableBump):
+        field, _ = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps),
+                                      value=None if callable(value) else value)
+    elif value is not None and not callable(value):
+        raise TypeError(f"a value row (alpha, beta) needs a SeparableBump, got {type(H).__name__}")
+    else:
+        scratch = {}
 
-    def field(z, k, j, out):
-        # X_H = (dH/dp, -dH/dq) from the gradient H writes into a scratch buffer
-        n = z.shape[1]
-        if n not in scratch:
-            scratch[n] = np.empty((2, n))
-        grad = scratch[n]
-        H.gradient_into(t0 + k * step + offsets[j], z, grad)
-        out[0] = grad[1]
-        np.negative(grad[0], out=out[1])
+        def field(z, k, j, out):
+            # X_H = (dH/dp, -dH/dq) from the gradient H writes into a scratch buffer
+            n = z.shape[1]
+            if n not in scratch:
+                scratch[n] = np.empty((2, n))
+            grad = scratch[n]
+            H.gradient_into(t0 + k * step + offsets[j], z, grad)
+            out[0] = grad[1]
+            np.negative(grad[0], out=out[1])
 
-    return field, step, nsteps
+    if not callable(value):
+        return field, step, nsteps
+
+    def with_value(z, k, j, out):
+        field(z[:2], k, j, out[:2])
+        value(t0 + k * step + offsets[j], z, out[2])
+
+    return with_value, step, nsteps
 
 
 def integrate_segments(H, times, points, dt=1e-3):
@@ -349,103 +362,23 @@ class HamiltonianPath:
     maps: list
 
 
-def sweep_nodes(sweeps, nt, grid, dt):
-    """Step the grid nodes of several flows together through nt equi-spaced times.
+def hamiltonian_path(H, nt=17, grid=None, dt=1e-3):
+    """phi_H^t sampled on the grid at nt equi-spaced times, from one integrate_segments run.
 
-    sweeps is a list of (H, backward) pairs.  A forward sweep carries the
-    nodes to phi_H^t(nodes), a backward one to (phi_H^t)^{-1}(nodes).
-    Yields, for t_k with k = 1, ..., nt - 1, the list of the sweeps'
-    (n*n, 2) node images at t_k, fresh arrays each segment; nt must be at
-    least 2, so that the last t_k is 1.
-
-    When more than one Hamiltonian is swept, every one is an autonomous
-    SeparableBump of one exponent m, and their live nodes fit in one
-    kernel block, each segment is one kernels.rk4_bump_flow call on the
-    concatenated clouds, with per-point amp, rho and support radius.  A
-    backward sweep then runs forward in time with its amp negated, which
-    flips X_H exactly.  Otherwise every sweep takes its own
-    integrate_points per segment: for an autonomous H, (phi^t)^{-1} =
-    phi^{-t}, so a backward sweep steps from t_{k+1} to t_k with the
-    forward step count; for any other H it re-integrates from t_{k+1}
-    back to 0.
+    Nothing in the package calls it; it is kept for the benchmark's
+    tracer, which wraps it by name.
     """
-    _check_dt(dt)
     if nt < 2:
         raise ValueError(f"nt must be at least 2, got {nt}")
-    times = np.linspace(0.0, 1.0, nt)
-    nodes = grid.node_points().reshape(-1, 2)
-    clouds = [nodes] * len(sweeps)
-    bump = _batched_bumps(sweeps, nodes)
-    for k in range(nt - 1):
-        t0, t1 = times[k], times[k + 1]
-        if bump is not None:
-            clouds = _bump_segment(bump, clouds, t1 - t0, dt)
-        else:
-            clouds = [_segment(H, backward, cloud, nodes, t0, t1, dt)
-                      for (H, backward), cloud in zip(sweeps, clouds)]
-        yield clouds
-
-
-def _batched_bumps(sweeps, nodes):
-    """m and per-point amp, rho and support when the sweeps share kernel calls, else None.
-
-    Per-point constants cost the kernel more per point-step than scalar
-    ones, so a shared call pays only by saving the per-call work of small
-    clouds: the sweeps' live points must fit in one kernel block.
-    """
-    hams = [H for H, _ in sweeps]
-    # a lone Hamiltonian keeps a call per sweep, backward ones with dt < 0
-    if (len({id(H) for H in hams}) < 2
-            or not all(isinstance(H, SeparableBump) and H.is_autonomous for H in hams)
-            or len({H.m for H in hams}) > 1):
-        return None
-    r2 = nodes[:, 0] * nodes[:, 0] + nodes[:, 1] * nodes[:, 1]
-    if sum(np.count_nonzero(r2 < H.support_radius**2) for H in hams) > kernels.BLOCK:
-        return None
-
-    def per_point(values):
-        return np.repeat(np.array(values, dtype=np.float64), len(nodes))
-
-    return (hams[0].m,
-            per_point([-H.amp if backward else H.amp for H, backward in sweeps]),
-            per_point([H.rho for H in hams]),
-            per_point([H.support_radius for H in hams]))
-
-
-def _bump_segment(bump, clouds, span, dt):
-    """One kernel call advancing every cloud of autonomous bumps by span."""
-    m, amp, rho, support = bump
-    nsteps, step = _steps(0.0, span, dt)
-    pts = np.concatenate(clouds)
-    tau = np.ones(2 * nsteps + 1)
-    center = np.zeros_like(tau)
-    kernels.rk4_bump_flow(pts, step, nsteps, None, amp, rho, m, tau, center, center, support)
-    return np.split(pts, len(clouds))
-
-
-def _segment(H, backward, cloud, nodes, t0, t1, dt):
-    """Advance one sweep's cloud from its image at t0 to its image at t1."""
-    if not backward:
-        return integrate_points(H, t0, t1, cloud, dt)
-    if H.is_autonomous:
-        return integrate_points(H, t1, t0, cloud, dt)
-    return integrate_points(H, t1, 0.0, nodes, dt)
-
-
-def hamiltonian_path(H, nt=17, grid=None, dt=1e-3):
-    """Integrate the whole path once, storing maps at nt equi-spaced times.
-
-    One forward sweep of sweep_nodes runs segment by segment between the
-    stored times.  Inverses come from a backward sweep of sweep_nodes, or
-    from PlaneMap.newton_invert.
-    """
     if grid is None:
         grid = square_grid(257)
     support = H.support_radius if H.support_radius is not None else np.inf
+    times = np.linspace(0.0, 1.0, nt)
+    nodes = grid.node_points().reshape(-1, 2)
     maps = [PlaneMap.identity(grid, support)]
-    for (img,) in sweep_nodes([(H, False)], nt, grid, dt):
-        maps.append(PlaneMap.from_node_images(grid, img, support))
-    return HamiltonianPath(H, list(np.linspace(0.0, 1.0, nt)), maps)
+    for cloud in integrate_segments(H, times, nodes, dt):
+        maps.append(PlaneMap.from_node_images(grid, cloud.T.copy(), support))
+    return HamiltonianPath(H, list(times), maps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 ``rk4`` steps any field through one in-place, cache-blocked loop over a
 list of segments, each with its own field callback, step size and step
-count, and hands back the cloud at every segment end; a run of several
+count, and hands back the state at every segment end; a run of several
 segments is the same arithmetic as one call per segment, with the work
-buffers allocated once.  ``rk4_points`` runs it on the live points of an
+buffers allocated once.  The state is a (d, N) array: rows 0 and 1 are
+the point coordinates, and any further row is a quantity the field's
+callback writes the rate of, integrated along each trajectory by the
+same RK4 steps.  ``rk4_points`` runs the stepper on the live points of an
 (N, 2) cloud, and ``rk4_bump_flow`` on a separable bump.  The live points
-are held as one (2, N) array and run in blocks of at most BLOCK points:
+are held as one (d, N) array and run in blocks of at most BLOCK points:
 segment by segment, each block through every step of the segment, with
 preallocated stage buffers and ufuncs writing through ``out=``.  Points
 are independent and every per-element operation keeps its order, so
-neither the blocking nor the buffers move a bit of the output.
+neither the blocking, nor the buffers, nor a further row moves a bit of
+the coordinates.
 
 For H(t, x) = amp * tau(t) * u^m with u = 1 - |x - c(t)|^2 / rho^2 the
 Hamiltonian vector field X_H = (dH/dp, -dH/dq) has the closed form
@@ -21,7 +25,11 @@ Hamiltonian vector field X_H = (dH/dp, -dH/dq) has the closed form
 so each RK4 stage takes one profile power, by repeated multiplication,
 and no finite differences.  A bump whose center stays at the origin skips
 the subtraction.  The field is continuous for m >= 2, which
-SeparableBump enforces.
+SeparableBump enforces.  Given a value row (alpha, beta), the bump's
+callback also writes -(alpha H + beta x . grad H) as the rate of a third
+row, from the u and u^(m-1) of X_H and from X_H itself: on a run with a
+negative step that row accumulates the integral of alpha H + beta x . grad H
+along the trajectory.
 
 amp, rho and support_radius may each be a scalar or a per-point (N,)
 array, so the clouds of several autonomous bumps of one m step together
@@ -30,8 +38,7 @@ tau levels once per segment.  Per-point constants ride with the live points
 through the blocks instead, and each stage multiplies the per-point
 -2 m amp / rho^2 by its tau level (not at all where tau is 1): the same
 product, so a cloud's bits do not depend on what it shares a call with.
-Negating amp flips X_H exactly, which lets a backward sweep join a
-forward one.
+Negating amp flips X_H exactly.
 """
 
 import functools
@@ -63,18 +70,18 @@ def live_points(pts, support_radius):
 
 
 def rk4(segments, z_all, aux=None):
-    """Advance the (2, N) cloud z_all in place through segments of classical RK4 steps.
+    """Advance the (d, N) state z_all in place through segments of classical RK4 steps.
 
     segments is an iterable of (field, dt, nsteps): nsteps steps of size
-    dt through field(z, k, j, out), which writes the field's two
-    components at the points z, shape (2, n), into out, shape (2, n),
-    j in {0, 1, 2} half-steps into the segment's step k.  aux, shape
-    (P, N), holds per-point field constants: field also receives a
-    block's (P, n) columns as the keyword a.  A generator: it yields
-    z_all at the end of each segment, and the next segment steps on from
-    there.
+    dt through field(z, k, j, out), which writes the rates of the d rows
+    at the states z, shape (d, n), into out, shape (d, n), j in {0, 1, 2}
+    half-steps into the segment's step k.  Rows 0 and 1 are the points;
+    d = 2 is a plain flow.  aux, shape (P, N), holds per-point field
+    constants: field also receives a block's (P, n) columns as the
+    keyword a.  A generator: it yields z_all at the end of each segment,
+    and the next segment steps on from there.
     """
-    bufs = np.empty((5, 2, min(BLOCK, z_all.shape[1])))
+    bufs = np.empty((5, z_all.shape[0], min(BLOCK, z_all.shape[1])))
     for field, dt, nsteps in segments:
         half = 0.5 * dt
         sixth = dt / 6.0
@@ -119,23 +126,32 @@ def rk4_points(pts, segments, support_radius, aux=None):
     return pts
 
 
-def bump_field(amp, rho, m, tau, cx, cy):
+def bump_field(amp, rho, m, tau, cx, cy, value=None):
     """The closed-form X_H callback of a separable bump for rk4, and its per-point constants.
 
     tau, cx and cy hold the time factor and the bump center at the
     2*nsteps + 1 half-step levels of one segment.  amp and rho are
     scalars or per-point (N,) arrays; for arrays the second value
-    returned is the (2, N) aux of rk4, else None.
+    returned is the (2, N) aux of rk4, else None.  Without value the
+    callback steps a (2, n) state.  With a value row (alpha, beta), which
+    needs scalar amp and rho, it steps a (3, n) state and also writes
+    -(alpha H + beta x . grad H) into out[2].
     """
     tau = np.asarray(tau, dtype=np.float64)
     inv_rho2 = 1.0 / (rho * rho)
     c0 = -2.0 * m * amp * inv_rho2
     if np.ndim(c0):
+        if value is not None:
+            raise ValueError("a value row needs scalar amp and rho")
         # per point: inv_rho2 and c0 ride with the live points
         aux = np.stack(np.broadcast_arrays(inv_rho2, c0))
     else:
         aux = None
         coef = c0 * tau
+    if value is not None:
+        alpha, beta = value
+        # -alpha H = alpha rho^2 / (2 m) * u * w, with w = c0 tau u^(m-1)
+        alpha_h = alpha * rho * rho / (2.0 * m)
     centers = np.stack([cx, cy], axis=-1)[:, :, None]
     # x - 0.0 == x, so a center fixed at the origin is skipped bit-exactly
     fixed = np.count_nonzero(centers) == 0
@@ -155,10 +171,14 @@ def bump_field(amp, rho, m, tau, cx, cy):
         else:
             inv = a[0]
             np.multiply(a[1], tau[lev], out=c)
-        if fixed:
-            d = z
+        if value is None:
+            x, x_h = z, out
         else:
-            np.subtract(z, centers[lev], out=d)
+            x, x_h = z[:2], out[:2]
+        if fixed:
+            d = x
+        else:
+            np.subtract(x, centers[lev], out=d)
         np.multiply(d[0], d[0], out=u)
         np.multiply(d[1], d[1], out=w)
         u += w
@@ -173,8 +193,21 @@ def bump_field(amp, rho, m, tau, cx, cy):
             for _ in range(m - 3):
                 w *= u
             w *= c
-        np.multiply(d[::-1], w, out=out)
-        np.negative(out[1], out=out[1])
+        np.multiply(d[::-1], w, out=x_h)
+        np.negative(x_h[1], out=x_h[1])
+        if value is None:
+            return
+        # out[2] = -(alpha H + beta x . grad H): -alpha H = alpha_h u w, and
+        # x . grad H = x dH/dq + y dH/dp = y X_H[0] - x X_H[1]
+        row = out[2]
+        np.multiply(u, w, out=row)
+        row *= alpha_h
+        if beta != 0.0:
+            np.multiply(z[1], x_h[0], out=u)
+            np.multiply(z[0], x_h[1], out=w)
+            u -= w
+            u *= beta
+            row -= u
 
     return field, aux
 

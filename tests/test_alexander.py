@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_trapezoid
 
 from disclab import alexander as alx
 from disclab import kernels
 from disclab.calabi import cal_path, spatial_integral
-from disclab.fields import ScalarTimeField, loop_bump, radial_bump, zero_field
-from disclab.flows import (PlaneMap, _simpson_weights, hamiltonian_path, hofer_length,
-                           integrate_points, sweep_nodes)
+from disclab.fields import ScalarTimeField, loop_bump, moving_bump, radial_bump, zero_field
+from disclab.flows import _simpson_weights, hofer_length, integrate_points
 from disclab.grids import GridField2D, sample, square_grid
 
 
@@ -171,6 +169,9 @@ def test_s_hamiltonian_of_constant_family_vanishes(bump):
     fam = alx.TwoParameterFamily(lambda s: bump, 0.8)
     sham = alx.s_hamiltonian(fam, s_samples=[0.5, 0.75, 1.0], nt=5,
                              grid=square_grid(65), dt=2e-3)
+    # the constant family has no Euler coefficients: dH/ds is the
+    # finite difference in s of H values
+    assert fam.euler is None
     worst = max(
         float(np.max(np.abs(f.values)))
         for row in sham.values for f in row
@@ -179,152 +180,89 @@ def test_s_hamiltonian_of_constant_family_vanishes(bump):
     assert all(np.all(row[0].values == 0.0) for row in sham.values)
 
 
-@pytest.mark.parametrize("s_samples, calls", [([0.5, 1.0], 6), ([0.25, 0.5], 6)])
-def test_s_hamiltonian_reuses_the_mid_path_at_the_upper_end(bump, monkeypatch, s_samples, calls):
-    # one kernel call per segment per s sample.  A centered sample steps 3
-    # sweeps (the mid path backward and two sidearms); at s = 1 the
-    # one-sided stencil's arm at s is the mid path's forward sweep, so 4
-    seen = []
-    kernel = kernels.rk4_bump_flow
+def test_stencil_fallback_matches_the_euler_row():
+    # s H(s) without Euler coefficients takes dH/ds as a finite difference
+    # in s of H values, exact for a family linear in s up to rounding; at
+    # s = 1 the stencil is one-sided.  The moving bump takes one run per t
+    for H in (radial_bump(0.05, 0.8, 4), moving_bump()):
+        kw = dict(s_samples=[0.5, 1.0], nt=5, grid=square_grid(33), dt=1e-2)
+        fallback = alx.TwoParameterFamily(H.amplified, H.support_radius)
+        got = alx.s_hamiltonian(fallback, **kw)
+        want = alx.s_hamiltonian(alx.linear_family(H), **kw)
+        for got_row, want_row in zip(got.values, want.values, strict=True):
+            for g, w in zip(got_row, want_row, strict=True):
+                assert np.max(np.abs(g.values - w.values)) < 1e-12
+        assert max(np.max(np.abs(w.values)) for w in want.values[-1]) > 1e-3
 
-    def counting(pts, dt, nsteps, *args):
-        support = args[-1]
-        live = np.count_nonzero(pts[:, 0] ** 2 + pts[:, 1] ** 2 < support * support)
-        seen.append((len(pts), dt, live * nsteps))
-        return kernel(pts, dt, nsteps, *args)
 
-    monkeypatch.setattr(kernels, "rk4_bump_flow", counting)
-    grid = square_grid(33)
-    alx.s_hamiltonian(alx.linear_family(bump), s_samples=s_samples, nt=4, grid=grid, dt=0.05)
-    assert len(seen) == calls
+class _RecordedRuns:
+    """Wraps kernels.rk4 and records each run's state shape, segments and final state."""
+
+    def __init__(self, monkeypatch):
+        self.runs = []
+        rk4 = kernels.rk4
+
+        def recording(segments, z_all, aux=None):
+            segments = list(segments)
+            run = {"shape": z_all.shape, "steps": [(dt, n) for _, dt, n in segments]}
+            self.runs.append(run)
+            for z in rk4(segments, z_all, aux):
+                run["end"] = z.copy()
+                yield z
+
+        monkeypatch.setattr(kernels, "rk4", recording)
+
+
+def _live_count(grid, radius):
     nodes = grid.node_points().reshape(-1, 2)
-    live = np.count_nonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < bump.support_radius)
-    # 3 segments per sample, of round((1/3) / 0.05) = 7 steps each
-    sweeps = [3 if s < 1.0 else 4 for s in s_samples for _ in range(3)]
-    assert [n for n, _, _ in seen] == [k * len(nodes) for k in sweeps]
-    assert [steps for _, _, steps in seen] == [k * live * 7 for k in sweeps]
-    # backward sweeps ride along with their amp negated
-    assert all(dt > 0.0 for _, dt, _ in seen)
+    return np.count_nonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < radius)
 
 
-# s_hamiltonian as it stood when each s sample made separate hamiltonian_path
-# sweeps and evaluated its integrand at every node, kept verbatim but for the
-# inverse of the mid path, which hamiltonian_path stored then and
-# _backward_sweep now gives with the same bits.
-
-
-def _backward_sweep(H, nt, grid, dt):
-    """(phi_H^{t_k})^{-1} at the nodes, k = 0, ..., nt - 1, as (n, n, 2) arrays.
-
-    An autonomous H chains integrate_points(H, t_k, t_{k-1}, ...) from the
-    previous image; any other H is re-integrated from t_k back to 0.
-    """
-    nodes = grid.node_points().reshape(-1, 2)
+@pytest.mark.parametrize("base", [radial_bump, moving_bump], ids=["autonomous", "moving"])
+def test_s_hamiltonian_takes_one_backward_run_per_sample(base, monkeypatch):
+    # an autonomous H(s) takes one run over the live nodes of H(s), through
+    # every stored time; a moving one takes one run back to 0 per stored t
+    fam = alx.alexander_family(base(amp=0.05))
+    grid, nt, dt = square_grid(33), 5, 0.05
+    s_samples = [0.5, 1.0]
+    runs = _RecordedRuns(monkeypatch).runs
+    alx.s_hamiltonian(fam, s_samples=s_samples, nt=nt, grid=grid, dt=dt)
     times = np.linspace(0.0, 1.0, nt)
-    images = [nodes]
-    for k in range(1, nt):
-        if H.is_autonomous:
-            images.append(integrate_points(H, times[k], times[k - 1], images[-1], dt))
+    per_sample = 1 if base is radial_bump else nt - 1
+    assert len(runs) == per_sample * len(s_samples)
+    for i, s in enumerate(s_samples):
+        live = _live_count(grid, fam.at(s).support_radius)
+        mine = runs[i * per_sample:(i + 1) * per_sample]
+        assert all(run["shape"] == (3, live) for run in mine)
+        assert all(dt_k < 0.0 for run in mine for dt_k, _ in run["steps"])
+        if base is radial_bump:
+            # the path's steps, 5 per stored time, once
+            assert [n for _, n in mine[0]["steps"]] == [5] * (nt - 1)
         else:
-            images.append(integrate_points(H, times[k], 0.0, nodes, dt))
-    return [img.reshape(grid.values.shape + (2,)) for img in images]
+            assert [[n for _, n in run["steps"]] for run in mine] == [
+                [round(t / dt)] for t in times[1:]]
 
 
-def _swept_path_s_hamiltonian(family, s_samples, nt, grid, dt, h_s=1e-3):
-    qx, qy = grid.nodes()
-    times = np.linspace(0.0, 1.0, nt)
-    all_values = []
-    support = family.support_radius
-    for s in s_samples:
-        H_mid = family.at(s)
-        path_mid = hamiltonian_path(H_mid, nt, grid, dt)
-        inverse_mid = _backward_sweep(H_mid, nt, grid, dt)
-        if s + h_s <= 1.0:
-            # centered stencil
-            stencil = [(s + h_s, 0.5 / h_s), (s - h_s, -0.5 / h_s)]
-        else:
-            # one-sided second-order stencil at the upper end
-            stencil = [(s, 1.5 / h_s), (s - h_s, -2.0 / h_s), (s - 2.0 * h_s, 0.5 / h_s)]
-        sidearms = []
-        for sv, cv in stencil:
-            if sv == s:
-                # the forward sweep of path_mid is this sidearm's path
-                sidearms.append((H_mid, path_mid, cv))
-            else:
-                Hs = family.at(sv)
-                sidearms.append((Hs, hamiltonian_path(Hs, nt, grid, dt), cv))
-        integrands = []
-        for k, u in enumerate(times):
-            y = inverse_mid[k]
-            val = np.zeros_like(qx)
-            for Hs, path_s, coeff in sidearms:
-                val += coeff * Hs(u, path_s.maps[k](y))
-            integrands.append(val)
-        integrands = np.array(integrands)
-        K = cumulative_trapezoid(integrands, times, axis=0, initial=0.0)
-        # gauge: pin K to zero at the grid corner, outside every support
-        K -= K[:, :1, :1]
-        outside = np.hypot(qx, qy) >= support
-        K[:, outside] = 0.0
-        all_values.append([grid.with_values(K[k]) for k in range(nt)])
-    return all_values
-
-
-@pytest.mark.parametrize("family, n", [
-    (lambda: alx.linear_family(radial_bump(0.05, 0.8, 4)), 65),
-    (lambda: alx.alexander_family(radial_bump(0.05, 0.8, 4)), 65),
-    # every sweep takes its own integrate_points: a non-autonomous family,
-    # and clouds whose live nodes overflow one kernel block
-    (lambda: alx.linear_family(loop_bump(0.05)), 33),
-    (lambda: alx.linear_family(radial_bump(0.05, 0.8, 4)), 129),
-], ids=["linear", "alexander", "loop", "linear-past-one-block"])
-def test_s_hamiltonian_bits_match_swept_paths(family, n):
-    fam = family()
-    kw = dict(s_samples=np.array([0.5, 0.75, 1.0]), nt=5, grid=square_grid(n), dt=1e-2)
-    got = alx.s_hamiltonian(fam, **kw)
-    want = _swept_path_s_hamiltonian(fam, **kw)
-    for got_row, want_row in zip(got.values, want, strict=True):
-        for g, w in zip(got_row, want_row, strict=True):
-            assert np.array_equal(g.values, w.values)
-    assert max(np.max(np.abs(g.values)) for g in got.values[-1]) > 1e-3
-
-
-# _s_integrand as it stood before grids.values_at, kept verbatim but for
-# the map's value path, the fixture's copy that evaluates one grid at a time.
-
-def _head_s_integrand(arms, u, grid, images, y, plane_map_call):
-    val = np.zeros(len(y))
-    for (Hs, coeff), img in zip(arms, images):
-        phi = PlaneMap.from_node_images(grid, img, Hs.support_radius)
-        val += coeff * Hs(u, plane_map_call(phi, y))
-    return val
-
-
-@pytest.mark.parametrize("s", [0.5, 1.0], ids=["centered", "one-sided"])
-def test_s_integrand_bits_match_one_arm_at_a_time(s, head_plane_map_call):
-    # the arms of s_hamiltonian's stencil at s, on its sweeps' node images;
-    # y spans several blocks and reaches past every arm's support
-    fam = alx.alexander_family(radial_bump(0.05, 0.8, 4))
-    grid = square_grid(65)
-    h = alx.S_STEP
-    if s + h <= 1.0:
-        stencil = [(s + h, 0.5 / h), (s - h, -0.5 / h)]
-    else:
-        stencil = [(s, 1.5 / h), (s - h, -2.0 / h), (s - 2.0 * h, 0.5 / h)]
-    H_mid = fam.at(s)
-    arms = [(H_mid if sv == s else fam.at(sv), cv) for sv, cv in stencil]
-    sweeps = [(H_mid, True)] + [(Hs, False) for Hs, _ in arms]
+@pytest.mark.parametrize("base", [radial_bump, moving_bump], ids=["autonomous", "moving"])
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_s_hamiltonian_runs_invert_the_time_one_map(base, m, monkeypatch):
+    # the position rows of the run that ends K(s, 1, .) are (phi_s^1)^{-1}
+    # at the live nodes: flowing them forward returns the nodes.  RK4's
+    # global error is O((omega dt)^4 omega t) at the peak rotation rate
+    H = base(amp=0.05, m=m)
+    fam = alx.linear_family(H)
+    grid, dt, s = square_grid(65), 1e-2, 0.75
+    runs = _RecordedRuns(monkeypatch).runs
+    alx.s_hamiltonian(fam, s_samples=[0.5, s], nt=3, grid=grid, dt=dt)
+    monkeypatch.undo()
+    back = runs[-1]["end"][:2].T
     nodes = grid.node_points().reshape(-1, 2)
-    sel = np.union1d([0], np.flatnonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < 0.9))
-    assert len(sel) > 2048
-    steps = [(0.0, [nodes] * len(arms), nodes[sel])]
-    for u, imgs in zip(np.linspace(0.0, 1.0, 5)[1:], sweep_nodes(sweeps, 5, grid, 1e-2)):
-        steps.append((u, imgs[1:], imgs[0][sel]))
-    for u, images, y in steps:
-        got = alx._s_integrand(arms, u, grid, images, y)
-        want = _head_s_integrand(arms, u, grid, images, y, head_plane_map_call)
-        assert got.tobytes() == want.tobytes()
-    assert np.max(np.abs(got)) > 1e-3
+    live = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) < H.support_radius]
+    assert back.shape == live.shape
+    assert np.max(np.abs(back - live)) > 1e-3
+    omega = 2.0 * m * s * H.amp / H.rho**2
+    tol = (omega * dt) ** 4 * omega + 1e-12
+    assert np.max(np.abs(integrate_points(fam.at(s), 0.0, 1.0, back, dt) - live)) < tol
 
 
 @pytest.fixture(scope="module")
@@ -508,4 +446,61 @@ def test_s_hamiltonian_matches_the_radial_closed_form():
             gap = max(gap, float(np.max(np.abs(got - want))))
             signal = max(signal, float(np.max(np.abs(want))))
     assert signal == pytest.approx(0.1)
-    assert gap < 1e-6
+    assert gap < 1e-12
+
+
+def test_linear_family_k_is_t_h(bump):
+    # s H flows along the level sets of H, so K(s, t, .) = t H
+    grid = square_grid(65)
+    sham = alx.s_hamiltonian(alx.linear_family(bump), s_samples=[0.25, 0.5, 1.0], nt=9,
+                             grid=grid, dt=2e-3)
+    H = bump(0.0, grid.node_points())
+    for row in sham.values:
+        for t, g in zip(sham.t_samples, row, strict=True):
+            assert np.max(np.abs(g.values - t * H)) < 1e-12
+
+
+def test_nonautonomous_s_hamiltonian_self_converges():
+    # the moving bump's K takes one backward run per stored time; RK4 at
+    # dt 1e-2 against dt 2e-3 differs by 1.4e-8 against a signal of 5.4e-3
+    fam = alx.linear_family(moving_bump())
+    kw = dict(s_samples=[0.5, 1.0], nt=5, grid=square_grid(65))
+    coarse = alx.s_hamiltonian(fam, dt=1e-2, **kw)
+    fine = alx.s_hamiltonian(fam, dt=2e-3, **kw)
+    gap = max(float(np.max(np.abs(c.values - f.values)))
+              for c_row, f_row in zip(coarse.values, fine.values) for c, f in zip(c_row, f_row))
+    signal = max(float(np.max(np.abs(f.values))) for f in fine.values[-1])
+    assert signal > 5e-3
+    assert gap < 3e-8
+
+
+def _generator_gap(n, a=0.75, h=1e-4, dt=1e-3):
+    """max |X_K(a, 1, phi_a^1(y)) - d/da phi_a^1(y)| over probes y, and the max of the latter.
+
+    K(., 1, .) generates the end path a -> phi_a^1 of the moving bump's
+    Alexander family: X_K by the spline gradient of K on n nodes, the
+    a-derivative by centered differences of step h.
+    """
+    fam = alx.alexander_family(moving_bump())
+    sham = alx.s_hamiltonian(fam, s_samples=[0.5, a], nt=2, grid=square_grid(n), dt=dt)
+    rng = np.random.default_rng(2015)
+    r = 0.6 * np.sqrt(rng.random(200))
+    angle = 2.0 * np.pi * rng.random(200)
+    y = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    moved = integrate_points(fam.at(a), 0.0, 1.0, y, dt)
+    d_a = (integrate_points(fam.at(a + h), 0.0, 1.0, y, dt)
+           - integrate_points(fam.at(a - h), 0.0, 1.0, y, dt)) / (2.0 * h)
+    z = np.ascontiguousarray(moved.T)
+    grad = np.empty_like(z)
+    sham.time_one_field().gradient_into(a, z, grad)
+    x_k = np.stack([grad[1], -grad[0]], axis=-1)
+    return float(np.max(np.hypot(*(x_k - d_a).T))), float(np.max(np.hypot(*d_a.T)))
+
+
+def test_time_one_k_generates_the_end_path():
+    # the gap falls with the grid, as K's spline error does
+    coarse, _ = _generator_gap(65)
+    fine, signal = _generator_gap(129)
+    assert signal > 0.2
+    assert fine < 2e-3
+    assert coarse / fine >= 4.0

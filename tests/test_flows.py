@@ -1,7 +1,6 @@
 """RK4 flows, grid maps, Newton inversion, and the Hofer length."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from disclab.fields import (ScalarTimeField, loop_bump, moving_bump, radial_bump
                             twist_bump, zero_field)
 from disclab.flows import (NEWTON_MAX_ITER, NEWTON_TOL, NewtonError, PlaneMap, _rk4_segment,
                            _simpson_weights, flow_map, hamiltonian_path, hofer_length,
-                           integrate_points, integrate_segments, osc_on_grid, sweep_nodes,
+                           integrate_points, integrate_segments, osc_on_grid,
                            time_integral)
 from disclab.grids import square_grid
 
@@ -534,6 +533,98 @@ def test_segmented_run_bits_match_chained_calls(name, backward):
 
 
 # ---------------------------------------------------------------------------
+# rows of the stepper
+
+
+def _with_row(pts):
+    """The (3, N) stepper state of the points pts, (N, 2), with a zero third row."""
+    z = np.zeros((3, len(pts)))
+    z[:2] = pts.T
+    return z
+
+
+def _stage_time_row(t, z, row):
+    np.multiply(z[0], t, out=row)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("fixed", (0.7, -1.3)), ("moving", (0.7, -1.3)), ("loop", (2.0, 0.0)),
+    ("moving", _stage_time_row), ("spline", _stage_time_row),
+], ids=["fixed", "moving", "loop", "moving-callback", "spline-callback"])
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_third_row_keeps_the_point_bits(name, value, backward):
+    # rows 0 and 1 of a 3-row run keep the bits of the 2-row run, with the
+    # bump kernel's value row or a callback row, past one block
+    H = _segment_field(name)
+    t0, t1 = (0.6, 0.5) if backward else (0.3, 0.4)
+    if name == "spline":
+        pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3000, 2))
+    else:
+        pts = _cloud_past_one_block(5)
+    pts = pts[kernels.live_points(pts, H.support_radius)]
+    two = np.ascontiguousarray(pts.T)
+    three = _with_row(pts)
+    for _ in kernels.rk4([_rk4_segment(H, t0, t1, 1e-2)], two):
+        pass
+    for _ in kernels.rk4([_rk4_segment(H, t0, t1, 1e-2, value)], three):
+        pass
+    assert np.max(np.abs(two - pts.T)) > 1e-3
+    assert np.max(np.abs(three[2])) > 1e-3
+    assert three[:2].copy().tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.5, 0.25)])
+def test_constant_row_integrates_to_c_t(t0, t1):
+    # dyadic steps and c: every RK4 step adds c * step exactly
+    c = -2.5
+    pts = np.random.default_rng(3).uniform(-0.7, 0.7, size=(50, 2))
+    z = _with_row(pts)
+    segment = _rk4_segment(twist_bump(angle=2.0), t0, t1, 2.0**-6,
+                           lambda t, z, row: row.fill(c))
+    for _ in kernels.rk4([segment], z):
+        pass
+    assert np.all(z[2] == c * (t1 - t0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=st.sampled_from([radial_bump, moving_bump, loop_bump]), m=st.integers(2, 6),
+       amp=st.floats(0.01, 0.2), t=st.floats(0.0, 1.0),
+       alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0))
+def test_bump_value_row_is_alpha_h_plus_beta_x_grad_h(family, m, amp, t, alpha, beta, fd4_x_h):
+    # kernels.bump_field's value row is -(alpha H + beta x . grad H), with H
+    # from the bump's own evaluator and grad H from the closed-form X_H,
+    # which the 4th-order stencil of a black box checks off the edge circle
+    H = family(amp=amp, m=m)
+    nodes = square_grid(65).node_points().reshape(-1, 2)
+    c = H.center_at(t)
+    levels = ([H.tau_at(t)], [c[0]], [c[1]])
+    plain, _ = kernels.bump_field(H.amp, H.rho, H.m, *levels)
+    field, _ = kernels.bump_field(H.amp, H.rho, H.m, *levels, value=(alpha, beta))
+    x_h = np.empty((2, len(nodes)))
+    plain(np.ascontiguousarray(nodes.T), 0, 0, x_h)
+    out = np.empty((3, len(nodes)))
+    field(_with_row(nodes), 0, 0, out)
+    assert out[:2].tobytes() == x_h.tobytes()
+    x, y = nodes.T
+    euler = y * x_h[0] - x * x_h[1]
+    want = alpha * H(t, nodes) + beta * euler
+    scale = np.max(np.abs(alpha * H(t, nodes))) + np.max(np.abs(beta * euler))
+    assert np.max(np.abs(-out[2] - want)) <= 1e-12 * scale
+    stencil = fd4_x_h(ScalarTimeField(lambda t, pts: H(t, pts), H.support_radius),
+                      t, nodes, STENCIL_WIDTH)
+    off_edge = np.abs(np.hypot(*(nodes - c).T) - H.rho) > 2.0 * STENCIL_WIDTH
+    fd_euler = y * stencil[:, 0] - x * stencil[:, 1]
+    assert np.max(np.abs(euler - fd_euler)[off_edge]) < 1e-8
+
+
+def test_value_row_pair_needs_a_scalar_bump():
+    with pytest.raises(ValueError, match="scalar"):
+        kernels.bump_field(np.array([0.1, 0.2]), 0.8, 4, [1.0], [0.0], [0.0], value=(1.0, 0.0))
+    with pytest.raises(TypeError, match="SeparableBump"):
+        _rk4_segment(_segment_field("spline"), 0.0, 0.1, 1e-2, (1.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
 # PlaneMap
 
 
@@ -718,83 +809,6 @@ def test_paths_reject_fewer_than_two_times(bump, nt):
     grid = square_grid(33)
     with pytest.raises(ValueError, match="nt must be at least 2"):
         hamiltonian_path(bump, nt=nt, grid=grid)
-    with pytest.raises(ValueError, match="nt must be at least 2"):
-        next(sweep_nodes([(bump, False)], nt, grid, 1e-2))
-
-
-def _swept_inverse_nodes(H, grid, nt, dt):
-    # the backward sweep, beside a forward one of the same H, at t_1, ..., 1
-    return [imgs[1] for imgs in sweep_nodes([(H, False), (H, True)], nt, grid, dt)]
-
-
-def _reintegrated_inverse_nodes(H, grid, nt, dt):
-    # (phi^t)^{-1}(nodes) integrated back to 0 from each t_k, k >= 1
-    nodes = np.stack([c.ravel() for c in grid.nodes()], axis=-1)
-    return [integrate_points(H, t, 0.0, nodes, dt) for t in np.linspace(0.0, 1.0, nt)[1:]]
-
-
-def test_autonomous_inverses_come_from_one_backward_sweep(monkeypatch):
-    H = radial_bump(amp=0.05, rho=0.8, m=4)
-    grid = square_grid(65)
-    steps = []
-    kernel = kernels.rk4_bump_flow
-
-    def counting(pts, dt, nsteps, *args):
-        steps.append(math.copysign(nsteps, dt))
-        return kernel(pts, dt, nsteps, *args)
-
-    monkeypatch.setattr(kernels, "rk4_bump_flow", counting)
-    inverses = _swept_inverse_nodes(H, grid, 17, 4e-3)
-    monkeypatch.undo()
-    # one segment per stored time in each direction, with equal step counts
-    forward = [n for n in steps if n > 0]
-    backward = [-n for n in steps if n < 0]
-    assert len(forward) == len(backward) == 16
-    assert forward == backward
-    wants = _reintegrated_inverse_nodes(H, grid, 17, 4e-3)
-    assert len(inverses) == len(wants) == 16
-    for got, want in zip(inverses, wants):
-        assert np.max(np.abs(got - want)) < 1e-10
-
-
-@pytest.mark.parametrize("family", [loop_bump, moving_bump])
-def test_nonautonomous_inverses_are_reintegrated(family):
-    H = family(amp=0.05)
-    grid = square_grid(65)
-    inverses = _swept_inverse_nodes(H, grid, 5, 4e-3)
-    wants = _reintegrated_inverse_nodes(H, grid, 5, 4e-3)
-    assert len(inverses) == len(wants) == 4
-    for got, want in zip(inverses, wants):
-        assert np.array_equal(got, want)
-
-
-@settings(deadline=None, max_examples=20)
-@given(m=st.integers(2, 6), amp=st.floats(0.01, 0.1), rho=st.floats(0.3, 0.8),
-       nt=st.integers(2, 5))
-def test_batched_backward_sweep_inverts_the_forward_one(m, amp, rho, nt):
-    # phi^-t o phi^t = id for an autonomous bump on a 65-node grid.  A second
-    # Hamiltonian makes the sweeps share one kernel call per segment, the
-    # backward one with its amp negated; each still equals its own
-    # integrate_points bit for bit
-    H, G = radial_bump(amp, rho, m), radial_bump(amp, rho, m)
-    grid = square_grid(65)
-    nodes = grid.node_points().reshape(-1, 2)
-    dt = 1e-2
-    times = np.linspace(0.0, 1.0, nt)
-    with mock.patch.object(kernels, "rk4_bump_flow", wraps=kernels.rk4_bump_flow) as kernel:
-        images = list(sweep_nodes([(H, True), (G, False)], nt, grid, dt))
-    assert kernel.call_count == nt - 1
-    back = fwd = nodes
-    for k, (b_img, f_img) in enumerate(images):
-        back = integrate_points(H, times[k + 1], times[k], back, dt)
-        fwd = integrate_points(G, times[k], times[k + 1], fwd, dt)
-        assert np.array_equal(b_img, back)
-        assert np.array_equal(f_img, fwd)
-    # RK4's global error is O((omega dt)^4 omega t) at the peak rotation rate
-    omega = 2.0 * m * amp / rho**2
-    tol = (omega * dt) ** 4 * omega + 1e-12
-    assert np.max(np.abs(integrate_points(H, 0.0, 1.0, back, dt) - nodes)) < tol
-    assert np.max(np.abs(integrate_points(H, 1.0, 0.0, fwd, dt) - nodes)) < tol
 
 
 def test_path_endpoint_matches_flow_map(bump):
