@@ -102,11 +102,12 @@ def alexander_family(H):
 class SHamiltonian:
     """K(s, t, .) sampled on grids, gauge K(s,0,.) = 0 and K = 0 near the boundary.
 
-    Between samples K is bilinear in (s, t).  The spline prefilter is linear, so
-    K(s, t, .) is one grid field whose values and spline coefficients
-    blend those of the (up to four) bracketing grids.  At t = 1, the last
-    t sample, K(s, 1, .) = (1 - w) K(s_i, 1, .) + w K(s_{i+1}, 1, .) with
-    the bracketing index i and weight w of `_interp`, linear extrapolation
+    values[i][k] is K(s_i, t_k, .) on a grid; the t samples end at t = 1.
+    Only K(s, 1, .) is read between samples: it is linear in s, and the
+    spline prefilter is linear, so K(s, 1, .) = (1 - w) K(s_i, 1, .) +
+    w K(s_{i+1}, 1, .) is one grid field whose values and spline
+    coefficients blend those of the two bracketing last-t grids, with the
+    bracketing index i and weight w of `_interp`, linear extrapolation
     below the first s sample included; `time_one_field` declares the
     stored last-t grids as its time profiles with these weights.
     """
@@ -115,23 +116,20 @@ class SHamiltonian:
     t_samples: np.ndarray
     values: list  # values[i][k] : GridField2D of K(s_i, t_k, .)
     support_radius: float
-    # the last blended (s, t) and its grid field: RK4 stages repeat times
+    # the last blended s and its grid field: RK4 stages repeat times
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, s, t, points):
-        return self.field_at(s, t)(points)
+    def __post_init__(self):
+        if self.t_samples[-1] != 1.0:
+            raise ValueError(f"t samples must end at 1, got {self.t_samples[-1]}")
 
-    def field_at(self, s, t):
-        """K(s, t, .) as one grid field."""
-        if self._last is None or self._last[0] != (s, t):
-            (i0, wi), (k0, wk) = self._interp(self.s_samples, s), self._interp(self.t_samples, t)
-            terms = [
-                (ci * ck, self.values[i0 + di][k0 + dk])
-                for di, ci in ((0, 1.0 - wi), (1, wi))
-                for dk, ck in ((0, 1.0 - wk), (1, wk))
-                if ci * ck != 0.0
-            ]
-            self._last = ((s, t), blend(terms))
+    def field_at(self, s):
+        """K(s, 1, .) as one grid field."""
+        if self._last is None or self._last[0] != s:
+            i0, w = self._interp(self.s_samples, s)
+            terms = [(c, self.values[i0 + di][-1])
+                     for di, c in ((0, 1.0 - w), (1, w)) if c != 0.0]
+            self._last = (s, blend(terms))
         return self._last[1]
 
     @staticmethod
@@ -159,17 +157,14 @@ class _TimeOneField(ScalarTimeField):
 
     def __init__(self, sham):
         super().__init__(
-            lambda s, pts: sham(s, 1.0, pts), sham.support_radius,
-            gradient=lambda s, z, out: sham.field_at(s, 1.0).gradient_into(z, out),
+            lambda s, pts: sham.field_at(s)(pts), sham.support_radius,
+            gradient=lambda s, z, out: sham.field_at(s).gradient_into(z, out),
         )
         self._sham = sham
 
     @property
     def time_profiles(self):
         sham = self._sham
-        if sham.t_samples[-1] != 1.0:
-            # K(s_i, 1, .) would be a blend in t, not a stored grid
-            return None
         profiles = [ScalarTimeField(lambda s, pts, g=row[-1]: g(pts), sham.support_radius)
                     for row in sham.values]
         return self._weights, profiles
@@ -200,7 +195,7 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
     if s_samples is None:
         s_samples = np.linspace(0.0625, 1.0, 16)
     s_samples = np.asarray(s_samples, dtype=np.float64)
-    # K is interpolated between bracketing samples in s and in t
+    # K(s, 1, .) is interpolated between bracketing samples in s
     if s_samples.ndim != 1 or s_samples.size < 2 or np.any(np.diff(s_samples) <= 0.0):
         raise ValueError(
             f"s_samples must be at least two increasing values, got {s_samples.tolist()}"

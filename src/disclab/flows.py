@@ -22,8 +22,6 @@ third row, a value the field's callback writes the rate of, which the
 stepper integrates along each trajectory (alexander.s_hamiltonian).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -62,14 +60,6 @@ def _bump_levels(H, t0, dt, nsteps):
     return tau, cx, cy
 
 
-def _rk4_bump(H, pts, t0, dt, nsteps):
-    """Run a separable bump through the closed-form kernel."""
-    tau, cx, cy = _bump_levels(H, t0, dt, nsteps)
-    return kernels.rk4_bump_flow(
-        pts, dt, nsteps, None, H.amp, H.rho, H.m, tau, cx, cy, H.support_radius
-    )
-
-
 def _check_dt(dt):
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -89,7 +79,8 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
         return pts
     if isinstance(H, SeparableBump):
         nsteps, step = _steps(t0, t1, dt)
-        return _rk4_bump(H, pts, t0, step, nsteps)
+        return kernels.rk4_bump_flow(pts, step, nsteps, None, H.amp, H.rho, H.m,
+                                     *_bump_levels(H, t0, step, nsteps), H.support_radius)
     return kernels.rk4_points(pts, [_rk4_segment(H, t0, t1, dt)], H.support_radius)
 
 
@@ -108,8 +99,8 @@ def _rk4_segment(H, t0, t1, dt, value=None):
     nsteps, step = _steps(t0, t1, dt)
     offsets = (0.0, 0.5 * step, step)
     if isinstance(H, SeparableBump):
-        field, _ = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps),
-                                      value=None if callable(value) else value)
+        field = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps),
+                                   value=None if callable(value) else value)
     elif value is not None and not callable(value):
         raise TypeError(f"a value row (alpha, beta) needs a SeparableBump, got {type(H).__name__}")
     else:
@@ -353,20 +344,13 @@ def flow_map(H, t, grid=None, dt=1e-3):
     return PlaneMap.from_node_images(grid, integrate_points(H, 0.0, t, nodes, dt), support)
 
 
-@dataclass
-class HamiltonianPath:
-    """phi_H^t sampled at a list of times (maps[0] is the identity)."""
-
-    hamiltonian: object
-    time_samples: list
-    maps: list
-
-
 def hamiltonian_path(H, nt=17, grid=None, dt=1e-3):
-    """phi_H^t sampled on the grid at nt equi-spaced times, from one integrate_segments run.
+    """phi_H^t as a list of PlaneMaps on the grid at nt equi-spaced times in [0, 1].
 
-    Nothing in the package calls it; it is kept for the benchmark's
-    tracer, which wraps it by name.
+    The first map is the identity; the others come from one
+    integrate_segments run.  Nothing in the package calls it; it is kept
+    for the benchmark's tracer, which wraps it by name in flows,
+    alexander and experiments.
     """
     if nt < 2:
         raise ValueError(f"nt must be at least 2, got {nt}")
@@ -378,7 +362,7 @@ def hamiltonian_path(H, nt=17, grid=None, dt=1e-3):
     maps = [PlaneMap.identity(grid, support)]
     for cloud in integrate_segments(H, times, nodes, dt):
         maps.append(PlaneMap.from_node_images(grid, cloud.T.copy(), support))
-    return HamiltonianPath(H, list(times), maps)
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ def bump_map_129(bump, grid129):
     return flow_map(bump, 1.0, grid=grid129, dt=1e-3)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # a fresh generator per test: its draws do not depend on what ran before
     return np.random.default_rng(12345)
 
 

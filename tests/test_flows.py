@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disclab import kernels
@@ -30,7 +30,7 @@ def test_vector_field_convention():
     # X_H = (dH/dp, -dH/dq); for H = radial bump at (r, 0) the q-derivative
     # is negative, so the closed-form field of kernels.bump_field points in
     # +p there
-    field, _ = kernels.bump_field(BUMP.amp, BUMP.rho, BUMP.m, [1.0], [0.0], [0.0])
+    field = kernels.bump_field(BUMP.amp, BUMP.rho, BUMP.m, [1.0], [0.0], [0.0])
     v = np.empty((2, 1))
     field(np.array([[0.4], [0.0]]), 0, 0, v)
     assert abs(v[0, 0]) < 1e-10
@@ -151,7 +151,7 @@ def test_bump_field_matches_the_stencil_of_a_black_box(family, m, amp, t, fd4_x_
     H = family(amp=amp, m=m)
     nodes = square_grid(65).node_points().reshape(-1, 2)
     c = H.center_at(t)
-    field, _ = kernels.bump_field(H.amp, H.rho, H.m, [H.tau_at(t)], [c[0]], [c[1]])
+    field = kernels.bump_field(H.amp, H.rho, H.m, [H.tau_at(t)], [c[0]], [c[1]])
     z = np.ascontiguousarray(nodes.T)
     closed = np.empty_like(z)
     field(z, 0, 0, closed)
@@ -249,38 +249,6 @@ def test_bump_kernel_bits_match_unblocked_loop(m, moving, dt):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
-@pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
-@pytest.mark.parametrize("dt", [1e-2, -1e-2])
-def test_per_point_bump_kernel_bits_match_per_cloud_calls(m, moving, dt):
-    # three clouds, each past one block, with their own amp (one negated),
-    # rho and support radius, in one call and in three scalar calls
-    clouds = [_cloud_past_one_block(seed) for seed in (m, m + 10, m + 20)]
-    amps, rhos, supports = (0.3, -0.2, 0.5), (0.8, 0.45, 0.6), (0.8, 0.7, 0.75)
-    nsteps = 4
-    levels = 0.5 * dt * np.arange(2 * nsteps + 1)
-    tau = 1.0 + 0.4 * np.sin(3.0 * levels)
-    if moving:
-        cx, cy = 0.1 * np.cos(5.0 * levels), 0.1 * np.sin(5.0 * levels)
-    else:
-        cx = cy = np.zeros_like(levels)
-    sizes = [len(c) for c in clouds]
-    per_point = [np.repeat(v, sizes) for v in (amps, rhos, supports)]
-    pts = np.concatenate(clouds)
-    assert np.count_nonzero(np.sum(pts * pts, axis=-1) < per_point[2] ** 2) > 2 * kernels.BLOCK
-    got = kernels.rk4_bump_flow(pts.copy(), dt, nsteps, None, per_point[0], per_point[1], m,
-                                tau, cx, cy, per_point[2])
-    want = np.concatenate([
-        kernels.rk4_bump_flow(c.copy(), dt, nsteps, None, a, r, m, tau, cx, cy, sr)
-        for c, a, r, sr in zip(clouds, amps, rhos, supports)])
-    assert np.max(np.abs(want - pts)) > 1e-3
-    assert np.array_equal(got, want)
-    # a scalar among per-point arrays broadcasts
-    one = kernels.rk4_bump_flow(pts.copy(), dt, nsteps, None, per_point[0], 0.8, m,
-                                tau, cx, cy, 0.8)
-    assert np.array_equal(one[:sizes[0]], want[:sizes[0]])
-
-
 @pytest.mark.parametrize("t0, t1", [(0.0, 0.05), (0.6, 0.55)])
 def test_spline_field_path_bits_match_unblocked_loop(t0, t1):
     # a time-dependent spline-backed field carrying its spline gradient,
@@ -376,7 +344,7 @@ def _head_spline_block(self, flat):
 def _head_time_one_gradient(sham, s, points):
     # the deleted ScalarTimeField gradient of SHamiltonian.time_one_field()
     points = np.asarray(points, dtype=np.float64)
-    grad = np.asarray(_head_value_and_gradient(sham.field_at(s, 1.0), points)[1],
+    grad = np.asarray(_head_value_and_gradient(sham.field_at(s), points)[1],
                       dtype=np.float64)
     if sham.support_radius is not None:
         outside = np.hypot(points[..., 0], points[..., 1]) >= sham.support_radius
@@ -590,6 +558,7 @@ def test_constant_row_integrates_to_c_t(t0, t1):
 @given(family=st.sampled_from([radial_bump, moving_bump, loop_bump]), m=st.integers(2, 6),
        amp=st.floats(0.01, 0.2), t=st.floats(0.0, 1.0),
        alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0))
+@example(family=radial_bump, m=2, amp=0.0625, t=0.0, alpha=2.225073858507e-311, beta=0.0)
 def test_bump_value_row_is_alpha_h_plus_beta_x_grad_h(family, m, amp, t, alpha, beta, fd4_x_h):
     # kernels.bump_field's value row is -(alpha H + beta x . grad H), with H
     # from the bump's own evaluator and grad H from the closed-form X_H,
@@ -598,8 +567,8 @@ def test_bump_value_row_is_alpha_h_plus_beta_x_grad_h(family, m, amp, t, alpha, 
     nodes = square_grid(65).node_points().reshape(-1, 2)
     c = H.center_at(t)
     levels = ([H.tau_at(t)], [c[0]], [c[1]])
-    plain, _ = kernels.bump_field(H.amp, H.rho, H.m, *levels)
-    field, _ = kernels.bump_field(H.amp, H.rho, H.m, *levels, value=(alpha, beta))
+    plain = kernels.bump_field(H.amp, H.rho, H.m, *levels)
+    field = kernels.bump_field(H.amp, H.rho, H.m, *levels, value=(alpha, beta))
     x_h = np.empty((2, len(nodes)))
     plain(np.ascontiguousarray(nodes.T), 0, 0, x_h)
     out = np.empty((3, len(nodes)))
@@ -609,7 +578,11 @@ def test_bump_value_row_is_alpha_h_plus_beta_x_grad_h(family, m, amp, t, alpha, 
     euler = y * x_h[0] - x * x_h[1]
     want = alpha * H(t, nodes) + beta * euler
     scale = np.max(np.abs(alpha * H(t, nodes))) + np.max(np.abs(beta * euler))
-    assert np.max(np.abs(-out[2] - want)) <= 1e-12 * scale
+    # at a subnormal scale 1e-12 * scale falls below the smallest positive
+    # double, so the bound allows a few of those; wherever the result is a
+    # normal double the added term does not change the bound
+    tol = 1e-12 * scale + 4 * np.finfo(np.float64).smallest_subnormal
+    assert np.max(np.abs(-out[2] - want)) <= tol
     stencil = fd4_x_h(ScalarTimeField(lambda t, pts: H(t, pts), H.support_radius),
                       t, nodes, STENCIL_WIDTH)
     off_edge = np.abs(np.hypot(*(nodes - c).T) - H.rho) > 2.0 * STENCIL_WIDTH
@@ -618,8 +591,6 @@ def test_bump_value_row_is_alpha_h_plus_beta_x_grad_h(family, m, amp, t, alpha, 
 
 
 def test_value_row_pair_needs_a_scalar_bump():
-    with pytest.raises(ValueError, match="scalar"):
-        kernels.bump_field(np.array([0.1, 0.2]), 0.8, 4, [1.0], [0.0], [0.0], value=(1.0, 0.0))
     with pytest.raises(TypeError, match="SeparableBump"):
         _rk4_segment(_segment_field("spline"), 0.0, 0.1, 1e-2, (1.0, 0.0))
 
@@ -796,11 +767,10 @@ def test_map_load_accepts_old_sidecar(tmp_path, bump_map_129):
 
 
 def test_hamiltonian_path_structure(bump):
-    path = hamiltonian_path(bump, nt=5, grid=square_grid(65), dt=2e-3)
-    assert len(path.maps) == 5
-    assert path.maps[0].displacement_norm() == 0.0
-    assert path.time_samples[0] == 0.0
-    assert path.time_samples[-1] == 1.0
+    maps = hamiltonian_path(bump, nt=5, grid=square_grid(65), dt=2e-3)
+    assert len(maps) == 5
+    assert maps[0].displacement_norm() == 0.0
+    assert maps[1].displacement_norm() > 0.0
 
 
 @pytest.mark.parametrize("nt", [1, 0, -1])
@@ -813,9 +783,9 @@ def test_paths_reject_fewer_than_two_times(bump, nt):
 
 def test_path_endpoint_matches_flow_map(bump):
     grid = square_grid(65)
-    path = hamiltonian_path(bump, nt=5, grid=grid, dt=1e-3)
+    maps = hamiltonian_path(bump, nt=5, grid=grid, dt=1e-3)
     phi = flow_map(bump, 1.0, grid=grid, dt=1e-3)
-    assert np.max(np.abs(path.maps[-1].grid_x.values - phi.grid_x.values)) < 1e-12
+    assert np.max(np.abs(maps[-1].grid_x.values - phi.grid_x.values)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

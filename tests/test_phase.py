@@ -313,8 +313,8 @@ def test_hj_residual_of_the_sphere_normalized_k_matches_the_node_sum(e8_coarse):
 
     def G_ref(a, q, p):
         if a not in offsets:
-            offsets[a] = float(np.sum(sham(a, 1.0, nodes))) * grid.spacing**2 / SPHERE_VOLUME
-        return sham(a, 1.0, q + 0.5 * jmap(p)) - offsets[a]
+            offsets[a] = float(np.sum(sham.field_at(a)(nodes))) * grid.spacing**2 / SPHERE_VOLUME
+        return sham.field_at(a)(q + 0.5 * jmap(p)) - offsets[a]
 
     nk = normalize_on_sphere(sham.time_one_field(), grid)
     got = ph.hj_residual(pfam, lambda a, q, p: nk(a, q + 0.5 * jmap(p)))
