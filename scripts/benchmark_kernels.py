@@ -16,11 +16,11 @@ the 1,000 points of the `spline_flow` benchmark workload (900 inside the
 disc of radius 0.75, 100 in the annulus outside the support) and the
 7,449 live nodes of a 129-node grid, the cloud of catalog E7.
 
-The lift rows step the 7,449 live nodes of a 129-node grid, the seeds
-that catalog E4's graph lift moves, through the bump's 100 stored times
-to t = 1, one RK4 step each: once as one segmented run
-(`flows.integrate_segments`) and once as 100 chained
-`flows.integrate_points` calls.
+The lift row steps the 7,449 live nodes of a 129-node grid, the seeds
+that catalog E4's graph lift moves, to t = 1 in 100 RK4 steps, as
+`phase.basic_generating` steps them: one (3, N) `kernels.rk4` run whose
+third row is the action, the bump kernel's value row (1, -1/2).  Its
+error is that of rows 0 and 1.
 
 For each cloud the script prints the best wall time, M point-steps/s over
 live points, and the maximum error against the exact rotation
@@ -28,6 +28,7 @@ live points, and the maximum error against the exact rotation
 speed.
 
 Usage: PYTHONPATH=src python3 scripts/benchmark_kernels.py [--points N] [--steps M]
+       [--repeats R]
 """
 
 import argparse
@@ -37,13 +38,13 @@ import numpy as np
 
 from disclab.alexander import SHamiltonian
 from disclab.fields import radial_bump
-from disclab.flows import integrate_points, integrate_segments
+from disclab.flows import _rk4_segment, integrate_points
 from disclab.grids import sample, square_grid
-from disclab.kernels import rk4_bump_flow
+from disclab.kernels import rk4, rk4_bump_flow
 
 AMP, RHO, M = 0.12, 0.8, 4
 SPLINE_STEPS = 500
-LIFT_TIMES = 100
+LIFT_STEPS = 100
 
 
 def bump_flow(pts, nsteps):
@@ -63,17 +64,13 @@ def spline_flow(bump):
     return lambda pts, nsteps: integrate_points(field, 0.0, 1.0, pts, dt=1.0 / nsteps)
 
 
-def lift(bump, segmented):
-    """The time-one flow of the bump through nsteps stored times, one step apart."""
+def lift(bump):
+    """The time-one flow of the bump with the graph lift's action row."""
     def flow(pts, nsteps):
-        times = np.linspace(0.0, 1.0, nsteps + 1)
-        if segmented:
-            for cloud in integrate_segments(bump, times, pts, dt=1.0 / nsteps):
-                pass
-            return cloud.T
-        for t0, t1 in zip(times[:-1], times[1:]):
-            pts = integrate_points(bump, t0, t1, pts, dt=1.0 / nsteps)
-        return pts
+        z = np.zeros((3, len(pts)))
+        z[:2] = pts.T
+        (z,) = rk4([_rk4_segment(bump, 0.0, 1.0, 1.0 / nsteps, (1.0, -0.5))], z)
+        return z[:2].T
 
     return flow
 
@@ -122,8 +119,7 @@ def main():
         "grid-513": (bump_flow, grid_cloud(513), 100),
         "spline-1000": (splines, workload, SPLINE_STEPS),
         "spline-grid-129": (splines, nodes, SPLINE_STEPS),
-        "lift-segmented": (lift(bump, True), seeds, LIFT_TIMES),
-        "lift-chained": (lift(bump, False), seeds, LIFT_TIMES),
+        "lift": (lift(bump), seeds, LIFT_STEPS),
     }
     print(f"radial bump amp={AMP} rho={RHO} m={M}, time-one flows")
     for name, (flow, pts, steps) in clouds.items():

@@ -14,12 +14,11 @@ Symplecticity is monitored, not enforced.  Points starting outside the
 support radius never move.
 
 integrate_points runs one cloud from t0 to t1 as one segment of
-kernels.rk4.  integrate_segments runs a cloud through a list of stored
-times in one stepper run, one segment per pair of consecutive times, each
-with the step size and stage times integrate_points would give it, and
-hands back the cloud at every stored time.  Their segments can carry a
+kernels.rk4.  _rk4_segment builds that segment for any span, and a list of
+them runs through kernels.rk4 in one stepper run.  A segment can carry a
 third row, a value the field's callback writes the rate of, which the
-stepper integrates along each trajectory (alexander.s_hamiltonian).
+stepper integrates along each trajectory (alexander.s_hamiltonian, and the
+action of phase.basic_generating).
 """
 
 import numpy as np
@@ -124,29 +123,6 @@ def _rk4_segment(H, t0, t1, dt, value=None):
         value(t0 + k * step + offsets[j], z, out[2])
 
     return with_value, step, nsteps
-
-
-def integrate_segments(H, times, points, dt=1e-3):
-    """Advance an (N, 2) cloud through the given times in one RK4 run.
-
-    Yields, for k = 1, ..., len(times) - 1, the cloud at times[k] in the
-    stepper's (2, N) layout: one array, which the next segment
-    overwrites.  Each segment is stepped as integrate_points(H, times[k-1],
-    times[k], ...) steps it, with the same step size and stage times, so
-    a bump's cloud has the bits of those chained calls.  The live points
-    are those inside the support at times[0]; a chained call would test
-    again at each times[k], which differs only where a field that is not
-    exactly zero off its support lets rounding carry a point across it.
-    """
-    _check_dt(dt)
-    pts = np.array(points, dtype=np.float64, ndmin=2)
-    cloud = np.stack([pts[:, 0], pts[:, 1]])
-    live = kernels.live_points(pts, H.support_radius)
-    z_all = cloud[:, live]
-    segments = (_rk4_segment(H, t0, t1, dt) for t0, t1 in zip(times[:-1], times[1:]))
-    for _ in kernels.rk4(segments, z_all):
-        cloud[:, live] = z_all
-        yield cloud
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +323,13 @@ def flow_map(H, t, grid=None, dt=1e-3):
 def hamiltonian_path(H, nt=17, grid=None, dt=1e-3):
     """phi_H^t as a list of PlaneMaps on the grid at nt equi-spaced times in [0, 1].
 
-    The first map is the identity; the others come from one
-    integrate_segments run.  Nothing in the package calls it; it is kept
-    for the benchmark's tracer, which wraps it by name in flows,
-    alexander and experiments.
+    Each map is a flow_map from time 0.  Nothing in the package calls it;
+    it is kept for the benchmark's tracer, which wraps it by name in
+    flows, alexander and experiments.
     """
     if nt < 2:
         raise ValueError(f"nt must be at least 2, got {nt}")
-    if grid is None:
-        grid = square_grid(257)
-    support = H.support_radius if H.support_radius is not None else np.inf
-    times = np.linspace(0.0, 1.0, nt)
-    nodes = grid.node_points().reshape(-1, 2)
-    maps = [PlaneMap.identity(grid, support)]
-    for cloud in integrate_segments(H, times, nodes, dt):
-        maps.append(PlaneMap.from_node_images(grid, cloud.T.copy(), support))
-    return maps
+    return [flow_map(H, t, grid, dt) for t in np.linspace(0.0, 1.0, nt)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,37 @@
-"""Lifted actions, generating functions of graphs, and phase functions.
+"""Generating functions of graphs, and phase functions.
 
-In the flat chart the graph of the time-t map of a Hamiltonian path is
+In the flat chart the graph of the time-1 map of a Hamiltonian path is
 parametrized over seeds y by
 
-    q(u) = (phi^u(y) + y) / 2,      p(u) = -j(phi^u(y) - y),
+    q = (x + y) / 2,      p = -j(x - y),      x = phi^1(y),
 
-and the action accumulated along the lifted trajectory,
+and the action of the lifted trajectory,
 
-    h = int p . dq - int F(u, phi^u(y)) du,
+    h = int p . dq - int (F(u, phi^u(y)) - c(u)) du,
 
-is the generating function of the graph: dh = p . dq.  The seeds are
-lifted together in one RK4 run through every stored time.  A seed
-outside the support never moves, and the sphere-normalized Hamiltonian
-is -c(u) there, so all such frozen seeds share one action: the grid
-lift steps only the seeds the flow moves, plus one frozen
-representative.  The phase function
-of a graphical time-1 map is the ray-integrated potential of the one-form
-that `graphical.recover_one_form` recovers (the one graphicality gate of
-the map) plus the identity-region value int_0^1 c(s) ds, where c is the
-offset that normalizes the Hamiltonian on the sphere model.
+is the generating function of the graph: dh = p . dq.  Along the lift
+p . dq = 1/2 x . grad F du - 1/2 d(y_2 x_1 - y_1 x_2), so
+
+    h = A(1) + int_0^1 c - 1/2 (y_2 x_1(1) - y_1 x_2(1)),
+    A' = -F + 1/2 x . grad F,
+
+and A is the value row (alpha, beta) = (1, -1/2) of kernels.bump_field,
+integrated by the same RK4 steps as the seeds.  A seed outside the
+support never moves, so it keeps q = y, p = 0 and h = int_0^1 c.  The
+phase function of a graphical time-1 map is the ray-integrated potential
+of the one-form that `graphical.recover_one_form` recovers (the one
+graphicality gate of the map) plus the identity-region value
+int_0^1 c(s) ds, where c is the offset that normalizes the Hamiltonian on
+the sphere model.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .calabi import normalize_on_sphere
-from .flows import flow_map, integrate_segments
+from .flows import _rk4_segment, flow_map
 from .graphical import integrate_generating, recover_one_form
 from .grids import SPHERE_VOLUME, square_grid
 
@@ -35,104 +40,50 @@ from .grids import SPHERE_VOLUME, square_grid
 # basic generating function from lifted trajectories
 
 
-def lifted_action(F, ham, seeds, times, dt):
-    """Lift seeds y along the flow of F; yield (q, p, f, h) at each time.
-
-    q = (phi^u(y) + y) / 2 and p = -j(phi^u(y) - y) are the chart
-    coordinates of the graph point, f = ham(u, phi^u(y)), and h is the
-    action int p . dq - int ham du, both by the trapezoid rule.  seeds has
-    shape (N, 2); times starts at 0.  The seeds take one RK4 run through
-    every time (flows.integrate_segments), and the action is accumulated
-    in the stepper's (2, N) layout; q and p are yielded as (N, 2) views.
-    """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    y = np.stack([seeds[:, 0], seeds[:, 1]])
-    q = y.copy()
-    p = np.zeros_like(y)
-    f = ham(0.0, seeds)
-    h = np.zeros(seeds.shape[0])
-    yield q.T, p.T, f, h
-    for k, x in enumerate(integrate_segments(F, times, seeds, dt), start=1):
-        cur_q = 0.5 * (x + y)
-        # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
-        d = x - y
-        cur_p = np.stack([d[1], -d[0]])
-        cur_f = ham(times[k], x.T)
-        du = times[k] - times[k - 1]
-        pdq = (p + cur_p) * (cur_q - q)
-        h = h + 0.5 * (pdq[0] + pdq[1])
-        h = h - 0.5 * du * (f + cur_f)
-        q, p, f = cur_q, cur_p, cur_f
-        yield q.T, p.T, f, h
-
-
 @dataclass
 class GraphSamples:
-    """Scattered graph of the time-t map with generating-function values."""
+    """Scattered graph of the time-1 map with generating-function values."""
 
     seeds: np.ndarray        # (n, n, 2) grid seeds y
-    q: np.ndarray            # (n, n, 2) chart base points at time t
-    p: np.ndarray            # (n, n, 2) fiber values at time t
+    q: np.ndarray            # (n, n, 2) chart base points at time 1
+    p: np.ndarray            # (n, n, 2) fiber values at time 1
     h: np.ndarray            # (n, n) action values
     spacing: float
 
 
-def _lift_order(seeds, support_radius):
-    """The seeds (N, 2) to lift, and the mask of the frozen ones.
-
-    A seed is frozen where the RK4 loop's test and the field's mask both
-    put it outside the support.  The seeds the loop moves come first, in
-    one run, then the others that are not frozen, then one frozen
-    representative, if any.
-    """
-    x = seeds[:, 0]
-    y = seeds[:, 1]
-    out = x * x + y * y >= support_radius * support_radius
-    frozen = out & (np.hypot(x, y) >= support_radius)
-    lifted = np.concatenate([np.flatnonzero(~out), np.flatnonzero(out & ~frozen),
-                             np.flatnonzero(frozen)[:1]])
-    return lifted, frozen
-
-
-def basic_generating(F, grid=None, dt=1e-3, nu=101):
-    """Lift the grid seeds to time 1, accumulate the action, return the graph.
+def basic_generating(F, grid=None, dt=1e-3):
+    """Lift the grid seeds to time 1 with their action, and return the graph.
 
     The Hamiltonian in the action integrand is F - c(u) (sphere
     normalization on the same grid), which makes the value on the
-    identity region equal int_0^1 c rather than 0.  A seed outside the
-    support never moves and sees the one value -c(u) that the
-    normalized field takes there, so every such frozen seed has q = y,
-    p = 0 and the same action.  Only the other seeds and one frozen
-    representative are lifted, in one RK4 run; the representative's p
-    and h are copied to every frozen seed.
+    identity region equal int_0^1 c rather than 0.  The seeds the flow
+    moves take one forward RK4 run with the action row A of the module
+    docstring; every other seed keeps q = y, p = 0 and h = int_0^1 c.
+    F must be a SeparableBump, the one field with that value row.
     """
     if grid is None:
         grid = square_grid(257)
     qx, qy = grid.nodes()
     seeds = np.stack([qx, qy], axis=-1)
     flat = seeds.reshape(-1, 2)
-    ham = normalize_on_sphere(F, grid=grid)
-    times = np.linspace(0.0, 1.0, nu)
-    lifted, frozen = _lift_order(flat, F.support_radius)
-    for q, p, _, h in lifted_action(F, ham, flat[lifted], times, dt):
-        pass
-    q_all = flat.copy()
-    p_all = np.empty_like(flat)
-    h_all = np.empty(len(flat))
-    if frozen.any():
-        p_all[frozen] = p[-1]
-        h_all[frozen] = h[-1]
-    q_all[lifted] = q
-    p_all[lifted] = p
-    h_all[lifted] = h
+    live = kernels.live_points(flat, F.support_radius)
+    y = flat[live].T
+    z = np.zeros((3, y.shape[1]))
+    z[:2] = y
+    (z,) = kernels.rk4([_rk4_segment(F, 0.0, 1.0, dt, (1.0, -0.5))], z)
+    x = z[:2]
+    value = normalize_on_sphere(F, grid=grid).offset_integral()
+    q = flat.copy()
+    p = np.zeros_like(flat)
+    h = np.full(len(flat), value)
+    q[live] = (0.5 * (x + y)).T
+    # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
+    p[live, 0] = x[1] - y[1]
+    p[live, 1] = y[0] - x[0]
+    h[live] = z[2] + value - 0.5 * (y[1] * x[0] - y[0] * x[1])
     shape = qx.shape
-    return GraphSamples(
-        seeds,
-        q_all.reshape(shape + (2,)),
-        p_all.reshape(shape + (2,)),
-        h_all.reshape(shape),
-        grid.spacing,
-    )
+    return GraphSamples(seeds, q.reshape(shape + (2,)), p.reshape(shape + (2,)),
+                        h.reshape(shape), grid.spacing)
 
 
 # ---------------------------------------------------------------------------

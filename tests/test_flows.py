@@ -12,7 +12,7 @@ from disclab.fields import (ScalarTimeField, loop_bump, moving_bump, radial_bump
                             twist_bump, zero_field)
 from disclab.flows import (NEWTON_MAX_ITER, NEWTON_TOL, NewtonError, PlaneMap, _rk4_segment,
                            _simpson_weights, flow_map, hamiltonian_path, hofer_length,
-                           integrate_points, integrate_segments, osc_on_grid,
+                           integrate_points, osc_on_grid,
                            time_integral)
 from disclab.grids import square_grid
 
@@ -43,8 +43,9 @@ def test_field_without_gradient_is_not_flowed():
     pts = np.array([[0.3, 0.1], [0.5, -0.2]])
     with pytest.raises(TypeError, match="no gradient"):
         integrate_points(black_box, 0.0, 1.0, pts, dt=1e-2)
+    segments = [_rk4_segment(black_box, 0.0, 0.5, 1e-2), _rk4_segment(black_box, 0.5, 1.0, 1e-2)]
     with pytest.raises(TypeError, match="no gradient"):
-        list(integrate_segments(black_box, [0.0, 0.5, 1.0], pts, dt=1e-2))
+        list(kernels.rk4(segments, pts.T.copy()))
 
 
 def test_rotation_oracle():
@@ -491,7 +492,15 @@ def test_segmented_run_bits_match_chained_calls(name, backward):
     else:
         # live points past one block
         pts = _cloud_past_one_block(5)
-    clouds = [c.T.copy() for c in integrate_segments(H, times, pts, dt=1e-2)]
+    # one kernels.rk4 run over _rk4_segment segments, as s_hamiltonian takes
+    live = kernels.live_points(pts, H.support_radius)
+    z = np.stack([pts[live, 0], pts[live, 1]])
+    segments = [_rk4_segment(H, t0, t1, 1e-2) for t0, t1 in zip(times[:-1], times[1:])]
+    clouds = []
+    for z in kernels.rk4(segments, z):
+        cloud = pts.copy()
+        cloud[live] = z.T
+        clouds.append(cloud)
     assert len(clouds) == len(times) - 1
     cur = pts
     for k, got in enumerate(clouds, start=1):

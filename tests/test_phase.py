@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from disclab import graphical as gr
+from disclab import kernels
 from disclab import phase as ph
 from disclab.calabi import cal_path, normalize_on_sphere
 from disclab.chart import jmap
-from disclab.experiments import ExperimentConfig, make_family
-from disclab.fields import SeparableBump, loop_bump, radial_bump, twist_bump, zero_field
-from disclab.flows import integrate_points
+from disclab.fields import SeparableBump, moving_bump, radial_bump, twist_bump, zero_field
+from disclab.flows import _rk4_segment, integrate_points
 from disclab.graphical import recover_one_form
 from disclab.grids import SPHERE_VOLUME, square_grid
 
@@ -19,10 +19,14 @@ from disclab.grids import SPHERE_VOLUME, square_grid
 
 
 def test_basic_generating_of_zero_field():
-    gs = ph.basic_generating(zero_field(), grid=square_grid(65), nu=11)
-    assert np.max(np.abs(gs.h)) < 1e-15
+    gs = ph.basic_generating(radial_bump(amp=0.0), grid=square_grid(65))
+    assert np.max(np.abs(gs.h)) == 0.0
     assert np.max(np.abs(gs.p)) == 0.0
     assert np.array_equal(gs.q, gs.seeds)
+    # the action row is the bump kernel's: a field that is not a
+    # SeparableBump has none
+    with pytest.raises(TypeError, match="SeparableBump"):
+        ph.basic_generating(zero_field(), grid=square_grid(65))
 
 
 def exactness_defect(gs):
@@ -44,12 +48,12 @@ def exactness_defect(gs):
 
 def test_basic_generating_exactness(bump):
     # the action is a generating function of the graph: dh = p . dq
-    gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3, nu=51)
+    gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3)
     assert exactness_defect(gs) < 5e-4
 
 
 def test_basic_generating_identity_region_value(bump, grid257):
-    gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3, nu=51)
+    gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3)
     cal = cal_path(bump, grid257)
     # seeds outside the support never move; their chord action is the
     # normalization constant integral = Cal / vol
@@ -61,7 +65,9 @@ def test_basic_generating_identity_region_value(bump, grid257):
 
 # lifted_action and basic_generating as they stood before the grid lift
 # skipped the frozen seeds and took one RK4 run, copied verbatim: every seed
-# is lifted, with one integrate_points call per stored time.
+# is lifted, with one integrate_points call per stored time, and the action
+# is the trapezoid rule on the nu stored times.  They are the second-order
+# reference that the Richardson test below extrapolates.
 
 
 def _head_lifted_action(F, ham, seeds, times, dt):
@@ -105,44 +111,58 @@ def _head_basic_generating(F, grid=None, dt=1e-3, nu=101):
     )
 
 
-_E4_CFG = ExperimentConfig(experiment_id="E4", grid_n=64, dt=1e-2)
+def test_basic_generating_matches_the_radial_closed_form():
+    # a radial F is constant along its circles, so A(1) = -F(r) + r F'(r) / 2
+    # and h(y) = int c - F(r) + r F'(r) / 2 - (y_2 x_1 - y_1 x_2) / 2, with x
+    # the exact rotation of y; the stepper's row is exact here to rounding
+    amp, rho, m = 0.05, 0.8, 4
+    F = radial_bump(amp=amp, rho=rho, m=m)
+    grid = square_grid(65)
+    gs = ph.basic_generating(F, grid=grid, dt=1e-2)
+    y = gs.seeds.reshape(-1, 2)
+    x = F.exact_flow(0.0, 1.0, y)
+    r2 = y[:, 0] ** 2 + y[:, 1] ** 2
+    u = np.maximum(1.0 - r2 / rho**2, 0.0)
+    f = amp * u**m
+    r_df = -2.0 * m * amp * u ** (m - 1) * r2 / rho**2
+    value = normalize_on_sphere(F, grid=grid).offset_integral()
+    want = value - f + 0.5 * r_df - 0.5 * (y[:, 1] * x[:, 0] - y[:, 0] * x[:, 1])
+    assert np.max(np.abs(want - value)) > 1e-3
+    assert np.max(np.abs(gs.h.ravel() - want)) < 1e-12
 
 
-@pytest.mark.parametrize("family, n", [
-    ("radial_bump", 129), ("moving_bump", 129), ("twist", 129),
-    ("loop_bump", 65), ("zero_field", 65),
-])
-def test_basic_generating_bits_match_per_seed_lift(family, n):
-    if family == "loop_bump":
-        F = loop_bump(amp=0.05)
-    elif family == "zero_field":
-        F = zero_field()
-    else:
-        F = make_family(family, _E4_CFG)
-    grid = square_grid(n)
-    got = ph.basic_generating(F, grid=grid, dt=1e-2)
-    want = _head_basic_generating(F, grid=grid, dt=1e-2)
-    assert np.array_equal(got.q, want.q)
-    assert np.array_equal(got.p, want.p)
-    assert np.array_equal(got.h, want.h)
+def test_basic_generating_matches_the_richardson_moving_bump_action():
+    # the per-seed lift's trapezoid action on 401 and 801 stored times,
+    # Richardson-extrapolated, is fourth order: the stepper's action row at
+    # dt 1e-2 agrees with it far below the 101-time trapezoid's 6e-6
+    F = moving_bump()
+    grid = square_grid(65)
+    fine = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=801).h
+    coarse = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=401).h
+    want = (4.0 * fine - coarse) / 3.0
+    got = ph.basic_generating(F, grid=grid, dt=1e-2).h
+    assert np.max(np.abs(got - want)) < 1e-7
 
 
 @pytest.mark.parametrize("tau", [None, lambda t: 1.0 + t], ids=["autonomous", "ramp"])
 def test_frozen_seeds_share_the_trapezoid_offset_integral(tau, grid65):
     F = SeparableBump(amp=0.05, rho=0.8, m=4, tau=tau)
-    nu = 21
-    gs = ph.basic_generating(F, grid=grid65, dt=1e-2, nu=nu)
-    frozen = ph._lift_order(gs.seeds.reshape(-1, 2), F.support_radius)[1].reshape(gs.h.shape)
+    gs = ph.basic_generating(F, grid=grid65, dt=1e-2)
+    flat = gs.seeds.reshape(-1, 2)
+    frozen = np.ones(len(flat), dtype=bool)
+    frozen[kernels.live_points(flat, F.support_radius)] = False
+    frozen = frozen.reshape(gs.h.shape)
     assert frozen.any() and not frozen.all()
     assert np.array_equal(gs.q[frozen], gs.seeds[frozen])
     assert np.all(gs.p[frozen] == 0.0)
-    vals = gs.h[frozen]
-    assert np.all(vals == vals[0])
     # off the support the normalized field is -c(u), and a frozen chord has
-    # p . dq = 0: its action is the trapezoid integral of c
-    times = np.linspace(0.0, 1.0, nu)
-    offsets = normalize_on_sphere(F, grid=grid65).offset
-    trapezoid = float(np.trapezoid([offsets(t) for t in times], times))
+    # p . dq = 0: its action is the integral of c, bit for bit the offset's
+    nf = normalize_on_sphere(F, grid=grid65)
+    vals = gs.h[frozen]
+    assert np.all(vals == nf.offset_integral())
+    # c is linear in u for both taus, so the trapezoid rule is exact too
+    times = np.linspace(0.0, 1.0, 21)
+    trapezoid = float(np.trapezoid([nf.offset(t) for t in times], times))
     assert vals[0] == pytest.approx(trapezoid, rel=1e-12)
     assert abs(trapezoid) > 1e-5
 
@@ -339,9 +359,11 @@ def test_phase_family_value_and_lipschitz():
 def suspension_check(F, nt=41, dt=1e-3):
     """Max defect of d(h~) against the pulled-back form theta + a dt.
 
-    The timewise generating function h~(t, q-seed) is accumulated along
-    lifted trajectories from a stencil of seeds (step 1e-3) around each
-    of 8 seeded random probes inside 0.6 of the support radius.  The
+    The timewise generating function h~(t, q-seed) is read at nt stored
+    times from one RK4 run of a stencil of seeds (step 1e-3) around each
+    of 8 seeded random probes inside 0.6 of the support radius, with the
+    action row of phase.basic_generating:
+    h~ = A(t) + int_0^t c - (y_2 x_1 - y_1 x_2) / 2.  The
     q-components of the defect test dh = p . dq at fixed t; the
     t-component tests dh/dt = p . dq/dt - F(t, phi^t(y)), whose last term
     is the a-coordinate -F of the suspended graph.
@@ -359,7 +381,18 @@ def suspension_check(F, nt=41, dt=1e-3):
     )
     seeds = (probes[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
     times = np.linspace(0.0, 1.0, nt)
-    hist_q, hist_p, hist_f, hist_h = zip(*ph.lifted_action(F, nf, seeds, times, dt))
+    y = seeds.T
+    z = np.zeros((3, len(seeds)))
+    z[:2] = y
+    segments = [_rk4_segment(F, t0, t1, dt, (1.0, -0.5)) for t0, t1 in zip(times[:-1], times[1:])]
+    hist_q, hist_p = [seeds], [np.zeros_like(seeds)]
+    hist_f, hist_h = [nf(0.0, seeds)], [np.zeros(len(seeds))]
+    for t, z in zip(times[1:], kernels.rk4(segments, z)):
+        x = z[:2]
+        hist_q.append((0.5 * (x + y)).T)
+        hist_p.append(-jmap((x - y).T))
+        hist_f.append(nf(t, x.T))
+        hist_h.append(z[2] + nf.offset_integral(t1=t) - 0.5 * (y[1] * x[0] - y[0] * x[1]))
     hq = np.array(hist_q).reshape(nt, -1, 5, 2)
     hp = np.array(hist_p).reshape(nt, -1, 5, 2)
     hh = np.array(hist_h).reshape(nt, -1, 5)
