@@ -18,11 +18,19 @@ p . dq = 1/2 x . grad F du - 1/2 d(y_2 x_1 - y_1 x_2), so
 and A is the value row (alpha, beta) = (1, -1/2) of kernels.bump_field,
 integrated by the same RK4 steps as the seeds.  A seed outside the
 support never moves, so it keeps q = y, p = 0 and h = int_0^1 c.  The
-phase function of a graphical time-1 map is the ray-integrated potential
-of the one-form that `graphical.recover_one_form` recovers (the one
-graphicality gate of the map) plus the identity-region value
+value row never feeds back into the seeds, so the lift's node images are
+phi^1 on the seed grid bit for bit: `basic_generating` hands them back as
+the PlaneMap `flow_map` would sample, and one forward run gives both the
+graph's action and its time-1 map.
+
+The phase function of a graphical time-1 map is the ray-integrated
+potential of the one-form that `graphical.recover_one_form` recovers (the
+one graphicality gate of the map) plus the identity-region value
 int_0^1 c(s) ds, where c is the offset that normalizes the Hamiltonian on
-the sphere model.
+the sphere model: `phase_function_of_map`.  `phase_function_graphical`
+takes the map from a plain two-row flow, since its callers read no
+action; E4, which checks the phase function against the action, takes
+both from one `basic_generating` run.
 """
 
 from dataclasses import dataclass
@@ -31,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .calabi import normalize_on_sphere
-from .flows import _rk4_segment, flow_map
+from .flows import PlaneMap, _rk4_segment, flow_map
 from .graphical import integrate_generating, recover_one_form
 from .grids import SPHERE_VOLUME, square_grid
 
@@ -48,21 +56,25 @@ class GraphSamples:
     q: np.ndarray            # (n, n, 2) chart base points at time 1
     p: np.ndarray            # (n, n, 2) fiber values at time 1
     h: np.ndarray            # (n, n) action values
-    spacing: float
+    phi: PlaneMap            # the time-1 map, sampled on the seed grid
+    value: float             # the identity-region value int_0^1 c
 
 
 def basic_generating(F, grid=None, dt=1e-3):
     """Lift the grid seeds to time 1 with their action, and return the graph.
 
     The Hamiltonian in the action integrand is F - c(u) (sphere
-    normalization on the same grid), which makes the value on the
-    identity region equal int_0^1 c rather than 0.  The seeds the flow
-    moves take one forward RK4 run with the action row A of the module
-    docstring; every other seed keeps q = y, p = 0 and h = int_0^1 c.
-    F must be a SeparableBump, the one field with that value row.
+    normalization on the same grid, checked before any step is taken),
+    which makes the value on the identity region equal int_0^1 c rather
+    than 0.  The seeds the flow moves take one forward RK4 run with the
+    action row A of the module docstring; every other seed keeps q = y,
+    p = 0 and h = int_0^1 c.  The seeds' images make the returned time-1
+    map, equal to flow_map(F, 1, grid, dt) bit for bit.  F must be a
+    SeparableBump, the one field with that value row.
     """
     if grid is None:
         grid = square_grid(257)
+    value = normalize_on_sphere(F, grid=grid).offset_integral()
     qx, qy = grid.nodes()
     seeds = np.stack([qx, qy], axis=-1)
     flat = seeds.reshape(-1, 2)
@@ -72,22 +84,34 @@ def basic_generating(F, grid=None, dt=1e-3):
     z[:2] = y
     (z,) = kernels.rk4([_rk4_segment(F, 0.0, 1.0, dt, (1.0, -0.5))], z)
     x = z[:2]
-    value = normalize_on_sphere(F, grid=grid).offset_integral()
+    img = flat.copy()
     q = flat.copy()
     p = np.zeros_like(flat)
     h = np.full(len(flat), value)
+    img[live] = x.T
     q[live] = (0.5 * (x + y)).T
     # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
     p[live, 0] = x[1] - y[1]
     p[live, 1] = y[0] - x[0]
     h[live] = z[2] + value - 0.5 * (y[1] * x[0] - y[0] * x[1])
     shape = qx.shape
+    phi = PlaneMap.from_node_images(grid, img, F.support_radius)
     return GraphSamples(seeds, q.reshape(shape + (2,)), p.reshape(shape + (2,)),
-                        h.reshape(shape), grid.spacing)
+                        h.reshape(shape), phi, value)
 
 
 # ---------------------------------------------------------------------------
 # phase functions of graphical slices
+
+
+def phase_function_of_map(phi, value):
+    """The phase function of the graphical time-1 map phi with identity-region value value.
+
+    The ray-integrated potential of phi's recovered one-form, plus value
+    (see the module docstring).  Rejects a non-graphical phi, through the
+    one graphicality scan of `recover_one_form`.
+    """
+    return integrate_generating(recover_one_form(phi), base_value=value)
 
 
 def phase_function_graphical(F, grid=None, dt=1e-3):
@@ -97,15 +121,13 @@ def phase_function_graphical(F, grid=None, dt=1e-3):
         + int_0^1 c(s) ds,
     where c is the sphere-normalization offset of F.  The additive value
     is exactly the constant-chord action on the identity region and
-    equals Cal / vol(sphere).  Rejects a non-graphical time-1 map, through
-    the one graphicality scan of `recover_one_form`.
+    equals Cal / vol(sphere).  The time-1 map is one two-row flow_map;
+    `phase_function_of_map` rejects it if it is not graphical.
     """
     if grid is None:
         grid = square_grid(257)
-    nf = normalize_on_sphere(F, grid=grid)
-    alpha = recover_one_form(flow_map(F, 1.0, grid=grid, dt=dt))
-    value = nf.offset_integral()
-    return integrate_generating(alpha, base_value=value), value
+    value = normalize_on_sphere(F, grid=grid).offset_integral()
+    return phase_function_of_map(flow_map(F, 1.0, grid=grid, dt=dt), value), value
 
 
 # ---------------------------------------------------------------------------

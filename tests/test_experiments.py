@@ -227,6 +227,62 @@ def test_e8_recovers_each_map_once(monkeypatch):
     assert len(rescaled) == len(set(rescaled)) == 9
 
 
+E4_FAMILIES = ("radial_bump", "moving_bump", "twist")
+
+
+def test_e4_takes_one_forward_run_per_family(monkeypatch):
+    # each family's phase function and action come from one 3-row lift of
+    # the config grid's seeds; no two-row flow_map runs beside it
+    from disclab import experiments as ex
+    from disclab import flows, kernels
+    from disclab import phase as ph
+
+    runs = []
+    rk4 = kernels.rk4
+
+    def counted(segments, z):
+        runs.append(z.shape)
+        return rk4(segments, z)
+
+    def no_flow_map(*args, **kwargs):
+        raise AssertionError("flow_map called")
+
+    monkeypatch.setattr(kernels, "rk4", counted)
+    for mod in (ex, flows, ph):
+        monkeypatch.setattr(mod, "flow_map", no_flow_map)
+    cfg = ExperimentConfig(experiment_id="E4", grid_n=64, dt=1e-2)
+    rep = run_experiment(cfg)
+    assert rep.overall_pass and not rep.errors
+    seeds = cfg.grid().node_points().reshape(-1, 2)
+    assert len(seeds) == cfg.nodes**2
+    index = np.arange(len(seeds))
+    want = [(3, index[kernels.live_points(seeds, make_family(name, cfg).support_radius)].size)
+            for name in E4_FAMILIES]
+    assert runs == want
+
+
+def test_e4_graph_consistency_sees_a_wrong_action_row(monkeypatch):
+    # the phase function and the action share one run; an action row that
+    # drops the 1/2 x . grad F term leaves phi^1 and the identity value as
+    # they were, and must still fail the graph check
+    from disclab import phase as ph
+
+    segment = ph._rk4_segment
+
+    def wrong_row(F, t0, t1, dt, value):
+        assert value == (1.0, -0.5)
+        return segment(F, t0, t1, dt, (1.0, 0.0))
+
+    monkeypatch.setattr(ph, "_rk4_segment", wrong_row)
+    cfg = ExperimentConfig(experiment_id="E4", grid_n=64, dt=1e-2)
+    rep = run_experiment(cfg)
+    assert not rep.errors
+    for name in E4_FAMILIES:
+        assert rep.passed[f"{name}_identity_value"]
+        assert not rep.passed[f"{name}_graph_consistency"]
+        assert rep.measured[f"{name}_graph_consistency"] > 2e-3
+
+
 def test_e4_identity_value_is_the_closed_form():
     # the expected identity value is Cal / vol(sphere) of each autonomous
     # bump in closed form, amp pi rho^2 / (m + 1), not a second run of the

@@ -9,7 +9,7 @@ from disclab import phase as ph
 from disclab.calabi import cal_path, normalize_on_sphere
 from disclab.chart import jmap
 from disclab.fields import SeparableBump, moving_bump, radial_bump, twist_bump, zero_field
-from disclab.flows import _rk4_segment, integrate_points
+from disclab.flows import _rk4_segment, flow_map, integrate_points
 from disclab.graphical import recover_one_form
 from disclab.grids import SPHERE_VOLUME, square_grid
 
@@ -64,10 +64,11 @@ def test_basic_generating_identity_region_value(bump, grid257):
 
 
 # lifted_action and basic_generating as they stood before the grid lift
-# skipped the frozen seeds and took one RK4 run, copied verbatim: every seed
-# is lifted, with one integrate_points call per stored time, and the action
-# is the trapezoid rule on the nu stored times.  They are the second-order
-# reference that the Richardson test below extrapolates.
+# skipped the frozen seeds and took one RK4 run, copied verbatim but for
+# returning the action h alone: every seed is lifted, with one
+# integrate_points call per stored time, and the action is the trapezoid
+# rule on the nu stored times.  They are the second-order reference that
+# the Richardson test below extrapolates.
 
 
 def _head_lifted_action(F, ham, seeds, times, dt):
@@ -101,14 +102,7 @@ def _head_basic_generating(F, grid=None, dt=1e-3, nu=101):
     times = np.linspace(0.0, 1.0, nu)
     for q, p, _, h in _head_lifted_action(F, ham, flat, times, dt):
         pass
-    shape = qx.shape
-    return ph.GraphSamples(
-        seeds,
-        q.reshape(shape + (2,)),
-        p.reshape(shape + (2,)),
-        h.reshape(shape),
-        grid.spacing,
-    )
+    return h.reshape(qx.shape)
 
 
 def test_basic_generating_matches_the_radial_closed_form():
@@ -137,8 +131,8 @@ def test_basic_generating_matches_the_richardson_moving_bump_action():
     # dt 1e-2 agrees with it far below the 101-time trapezoid's 6e-6
     F = moving_bump()
     grid = square_grid(65)
-    fine = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=801).h
-    coarse = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=401).h
+    fine = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=801)
+    coarse = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=401)
     want = (4.0 * fine - coarse) / 3.0
     got = ph.basic_generating(F, grid=grid, dt=1e-2).h
     assert np.max(np.abs(got - want)) < 1e-7
@@ -165,6 +159,49 @@ def test_frozen_seeds_share_the_trapezoid_offset_integral(tau, grid65):
     trapezoid = float(np.trapezoid([nf.offset(t) for t in times], times))
     assert vals[0] == pytest.approx(trapezoid, rel=1e-12)
     assert abs(trapezoid) > 1e-5
+
+
+def test_basic_generating_normalizes_before_the_lift(monkeypatch):
+    # a support that reaches the grid edge fails the sphere normalization
+    # before the stepper takes a step
+    runs = []
+    monkeypatch.setattr(kernels, "rk4", lambda segments, z: runs.append(z.shape))
+    with pytest.raises(ValueError, match="reaches the grid boundary"):
+        ph.basic_generating(radial_bump(amp=0.05, rho=0.8, m=4),
+                            grid=square_grid(65, extent=0.8), dt=1e-2)
+    assert runs == []
+
+
+# the three bumps E4 lifts, at the catalog's default parameters
+E4_BUMPS = {
+    "radial": radial_bump(amp=0.05, rho=0.8, m=4),
+    "moving": moving_bump(amp=0.05, rho=0.25, m=4, sweep=0.3),
+    "twist": twist_bump(angle=0.8, rho=0.8, m=4),
+}
+
+
+@pytest.mark.parametrize("name", E4_BUMPS)
+def test_the_lift_time_one_map_is_the_flow_map(name, grid65):
+    # the value row never feeds back into the seeds: the lift's node
+    # images are flow_map's, and frozen seeds keep x = y
+    F = E4_BUMPS[name]
+    gs = ph.basic_generating(F, grid=grid65, dt=1e-2)
+    phi = flow_map(F, 1.0, grid=grid65, dt=1e-2)
+    for got, want in zip(gs.phi.node_images(), phi.node_images()):
+        assert got.tobytes() == want.tobytes()
+    assert gs.phi.support_radius == phi.support_radius
+    assert gs.value == normalize_on_sphere(F, grid=grid65).offset_integral()
+
+
+@pytest.mark.parametrize("name", E4_BUMPS)
+def test_the_lift_phase_function_is_phase_function_graphical(name, grid65):
+    # E4's route: the phase function of the lift's map and value
+    F = E4_BUMPS[name]
+    gs = ph.basic_generating(F, grid=grid65, dt=1e-2)
+    f = ph.phase_function_of_map(gs.phi, gs.value)
+    f_ref, v_ref = ph.phase_function_graphical(F, grid=grid65, dt=1e-2)
+    assert gs.value == v_ref
+    assert f.values.tobytes() == f_ref.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
