@@ -56,23 +56,16 @@ def rescale(H, a):
 # ---------------------------------------------------------------------------
 # two-parameter families and the s-Hamiltonian
 
-# step of the finite-difference stencil in s of dH/ds, for families
-# without Euler coefficients
-S_STEP = 1e-3
-
-
 class TwoParameterFamily:
     """s in [0,1] -> a path Hamiltonian H(s); H(0) need not vanish.
 
-    s_hamiltonian integrates dH/ds along the flows of H(s).  euler, if
-    given, maps s to the Euler coefficients (alpha, beta) of a family of
-    SeparableBumps, dH/ds(s) = alpha H(s) + beta x . grad H(s), which
-    kernels.bump_field writes in closed form as the stepper's value row.
-    Without them dH/ds is a finite difference in s of H values, step
-    S_STEP, evaluated at the stage points of the run.
+    s_hamiltonian integrates dH/ds along the flows of H(s).  euler maps s
+    to the Euler coefficients (alpha, beta) of a family of SeparableBumps,
+    dH/ds(s) = alpha H(s) + beta x . grad H(s), which kernels.bump_field
+    writes in closed form as the stepper's value row.
     """
 
-    def __init__(self, at, support_radius, euler=None):
+    def __init__(self, at, support_radius, euler):
         self._at = at
         self.support_radius = float(support_radius)
         self.euler = euler
@@ -184,12 +177,12 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
     backward RK4 run of H(s) on the state (x, y, A), from (node, 0) at
     time t_k to time 0, whose rate of A is -dH/ds(s): A ends at the
     integral of dH/ds along the trajectory (flows._rk4_segment's value
-    row).  An autonomous H(s) has phi^u o (phi^t)^{-1} = phi^(u - t), so
-    one run backward through the stored times, segment by segment, gives
-    K at every t_k; any other H(s) takes one run from each t_k back to 0.
-    The runs step the nodes inside H(s)'s support, outside which
-    alpha H + beta x . grad H vanishes, or, for a family without Euler
-    coefficients, every node inside the family's support.  K is exactly
+    row), with the family's Euler coefficients (alpha, beta) at s.  An
+    autonomous H(s) has phi^u o (phi^t)^{-1} = phi^(u - t), so one run
+    backward through the stored times, segment by segment, gives K at
+    every t_k; any other H(s) takes one run from each t_k back to 0.  The
+    runs (kernels.rk4_points) step the nodes inside H(s)'s support,
+    outside which alpha H + beta x . grad H vanishes, so K is exactly
     zero at every other node and at t = 0.
     """
     if s_samples is None:
@@ -202,8 +195,8 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
         )
     if nt < 2:
         raise ValueError(f"nt must be at least 2, got {nt}")
-    if np.any(s_samples - 2.0 * S_STEP <= 0.0) or np.any(s_samples > 1.0):
-        raise ValueError(f"s samples must lie in ({2.0 * S_STEP}, 1], the stencil's reach")
+    if np.any(s_samples <= 0.0) or np.any(s_samples > 1.0):
+        raise ValueError(f"s samples must lie in (0, 1], got {s_samples.tolist()}")
     if grid is None:
         grid = square_grid(129)
     times = np.linspace(0.0, 1.0, nt)
@@ -211,52 +204,22 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
     all_values = []
     for s in s_samples:
         H = family.at(s)
-        value, support, autonomous = _s_rate(family, s, H)
-        live = kernels.live_points(nodes, support)
-        pts = nodes[live]
-        start = np.zeros((3, len(pts)))
-        start[:2] = pts.T
+        value = family.euler(s)
         K = np.zeros((nt, nodes.shape[0]))
-        if autonomous:
+        if H.is_autonomous:
             segments = [_rk4_segment(H, times[k], times[k - 1], dt, value)
                         for k in range(1, nt)]
-            for k, z in enumerate(kernels.rk4(segments, start), start=1):
-                K[k, live] = z[2]
+            for k, z in enumerate(kernels.rk4_points(nodes, segments, H.support_radius, rows=3),
+                                  start=1):
+                K[k] = z[2]
         else:
             for k in range(1, nt):
-                (z,) = kernels.rk4([_rk4_segment(H, times[k], 0.0, dt, value)], start.copy())
-                K[k, live] = z[2]
+                (z,) = kernels.rk4_points(nodes, [_rk4_segment(H, times[k], 0.0, dt, value)],
+                                          H.support_radius, rows=3)
+                K[k] = z[2]
         K = K.reshape((nt,) + grid.values.shape)
         all_values.append([grid.with_values(K[k]) for k in range(nt)])
     return SHamiltonian(s_samples, times, all_values, family.support_radius)
-
-
-def _s_rate(family, s, H):
-    """(value row, support radius, autonomous) of dH/ds at s for s_hamiltonian's runs.
-
-    With Euler coefficients the value row is their pair at s, which
-    vanishes with H(s).  Otherwise it writes minus the finite difference
-    in s of H values, centered or, at the upper end, one-sided and second
-    order, which vanishes outside the family's support.  autonomous holds
-    when no Hamiltonian the run reads depends on t.
-    """
-    if family.euler is not None:
-        return family.euler(s), H.support_radius, H.is_autonomous
-    if s + S_STEP <= 1.0:
-        stencil = [(s + S_STEP, 0.5 / S_STEP), (s - S_STEP, -0.5 / S_STEP)]
-    else:
-        stencil = [(s, 1.5 / S_STEP), (s - S_STEP, -2.0 / S_STEP),
-                   (s - 2.0 * S_STEP, 0.5 / S_STEP)]
-    arms = [(H if sv == s else family.at(sv), c) for sv, c in stencil]
-
-    def value(t, z, row):
-        pts = z[:2].T
-        row.fill(0.0)
-        for Hs, c in arms:
-            row -= c * Hs(t, pts)
-
-    autonomous = H.is_autonomous and all(Hs.is_autonomous for Hs, _ in arms)
-    return value, family.support_radius, autonomous
 
 
 def calabi_match(sham, family, grid=None, nt=65):

@@ -14,11 +14,12 @@ Symplecticity is monitored, not enforced.  Points starting outside the
 support radius never move.
 
 integrate_points runs one cloud from t0 to t1 as one segment of
-kernels.rk4.  _rk4_segment builds that segment for any span, and a list of
-them runs through kernels.rk4 in one stepper run.  A segment can carry a
-third row, a value the field's callback writes the rate of, which the
-stepper integrates along each trajectory (alexander.s_hamiltonian, and the
-action of phase.basic_generating).
+kernels.rk4_points, the one runner of clouds and grid nodes.
+_rk4_segment builds that segment for any span, and a list of them is one
+stepper run.  A bump's segment can carry a third row, the value row
+(alpha, beta) of kernels.bump_field, which the stepper integrates along
+each trajectory (alexander.s_hamiltonian, and the action of
+phase.basic_generating).
 """
 
 import numpy as np
@@ -80,49 +81,41 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
         nsteps, step = _steps(t0, t1, dt)
         return kernels.rk4_bump_flow(pts, step, nsteps, None, H.amp, H.rho, H.m,
                                      *_bump_levels(H, t0, step, nsteps), H.support_radius)
-    return kernels.rk4_points(pts, [_rk4_segment(H, t0, t1, dt)], H.support_radius)
+    for z in kernels.rk4_points(pts, [_rk4_segment(H, t0, t1, dt)], H.support_radius):
+        pts[:] = z.T
+    return pts
 
 
 def _rk4_segment(H, t0, t1, dt, value=None):
     """(field, step, nsteps): the kernels.rk4 segment that integrate_points steps from t0 to t1.
 
-    value adds a third row to the stepped state, whose rate the field
-    writes into out[2]: for a SeparableBump a pair (alpha, beta), the
-    value row -(alpha H + beta x . grad H) of kernels.bump_field; for any
-    H a callable value(t, z, row) that writes the rate at the stage
-    states z, shape (3, n), and stage time t into row, shape (n,).
+    value, a pair (alpha, beta), adds a third row to the stepped state: the
+    value row -(alpha H + beta x . grad H) of kernels.bump_field, which
+    only a SeparableBump has.
     """
     if t1 == t0:
         # a span of length zero takes no step
         return None, 0.0, 0
     nsteps, step = _steps(t0, t1, dt)
-    offsets = (0.0, 0.5 * step, step)
     if isinstance(H, SeparableBump):
-        field = kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps),
-                                   value=None if callable(value) else value)
-    elif value is not None and not callable(value):
+        return (kernels.bump_field(H.amp, H.rho, H.m, *_bump_levels(H, t0, step, nsteps),
+                                   value=value), step, nsteps)
+    if value is not None:
         raise TypeError(f"a value row (alpha, beta) needs a SeparableBump, got {type(H).__name__}")
-    else:
-        scratch = {}
+    offsets = (0.0, 0.5 * step, step)
+    scratch = {}
 
-        def field(z, k, j, out):
-            # X_H = (dH/dp, -dH/dq) from the gradient H writes into a scratch buffer
-            n = z.shape[1]
-            if n not in scratch:
-                scratch[n] = np.empty((2, n))
-            grad = scratch[n]
-            H.gradient_into(t0 + k * step + offsets[j], z, grad)
-            out[0] = grad[1]
-            np.negative(grad[0], out=out[1])
+    def field(z, k, j, out):
+        # X_H = (dH/dp, -dH/dq) from the gradient H writes into a scratch buffer
+        n = z.shape[1]
+        if n not in scratch:
+            scratch[n] = np.empty((2, n))
+        grad = scratch[n]
+        H.gradient_into(t0 + k * step + offsets[j], z, grad)
+        out[0] = grad[1]
+        np.negative(grad[0], out=out[1])
 
-    if not callable(value):
-        return field, step, nsteps
-
-    def with_value(z, k, j, out):
-        field(z[:2], k, j, out[:2])
-        value(t0 + k * step + offsets[j], z, out[2])
-
-    return with_value, step, nsteps
+    return field, step, nsteps
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ segments is the same arithmetic as one call per segment, with the work
 buffers allocated once.  The state is a (d, N) array: rows 0 and 1 are
 the point coordinates, and any further row is a quantity the field's
 callback writes the rate of, integrated along each trajectory by the
-same RK4 steps.  ``rk4_points`` runs the stepper on the live points of an
-(N, 2) cloud, and ``rk4_bump_flow`` on a separable bump.  The live points
-are held as one (d, N) array and run in blocks of at most BLOCK points:
+same RK4 steps.  ``rk4_points`` is the one runner of point clouds and
+grid nodes: it steps the live points of an (N, 2) cloud, freezes the
+rest, and yields the state of all N points at every segment end;
+``rk4_bump_flow`` runs it on a separable bump.  The live points are held
+as one (d, N) array and run in blocks of at most BLOCK points:
 segment by segment, each block through every step of the segment, with
 preallocated stage buffers and ufuncs writing through ``out=``.  Points
 are independent and every per-element operation keeps its order, so
@@ -97,19 +99,25 @@ def rk4(segments, z_all):
         yield z_all
 
 
-def rk4_points(pts, segments, support_radius):
-    """Advance pts (N, 2) in place through segments, freezing its points outside the support.
+def rk4_points(pts, segments, support_radius, rows=2):
+    """Run the points of pts (N, 2) through segments, freezing those outside the support.
 
-    Points starting at radius >= support_radius are frozen; see
-    live_points and rk4.
+    A generator: at each segment end it yields the (rows, N) state of all
+    N points, rows 0 and 1 the coordinates and any further row a value the
+    segments' fields write the rate of (see rk4).  The live points (see
+    live_points) are stepped; every other point keeps its start
+    coordinates bit for bit, and its value rows stay 0.  pts is not
+    written to.
     """
+    z = np.zeros((rows, len(pts)))
+    z[:2] = pts.T
     live = live_points(pts, support_radius)
-    z_all = np.stack([pts[live, 0], pts[live, 1]])
-    for _ in rk4(segments, z_all):
-        pass
-    pts[live, 0] = z_all[0]
-    pts[live, 1] = z_all[1]
-    return pts
+    # a C-order copy: z[:, index array] alone comes back in Fortran order,
+    # whose strided rows slow every ufunc of the stepper
+    moving = z[:, live].copy()
+    for state in rk4(segments, moving):
+        z[:, live] = state
+        yield z
 
 
 def bump_field(amp, rho, m, tau, cx, cy, value=None):
@@ -190,4 +198,6 @@ def rk4_bump_flow(pts, dt, nsteps, h_d, amp, rho, m, tau, cx, cy, support_radius
     because the benchmark's tracer binds these eleven positional
     arguments to count each call's work.
     """
-    return rk4_points(pts, [(bump_field(amp, rho, m, tau, cx, cy), dt, nsteps)], support_radius)
+    for z in rk4_points(pts, [(bump_field(amp, rho, m, tau, cx, cy), dt, nsteps)], support_radius):
+        pts[:] = z.T
+    return pts

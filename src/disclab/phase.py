@@ -66,9 +66,10 @@ def basic_generating(F, grid=None, dt=1e-3):
     The Hamiltonian in the action integrand is F - c(u) (sphere
     normalization on the same grid, checked before any step is taken),
     which makes the value on the identity region equal int_0^1 c rather
-    than 0.  The seeds the flow moves take one forward RK4 run with the
-    action row A of the module docstring; every other seed keeps q = y,
-    p = 0 and h = int_0^1 c.  The seeds' images make the returned time-1
+    than 0.  The seeds take one forward kernels.rk4_points run with the
+    action row A of the module docstring; q, p and h are computed on every
+    seed, and a seed the run freezes (x = y, A = 0) gets q = y, p = 0 and
+    h = int_0^1 c exactly.  The seeds' images make the returned time-1
     map, equal to flow_map(F, 1, grid, dt) bit for bit.  F must be a
     SeparableBump, the one field with that value row.
     """
@@ -78,25 +79,15 @@ def basic_generating(F, grid=None, dt=1e-3):
     qx, qy = grid.nodes()
     seeds = np.stack([qx, qy], axis=-1)
     flat = seeds.reshape(-1, 2)
-    live = kernels.live_points(flat, F.support_radius)
-    y = flat[live].T
-    z = np.zeros((3, y.shape[1]))
-    z[:2] = y
-    (z,) = kernels.rk4([_rk4_segment(F, 0.0, 1.0, dt, (1.0, -0.5))], z)
-    x = z[:2]
-    img = flat.copy()
-    q = flat.copy()
-    p = np.zeros_like(flat)
-    h = np.full(len(flat), value)
-    img[live] = x.T
-    q[live] = (0.5 * (x + y)).T
+    (z,) = kernels.rk4_points(flat, [_rk4_segment(F, 0.0, 1.0, dt, (1.0, -0.5))],
+                              F.support_radius, rows=3)
+    x, y = z[:2], flat.T
     # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
-    p[live, 0] = x[1] - y[1]
-    p[live, 1] = y[0] - x[0]
-    h[live] = z[2] + value - 0.5 * (y[1] * x[0] - y[0] * x[1])
+    p = np.stack([x[1] - y[1], y[0] - x[0]], axis=-1)
+    h = z[2] + value - 0.5 * (y[1] * x[0] - y[0] * x[1])
     shape = qx.shape
-    phi = PlaneMap.from_node_images(grid, img, F.support_radius)
-    return GraphSamples(seeds, q.reshape(shape + (2,)), p.reshape(shape + (2,)),
+    phi = PlaneMap.from_node_images(grid, x.T, F.support_radius)
+    return GraphSamples(seeds, (0.5 * (x + y)).T.reshape(shape + (2,)), p.reshape(shape + (2,)),
                         h.reshape(shape), phi, value)
 
 

@@ -367,7 +367,9 @@ def _head_integrate_time_one(sham, t0, t1, points, dt):
     def field(z, k, j, out):
         out[:] = vector_field(t0 + k * step + offsets[j], np.stack([z[0], z[1]], axis=-1)).T
 
-    return kernels.rk4_points(pts, [(field, step, nsteps)], sham.support_radius)
+    for z in kernels.rk4_points(pts, [(field, step, nsteps)], sham.support_radius):
+        pass
+    return z[:2].T
 
 
 def _time_one_sham(grid, support_radius):
@@ -492,21 +494,51 @@ def test_segmented_run_bits_match_chained_calls(name, backward):
     else:
         # live points past one block
         pts = _cloud_past_one_block(5)
-    # one kernels.rk4 run over _rk4_segment segments, as s_hamiltonian takes
-    live = kernels.live_points(pts, H.support_radius)
-    z = np.stack([pts[live, 0], pts[live, 1]])
+    # one kernels.rk4_points run over _rk4_segment segments, as s_hamiltonian takes
     segments = [_rk4_segment(H, t0, t1, 1e-2) for t0, t1 in zip(times[:-1], times[1:])]
-    clouds = []
-    for z in kernels.rk4(segments, z):
-        cloud = pts.copy()
-        cloud[live] = z.T
-        clouds.append(cloud)
+    clouds = [z.T.copy() for z in kernels.rk4_points(pts, segments, H.support_radius)]
     assert len(clouds) == len(times) - 1
     cur = pts
     for k, got in enumerate(clouds, start=1):
         cur = integrate_points(H, times[k - 1], times[k], cur, dt=1e-2)
         assert np.array_equal(got, cur)
     assert np.max(np.abs(cur - pts)) > 1e-3
+
+
+@pytest.mark.parametrize("rows, value", [(2, None), (3, (0.7, -1.3))], ids=["2-row", "3-row"])
+@pytest.mark.parametrize("layout", ["slice", "index"])
+def test_runner_freezes_the_dead_points_and_steps_the_live_ones_as_rk4(layout, rows, value):
+    # kernels.rk4_points on a live set past one block that is one contiguous
+    # run (a slice) or scattered (an index array): one yield per segment,
+    # the live columns bit-equal to a hand-built kernels.rk4 run on them,
+    # the frozen ones at their start coordinates with zero value rows
+    H = _segment_field("moving")
+    pts = _cloud_past_one_block(7)
+    if layout == "slice":
+        pts = pts[np.argsort(np.hypot(pts[:, 0], pts[:, 1]), kind="stable")]
+    before = pts.copy()
+    live = np.hypot(pts[:, 0], pts[:, 1]) < H.support_radius
+    assert isinstance(kernels.live_points(pts, H.support_radius), slice) == (layout == "slice")
+    assert np.count_nonzero(live) > kernels.BLOCK and not live.all()
+    times = 0.3 + np.array(SEGMENT_TIMES)
+
+    def segments():
+        return [_rk4_segment(H, t0, t1, 1e-2, value) for t0, t1 in zip(times[:-1], times[1:])]
+
+    got = [z.copy() for z in kernels.rk4_points(pts, segments(), H.support_radius, rows)]
+    start = np.zeros((rows, np.count_nonzero(live)))
+    start[:2] = pts[live].T
+    want = [z.copy() for z in kernels.rk4(segments(), start)]
+    assert len(got) == len(want) == len(times) - 1
+    for g, w in zip(got, want):
+        assert g.shape == (rows, len(pts))
+        assert g[:, live].tobytes() == w.tobytes()
+        assert g[:2, ~live].tobytes() == pts[~live].T.tobytes()
+        assert g[2:, ~live].tobytes() == np.zeros((rows - 2, np.count_nonzero(~live))).tobytes()
+    assert pts.tobytes() == before.tobytes()
+    assert np.max(np.abs(got[-1][:2, live] - pts[live].T)) > 1e-3
+    if rows == 3:
+        assert np.max(np.abs(got[-1][2])) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -520,24 +552,16 @@ def _with_row(pts):
     return z
 
 
-def _stage_time_row(t, z, row):
-    np.multiply(z[0], t, out=row)
-
-
 @pytest.mark.parametrize("name, value", [
     ("fixed", (0.7, -1.3)), ("moving", (0.7, -1.3)), ("loop", (2.0, 0.0)),
-    ("moving", _stage_time_row), ("spline", _stage_time_row),
-], ids=["fixed", "moving", "loop", "moving-callback", "spline-callback"])
+], ids=["fixed", "moving", "loop"])
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
 def test_third_row_keeps_the_point_bits(name, value, backward):
     # rows 0 and 1 of a 3-row run keep the bits of the 2-row run, with the
-    # bump kernel's value row or a callback row, past one block
+    # bump kernel's value row, past one block
     H = _segment_field(name)
     t0, t1 = (0.6, 0.5) if backward else (0.3, 0.4)
-    if name == "spline":
-        pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3000, 2))
-    else:
-        pts = _cloud_past_one_block(5)
+    pts = _cloud_past_one_block(5)
     pts = pts[kernels.live_points(pts, H.support_radius)]
     two = np.ascontiguousarray(pts.T)
     three = _with_row(pts)
@@ -556,10 +580,16 @@ def test_constant_row_integrates_to_c_t(t0, t1):
     c = -2.5
     pts = np.random.default_rng(3).uniform(-0.7, 0.7, size=(50, 2))
     z = _with_row(pts)
-    segment = _rk4_segment(twist_bump(angle=2.0), t0, t1, 2.0**-6,
-                           lambda t, z, row: row.fill(c))
-    for _ in kernels.rk4([segment], z):
+    twist, step, nsteps = _rk4_segment(twist_bump(angle=2.0), t0, t1, 2.0**-6)
+
+    def field(z, k, j, out):
+        # the twist moves the points; the third row's rate is c
+        twist(z[:2], k, j, out[:2])
+        out[2].fill(c)
+
+    for _ in kernels.rk4([(field, step, nsteps)], z):
         pass
+    assert np.max(np.abs(z[:2] - pts.T)) > 1e-3
     assert np.all(z[2] == c * (t1 - t0))
 
 
