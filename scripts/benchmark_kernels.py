@@ -22,6 +22,14 @@ that catalog E4's graph lift moves, to t = 1 in 100 RK4 steps, as
 third row is the action, the bump kernel's value row (1, -1/2).  Its
 error is that of rows 0 and 1.
 
+The stack row runs catalog E9's members, a loop of the same bump
+rescaled by a = 1/4, 1/2, 3/4 and 1, over the nodes of a 65-node grid
+as one `kernels.rk4_points` run, as `phase.phase_family` steps them: the
+members' live nodes side by side in one state, each block of it
+stepped once.  Set beside the grid-65 row, it shows what stacking saves
+of the per-call overhead of small clouds.  A loop's time factor
+integrates to 0, so each member's exact time-one map is the identity.
+
 For each cloud the script prints the best wall time, M point-steps/s over
 live points, and the maximum error against the exact rotation
 (`SeparableBump.exact_flow`), so a change shows its accuracy next to its
@@ -36,11 +44,11 @@ import time
 
 import numpy as np
 
-from disclab.alexander import SHamiltonian
-from disclab.fields import radial_bump
+from disclab.alexander import SHamiltonian, rescale
+from disclab.fields import loop_bump, radial_bump
 from disclab.flows import _rk4_segment, integrate_points
 from disclab.grids import sample, square_grid
-from disclab.kernels import rk4, rk4_bump_flow
+from disclab.kernels import rk4, rk4_bump_flow, rk4_points
 
 AMP, RHO, M = 0.12, 0.8, 4
 SPLINE_STEPS = 500
@@ -75,7 +83,17 @@ def lift(bump):
     return flow
 
 
-def run(flow, pts, nsteps, repeats):
+def stack(members):
+    """The time-one flows of members in one stacked run, their images one after another."""
+    def flow(pts, nsteps):
+        run = [([_rk4_segment(H, 0.0, 1.0, 1.0 / nsteps)], H.support_radius) for H in members]
+        (z,) = rk4_points(pts, run)
+        return np.concatenate([zi.T for zi in z])
+
+    return flow
+
+
+def run(flow, pts, nsteps, repeats, live, exact):
     """Best wall time, live point-steps/s and max error of one time-one flow."""
     best = float("inf")
     for _ in range(repeats):
@@ -83,9 +101,7 @@ def run(flow, pts, nsteps, repeats):
         t0 = time.perf_counter()
         work = flow(work, nsteps)
         best = min(best, time.perf_counter() - t0)
-    live = np.count_nonzero(np.hypot(pts[:, 0], pts[:, 1]) < RHO)
-    exact = radial_bump(amp=AMP, rho=RHO, m=M).exact_flow(0.0, 1.0, pts)
-    return best, live, live * nsteps / best, float(np.max(np.abs(work - exact)))
+    return best, live * nsteps / best, float(np.max(np.abs(work - exact)))
 
 
 def main():
@@ -113,9 +129,12 @@ def main():
     splines = spline_flow(bump)
     nodes = grid_cloud(129)
     seeds = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) < RHO]
+    scales = (0.25, 0.5, 0.75, 1.0)
+    loops = [rescale(loop_bump(amp=AMP, rho=RHO, m=M), a) for a in scales]
     clouds = {
         "random": (bump_flow, random, args.steps),
         "grid-65": (bump_flow, grid_cloud(65), args.steps),
+        "stack": (stack(loops), grid_cloud(65), args.steps),
         "grid-513": (bump_flow, grid_cloud(513), 100),
         "spline-1000": (splines, workload, SPLINE_STEPS),
         "spline-grid-129": (splines, nodes, SPLINE_STEPS),
@@ -123,7 +142,14 @@ def main():
     }
     print(f"radial bump amp={AMP} rho={RHO} m={M}, time-one flows")
     for name, (flow, pts, steps) in clouds.items():
-        best, live, rate, err = run(flow, pts, steps, args.repeats)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        if name == "stack":
+            live = sum(np.count_nonzero(r < a * RHO) for a in scales)
+            exact = np.tile(pts, (len(scales), 1))
+        else:
+            live = np.count_nonzero(r < RHO)
+            exact = bump.exact_flow(0.0, 1.0, pts)
+        best, rate, err = run(flow, pts, steps, args.repeats, live, exact)
         print(f"{name:>15} : {live:6d} live points  {steps:5d} steps  {best:8.3f} s  "
               f"{rate / 1e6:7.2f} M point-steps/s  max error vs exact {err:.3e}")
 

@@ -17,7 +17,8 @@ the path.  The path u -> phi_s^u((phi_s^t)^{-1}(x)) is the trajectory of
 H(s) run backward from x at time t to time 0, so s_hamiltonian takes K at
 the grid nodes from one backward RK4 run per stored time, or for an
 autonomous H(s) one run in all, whose state carries the integral of
-dH/ds as a third row.
+dH/ds as a third row.  Every s sample rides in the same run, as one
+member of the runner's stack.
 """
 
 import csv
@@ -181,9 +182,11 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
     autonomous H(s) has phi^u o (phi^t)^{-1} = phi^(u - t), so one run
     backward through the stored times, segment by segment, gives K at
     every t_k; any other H(s) takes one run from each t_k back to 0.  The
-    runs (kernels.rk4_points) step the nodes inside H(s)'s support,
-    outside which alpha H + beta x . grad H vanishes, so K is exactly
-    zero at every other node and at t = 0.
+    runs are kernels.rk4_points stacks of every sample's H(s): one run in
+    all for the autonomous samples, one per stored time for the others.
+    Each H(s) steps the nodes inside its reach, outside which alpha H +
+    beta x . grad H vanishes, so K is exactly zero at every other node and
+    at t = 0.
     """
     if s_samples is None:
         s_samples = np.linspace(0.0625, 1.0, 16)
@@ -201,24 +204,26 @@ def s_hamiltonian(family, s_samples=None, nt=17, grid=None, dt=2e-3):
         grid = square_grid(129)
     times = np.linspace(0.0, 1.0, nt)
     nodes = grid.node_points().reshape(-1, 2)
-    all_values = []
-    for s in s_samples:
-        H = family.at(s)
-        value = family.euler(s)
-        K = np.zeros((nt, nodes.shape[0]))
-        if H.is_autonomous:
-            segments = [_rk4_segment(H, times[k], times[k - 1], dt, value)
-                        for k in range(1, nt)]
-            for k, z in enumerate(kernels.rk4_points(nodes, segments, H.support_radius, rows=3),
-                                  start=1):
-                K[k] = z[2]
-        else:
-            for k in range(1, nt):
-                (z,) = kernels.rk4_points(nodes, [_rk4_segment(H, times[k], 0.0, dt, value)],
-                                          H.support_radius, rows=3)
-                K[k] = z[2]
-        K = K.reshape((nt,) + grid.values.shape)
-        all_values.append([grid.with_values(K[k]) for k in range(nt)])
+    members = [family.at(s) for s in s_samples]
+
+    def run(ids, spans):
+        """One kernels.rk4_points run of the members ids, each through the (t0, t1) spans."""
+        return kernels.rk4_points(
+            nodes, [([_rk4_segment(members[i], t0, t1, dt, family.euler(s_samples[i]))
+                      for t0, t1 in spans], members[i].support_radius) for i in ids], rows=3)
+
+    K = np.zeros((len(members), nt, nodes.shape[0]))
+    autonomous = [i for i, H in enumerate(members) if H.is_autonomous]
+    moving = [i for i, H in enumerate(members) if not H.is_autonomous]
+    if autonomous:
+        for k, z in enumerate(run(autonomous, list(zip(times[1:], times[:-1]))), start=1):
+            K[autonomous, k] = z[:, 2]
+    if moving:
+        for k in range(1, nt):
+            (z,) = run(moving, [(times[k], 0.0)])
+            K[moving, k] = z[:, 2]
+    K = K.reshape(K.shape[:2] + grid.values.shape)
+    all_values = [[grid.with_values(Ki[k]) for k in range(nt)] for Ki in K]
     return SHamiltonian(s_samples, times, all_values, family.support_radius)
 
 

@@ -317,11 +317,11 @@ def _e4(cfg, measured, expected, passed):
     """Identity-region value of the phase function is the closed-form Cal / vol(sphere)."""
     tol = cfg.tol("identity_value", 2e-3)
     tol_graph = cfg.tol("graph_consistency", 2e-3)
-    grid = cfg.grid()
-    for name in ("radial_bump", "moving_bump", "twist"):
-        F = make_family(name, cfg)
-        # one forward run gives the graph's action and its time-1 map
-        gs = ph.basic_generating(F, grid=grid, dt=cfg.dt)
+    names = ("radial_bump", "moving_bump", "twist")
+    families = [make_family(name, cfg) for name in names]
+    # one forward run gives every family's graph action and time-1 map
+    lifts = ph.basic_generating(families, grid=cfg.grid(), dt=cfg.dt)
+    for name, F, gs in zip(names, families, lifts):
         value = gs.value
         f = ph.phase_function_of_map(gs.phi, value)
         want = _closed_form_cal(F) / VOL
@@ -342,10 +342,10 @@ def _e5(cfg, measured, expected, passed):
     """Time-1 phase functions of loops are constant, equal to Cal / vol = 0."""
     tol_spread = cfg.tol("spread", 5e-3)
     tol_value = cfg.tol("value", 5e-3)
-    grid = cfg.grid()
-    for label, factor in (("loop", 1.0), ("loop_strong", 2.0)):
-        L = loop_bump(amp=cfg.amp * factor, rho=cfg.rho, m=cfg.m)
-        f, value = ph.phase_function_graphical(L, grid=grid, dt=cfg.dt)
+    labels, factors = ("loop", "loop_strong"), (1.0, 2.0)
+    loops = [loop_bump(amp=cfg.amp * factor, rho=cfg.rho, m=cfg.m) for factor in factors]
+    fam = ph.phase_family(factors, loops, cfg.grid(), cfg.dt)
+    for label, f, value in zip(labels, fam.fields, fam.normalization_value):
         spread = float(np.ptp(f.values))
         measured[f"{label}_spread"] = spread
         measured[f"{label}_value"] = value

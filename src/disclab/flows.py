@@ -19,7 +19,12 @@ _rk4_segment builds that segment for any span, and a list of them is one
 stepper run.  A bump's segment can carry a third row, the value row
 (alpha, beta) of kernels.bump_field, which the stepper integrates along
 each trajectory (alexander.s_hamiltonian, and the action of
-phase.basic_generating).
+phase.basic_generating).  Those two and phase.phase_family hand the
+runner the segments of a whole family of bumps at once, as one stack.
+
+A PlaneMap evaluates its spline only inside the support, after checking
+every point against the grid's extent, and Newton inversion re-evaluates
+the map only at the iterates its last step moved.
 """
 
 import numpy as np
@@ -81,7 +86,7 @@ def integrate_points(H, t0, t1, points, dt=1e-3):
         nsteps, step = _steps(t0, t1, dt)
         return kernels.rk4_bump_flow(pts, step, nsteps, None, H.amp, H.rho, H.m,
                                      *_bump_levels(H, t0, step, nsteps), H.support_radius)
-    for z in kernels.rk4_points(pts, [_rk4_segment(H, t0, t1, dt)], H.support_radius):
+    for (z,) in kernels.rk4_points(pts, [([_rk4_segment(H, t0, t1, dt)], H.support_radius)]):
         pts[:] = z.T
     return pts
 
@@ -151,14 +156,18 @@ class PlaneMap:
     def __call__(self, points):
         """phi at points of shape (..., 2); points at or past support_radius stay fixed.
 
-        Both coordinate grids are evaluated in one grids.values_at call,
-        so they share its extent check and per-block spline plan.
+        Every point is checked against the grid's extent, so a point off
+        it raises ValueError even where the map is fixed.  The spline runs
+        only at the points inside the support: both coordinate grids in
+        one grids.values_at call, sharing its per-block spline plan.
         """
         pts = np.asarray(points, dtype=np.float64)
-        out = np.stack(values_at([self.grid_x, self.grid_y], pts), axis=-1)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        fixed = r >= self.support_radius
-        return np.where(fixed[..., None], pts, out)
+        flat = pts.reshape(-1, 2)
+        self.template._check_extent(flat.T)
+        inside = np.hypot(flat[:, 0], flat[:, 1]) < self.support_radius
+        out = flat.copy()
+        out[inside] = np.stack(values_at([self.grid_x, self.grid_y], flat[inside]), axis=-1)
+        return out.reshape(pts.shape)
 
     def node_images(self):
         return self.grid_x.values, self.grid_y.values
@@ -220,19 +229,24 @@ class PlaneMap:
         targets has shape (..., 2); the preimages come back in that shape.
         Every iterate is clipped to the grid's extent, so a target with no
         preimage on the grid fails as a stalled Newton, not off the grid.
-        Each iteration evaluates the map once and its four Jacobian grids
-        at the active iterates in one grids.values_at call.
+        Each iteration evaluates the map once, at the iterates the last
+        iteration moved (all of them at first), and its four Jacobian
+        grids at the active iterates in one grids.values_at call; an
+        iterate that did not move keeps its stored residual.
         """
         tgt = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
         y = tgt.copy()
         lo, hi = self.grid_x.extent
         jac = self._jacobian_grids()
         converged = False
+        res = np.empty_like(tgt)
+        # the indices of the active iterates, every one at first
+        active = slice(None)
         for _ in range(NEWTON_MAX_ITER):
-            res = self(y) - tgt
+            res[active] = self(y[active]) - tgt[active]
             err = np.hypot(res[:, 0], res[:, 1])
-            active = err > NEWTON_TOL
-            if not active.any():
+            active = np.flatnonzero(err > NEWTON_TOL)
+            if not active.size:
                 converged = True
                 break
             ya = y[active]
@@ -241,7 +255,7 @@ class PlaneMap:
             det = a11 * a22 - a12 * a21
             bad = np.abs(det) < 1e-14
             if bad.any():
-                idx = np.nonzero(active)[0][np.nonzero(bad)[0][0]]
+                idx = active[np.nonzero(bad)[0][0]]
                 raise NewtonError(
                     f"singular jacobian while inverting at target {tgt[idx]}",
                     point=tgt[idx],
@@ -254,7 +268,7 @@ class PlaneMap:
             lam = np.where(norm > 0.25, 0.25 / np.maximum(norm, 1e-300), 1.0)
             y[active] = np.clip(ya - lam[:, None] * step, lo, hi)
         if not converged:
-            res = self(y) - tgt
+            res[active] = self(y[active]) - tgt[active]
             err = np.hypot(res[:, 0], res[:, 1])
             if np.max(err) > 1e-8:
                 idx = int(np.argmax(err))

@@ -30,7 +30,9 @@ int_0^1 c(s) ds, where c is the offset that normalizes the Hamiltonian on
 the sphere model: `phase_function_of_map`.  `phase_function_graphical`
 takes the map from a plain two-row flow, since its callers read no
 action; E4, which checks the phase function against the action, takes
-both from one `basic_generating` run.
+both from one `basic_generating` run.  `basic_generating` and
+`phase_family` lift or flow a whole family of bumps as one stacked
+kernels.rk4_points run, in which each member keeps the bits of its own.
 """
 
 from dataclasses import dataclass
@@ -60,35 +62,41 @@ class GraphSamples:
     value: float             # the identity-region value int_0^1 c
 
 
-def basic_generating(F, grid=None, dt=1e-3):
-    """Lift the grid seeds to time 1 with their action, and return the graph.
+def basic_generating(members, grid=None, dt=1e-3):
+    """Lift the grid seeds to time 1 with their action under each member: a GraphSamples each.
 
-    The Hamiltonian in the action integrand is F - c(u) (sphere
-    normalization on the same grid, checked before any step is taken),
-    which makes the value on the identity region equal int_0^1 c rather
-    than 0.  The seeds take one forward kernels.rk4_points run with the
-    action row A of the module docstring; q, p and h are computed on every
-    seed, and a seed the run freezes (x = y, A = 0) gets q = y, p = 0 and
-    h = int_0^1 c exactly.  The seeds' images make the returned time-1
-    map, equal to flow_map(F, 1, grid, dt) bit for bit.  F must be a
-    SeparableBump, the one field with that value row.
+    The Hamiltonian in a member's action integrand is F - c(u) (sphere
+    normalization on the same grid, checked for every member before any
+    step is taken), which makes the value on the identity region equal
+    int_0^1 c rather than 0.  The seeds take one forward
+    kernels.rk4_points run for all members, with the action row A of the
+    module docstring; q, p and h are computed on every seed, and a seed
+    the run freezes (x = y, A = 0) gets q = y, p = 0 and h = int_0^1 c
+    exactly.  The seeds' images make each member's time-1 map, equal to
+    flow_map(F, 1, grid, dt) bit for bit.  The members must be
+    SeparableBumps, the one field with that value row, with one m.
     """
     if grid is None:
         grid = square_grid(257)
-    value = normalize_on_sphere(F, grid=grid).offset_integral()
+    values = [normalize_on_sphere(F, grid=grid).offset_integral() for F in members]
     qx, qy = grid.nodes()
     seeds = np.stack([qx, qy], axis=-1)
     flat = seeds.reshape(-1, 2)
-    (z,) = kernels.rk4_points(flat, [_rk4_segment(F, 0.0, 1.0, dt, (1.0, -0.5))],
-                              F.support_radius, rows=3)
-    x, y = z[:2], flat.T
-    # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
-    p = np.stack([x[1] - y[1], y[0] - x[0]], axis=-1)
-    h = z[2] + value - 0.5 * (y[1] * x[0] - y[0] * x[1])
+    (ends,) = kernels.rk4_points(
+        flat, [([_rk4_segment(F, 0.0, 1.0, dt, (1.0, -0.5))], F.support_radius) for F in members],
+        rows=3)
+    y = flat.T
     shape = qx.shape
-    phi = PlaneMap.from_node_images(grid, x.T, F.support_radius)
-    return GraphSamples(seeds, (0.5 * (x + y)).T.reshape(shape + (2,)), p.reshape(shape + (2,)),
-                        h.reshape(shape), phi, value)
+    out = []
+    for F, z, value in zip(members, ends, values):
+        x = z[:2]
+        # -j(x - y) = (x_2 - y_2, -(x_1 - y_1))
+        p = np.stack([x[1] - y[1], y[0] - x[0]], axis=-1)
+        h = z[2] + value - 0.5 * (y[1] * x[0] - y[0] * x[1])
+        phi = PlaneMap.from_node_images(grid, x.T, F.support_radius)
+        out.append(GraphSamples(seeds, (0.5 * (x + y)).T.reshape(shape + (2,)),
+                                p.reshape(shape + (2,)), h.reshape(shape), phi, value))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +145,18 @@ class PhaseFamily:
 def phase_family(samples, members, grid, dt):
     """The PhaseFamily of the Hamiltonians members, one per parameter sample.
 
-    Each member's phase function and identity-region value come from
-    `phase_function_graphical` on the one chart grid, with RK4 step dt.
+    The members are SeparableBumps with one m.  Their time-1 maps on the
+    chart grid come from one kernels.rk4_points run with RK4 step dt, each
+    bit-equal to its own flow_map(H, 1, grid, dt), so each member's phase
+    function and identity-region value are those of
+    `phase_function_graphical`.
     """
-    fields, values = [], []
-    for H in members:
-        f, v = phase_function_graphical(H, grid=grid, dt=dt)
-        fields.append(f)
-        values.append(v)
+    values = [normalize_on_sphere(H, grid=grid).offset_integral() for H in members]
+    nodes = grid.node_points().reshape(-1, 2)
+    (ends,) = kernels.rk4_points(
+        nodes, [([_rk4_segment(H, 0.0, 1.0, dt)], H.support_radius) for H in members])
+    fields = [phase_function_of_map(PlaneMap.from_node_images(grid, z.T, H.support_radius), v)
+              for H, z, v in zip(members, ends, values)]
     return PhaseFamily(list(samples), fields, values)
 
 

@@ -203,29 +203,34 @@ def _live_count(grid, radius):
     return np.count_nonzero(np.hypot(nodes[:, 0], nodes[:, 1]) < radius)
 
 
+def _reach(H):
+    """The radius outside which the bump H moves no node, for a center on one circle."""
+    return min(H.support_radius,
+               float(np.hypot(*H.center_at(0.0))) + H.rho * (1.0 + kernels.REACH_MARGIN))
+
+
 @pytest.mark.parametrize("base", [radial_bump, moving_bump], ids=["autonomous", "moving"])
-def test_s_hamiltonian_takes_one_backward_run_per_sample(base, monkeypatch):
-    # an autonomous H(s) takes one run over the live nodes of H(s), through
-    # every stored time; a moving one takes one run back to 0 per stored t
+def test_s_hamiltonian_stacks_every_sample_in_one_backward_run(base, monkeypatch):
+    # an autonomous H(s) takes one run over the live nodes of every H(s),
+    # through every stored time; a moving one takes one run back to 0 per
+    # stored t, again over every sample's live nodes side by side
     fam = alx.alexander_family(base(amp=0.05))
     grid, nt, dt = square_grid(33), 5, 0.05
     s_samples = [0.5, 1.0]
     runs = _RecordedRuns(monkeypatch).runs
     alx.s_hamiltonian(fam, s_samples=s_samples, nt=nt, grid=grid, dt=dt)
     times = np.linspace(0.0, 1.0, nt)
-    per_sample = 1 if base is radial_bump else nt - 1
-    assert len(runs) == per_sample * len(s_samples)
-    for i, s in enumerate(s_samples):
-        live = _live_count(grid, fam.at(s).support_radius)
-        mine = runs[i * per_sample:(i + 1) * per_sample]
-        assert all(run["shape"] == (3, live) for run in mine)
-        assert all(dt_k < 0.0 for run in mine for dt_k, _ in run["steps"])
-        if base is radial_bump:
-            # the path's steps, 5 per stored time, once
-            assert [n for _, n in mine[0]["steps"]] == [5] * (nt - 1)
-        else:
-            assert [[n for _, n in run["steps"]] for run in mine] == [
-                [round(t / dt)] for t in times[1:]]
+    live = [_live_count(grid, _reach(fam.at(s))) for s in s_samples]
+    assert live[0] < live[1]
+    assert len(runs) == (1 if base is radial_bump else nt - 1)
+    assert all(run["shape"] == (3, sum(live)) for run in runs)
+    assert all(dt_k < 0.0 for run in runs for dt_k, _ in run["steps"])
+    if base is radial_bump:
+        # the path's steps, 5 per stored time, once
+        assert [n for _, n in runs[0]["steps"]] == [5] * (nt - 1)
+    else:
+        assert [[n for _, n in run["steps"]] for run in runs] == [
+            [round(t / dt)] for t in times[1:]]
 
 
 @pytest.mark.parametrize("base", [radial_bump, moving_bump], ids=["autonomous", "moving"])
@@ -240,10 +245,11 @@ def test_s_hamiltonian_runs_invert_the_time_one_map(base, m, monkeypatch):
     runs = _RecordedRuns(monkeypatch).runs
     alx.s_hamiltonian(fam, s_samples=[0.5, s], nt=3, grid=grid, dt=dt)
     monkeypatch.undo()
-    back = runs[-1]["end"][:2].T
+    # the last run's columns hold the live nodes of s = 0.5, then of s
     nodes = grid.node_points().reshape(-1, 2)
-    live = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) < H.support_radius]
-    assert back.shape == live.shape
+    live = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) < _reach(H)]
+    assert runs[-1]["end"].shape == (3, 2 * len(live))
+    back = runs[-1]["end"][:2, len(live):].T
     assert np.max(np.abs(back - live)) > 1e-3
     omega = 2.0 * m * s * H.amp / H.rho**2
     tol = (omega * dt) ** 4 * omega + 1e-12

@@ -230,12 +230,9 @@ def test_e8_recovers_each_map_once(monkeypatch):
 E4_FAMILIES = ("radial_bump", "moving_bump", "twist")
 
 
-def test_e4_takes_one_forward_run_per_family(monkeypatch):
-    # each family's phase function and action come from one 3-row lift of
-    # the config grid's seeds; no two-row flow_map runs beside it
-    from disclab import experiments as ex
-    from disclab import flows, kernels
-    from disclab import phase as ph
+def _count_runs(monkeypatch, *modules):
+    """The state shape of every kernels.rk4 run, with flow_map refused in modules."""
+    from disclab import kernels
 
     runs = []
     rk4 = kernels.rk4
@@ -248,17 +245,43 @@ def test_e4_takes_one_forward_run_per_family(monkeypatch):
         raise AssertionError("flow_map called")
 
     monkeypatch.setattr(kernels, "rk4", counted)
-    for mod in (ex, flows, ph):
+    for mod in modules:
         monkeypatch.setattr(mod, "flow_map", no_flow_map)
+    return runs
+
+
+def test_e4_takes_one_forward_run_for_all_families(monkeypatch):
+    # every family's phase function and action come from one 3-row lift of
+    # the config grid's seeds, the families' live seeds side by side; no
+    # two-row flow_map runs beside it.  The moving bump (rho 0.25, center
+    # on the circle of radius 0.3) reaches 0.55 of its declared 0.8
+    from disclab import experiments as ex
+    from disclab import flows
+    from disclab import phase as ph
+
+    runs = _count_runs(monkeypatch, ex, flows, ph)
     cfg = ExperimentConfig(experiment_id="E4", grid_n=64, dt=1e-2)
     rep = run_experiment(cfg)
     assert rep.overall_pass and not rep.errors
-    seeds = cfg.grid().node_points().reshape(-1, 2)
-    assert len(seeds) == cfg.nodes**2
-    index = np.arange(len(seeds))
-    want = [(3, index[kernels.live_points(seeds, make_family(name, cfg).support_radius)].size)
-            for name in E4_FAMILIES]
-    assert runs == want
+    assert cfg.nodes == 65
+    assert runs == [(3, 1877 + 877 + 1877)]
+
+
+@pytest.mark.parametrize("eid, radii", [("E5", [0.8, 0.8]), ("E9", [0.2, 0.4, 0.6, 0.8])])
+def test_loop_families_take_one_forward_run(eid, radii, monkeypatch):
+    # E5's two loops and E9's four rescaled loops each take one two-row
+    # run of the config grid's nodes, each member's live nodes side by side
+    from disclab import experiments as ex
+    from disclab import flows
+    from disclab import phase as ph
+
+    runs = _count_runs(monkeypatch, ex, flows, ph)
+    cfg = ExperimentConfig(experiment_id=eid, grid_n=64, dt=1e-2)
+    rep = run_experiment(cfg)
+    assert rep.overall_pass and not rep.errors
+    nodes = cfg.grid().node_points().reshape(-1, 2)
+    r = np.hypot(nodes[:, 0], nodes[:, 1])
+    assert runs == [(2, sum(np.count_nonzero(r < radius) for radius in radii))]
 
 
 def test_e4_graph_consistency_sees_a_wrong_action_row(monkeypatch):

@@ -367,7 +367,7 @@ def _head_integrate_time_one(sham, t0, t1, points, dt):
     def field(z, k, j, out):
         out[:] = vector_field(t0 + k * step + offsets[j], np.stack([z[0], z[1]], axis=-1)).T
 
-    for z in kernels.rk4_points(pts, [(field, step, nsteps)], sham.support_radius):
+    for (z,) in kernels.rk4_points(pts, [([(field, step, nsteps)], sham.support_radius)]):
         pass
     return z[:2].T
 
@@ -496,7 +496,7 @@ def test_segmented_run_bits_match_chained_calls(name, backward):
         pts = _cloud_past_one_block(5)
     # one kernels.rk4_points run over _rk4_segment segments, as s_hamiltonian takes
     segments = [_rk4_segment(H, t0, t1, 1e-2) for t0, t1 in zip(times[:-1], times[1:])]
-    clouds = [z.T.copy() for z in kernels.rk4_points(pts, segments, H.support_radius)]
+    clouds = [z.T.copy() for (z,) in kernels.rk4_points(pts, [(segments, H.support_radius)])]
     assert len(clouds) == len(times) - 1
     cur = pts
     for k, got in enumerate(clouds, start=1):
@@ -508,10 +508,12 @@ def test_segmented_run_bits_match_chained_calls(name, backward):
 @pytest.mark.parametrize("rows, value", [(2, None), (3, (0.7, -1.3))], ids=["2-row", "3-row"])
 @pytest.mark.parametrize("layout", ["slice", "index"])
 def test_runner_freezes_the_dead_points_and_steps_the_live_ones_as_rk4(layout, rows, value):
-    # kernels.rk4_points on a live set past one block that is one contiguous
+    # kernels.rk4_points on a support past one block that is one contiguous
     # run (a slice) or scattered (an index array): one yield per segment,
-    # the live columns bit-equal to a hand-built kernels.rk4 run on them,
-    # the frozen ones at their start coordinates with zero value rows
+    # the columns inside the support bit-equal to a hand-built kernels.rk4
+    # run on them (the runner steps only those inside the moving bump's
+    # reach, and the rest do not move), the frozen ones at their start
+    # coordinates with zero value rows
     H = _segment_field("moving")
     pts = _cloud_past_one_block(7)
     if layout == "slice":
@@ -525,7 +527,7 @@ def test_runner_freezes_the_dead_points_and_steps_the_live_ones_as_rk4(layout, r
     def segments():
         return [_rk4_segment(H, t0, t1, 1e-2, value) for t0, t1 in zip(times[:-1], times[1:])]
 
-    got = [z.copy() for z in kernels.rk4_points(pts, segments(), H.support_radius, rows)]
+    got = [z.copy() for (z,) in kernels.rk4_points(pts, [(segments(), H.support_radius)], rows)]
     start = np.zeros((rows, np.count_nonzero(live)))
     start[:2] = pts[live].T
     want = [z.copy() for z in kernels.rk4(segments(), start)]
@@ -539,6 +541,131 @@ def test_runner_freezes_the_dead_points_and_steps_the_live_ones_as_rk4(layout, r
     assert np.max(np.abs(got[-1][:2, live] - pts[live].T)) > 1e-3
     if rows == 3:
         assert np.max(np.abs(got[-1][2])) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# stacks: several members in one runner run
+
+
+def _stack(name):
+    """(members, value rows) of a stack of bumps with one m, as the catalog's families build them.
+
+    rescaled: one loop rescaled by a, as E9 and the Alexander family take
+    it, so amp, rho and the support differ and tau moves, with the
+    Alexander row (2/a, -1/a).  linear: amplified radial bumps with the
+    linear family's row (1/s, 0).  mixed: fixed and moving centers,
+    autonomous and moving tau, rows with beta = 0 and beta != 0.
+    """
+    scales = (0.25, 0.5, 0.75, 1.0)
+    if name == "rescaled":
+        from disclab.alexander import rescale
+
+        return ([rescale(loop_bump(amp=0.2), a) for a in scales],
+                [(2.0 / a, -1.0 / a) for a in scales])
+    if name == "linear":
+        return ([radial_bump(amp=0.2).amplified(s) for s in scales],
+                [(1.0 / s, 0.0) for s in scales])
+    return ([twist_bump(angle=2.0), moving_bump(amp=0.2), loop_bump(amp=0.2), radial_bump(amp=0.2)],
+            [(1.0, -0.5), (1.0 / 0.75, 0.0), (2.0 / 0.5, -1.0 / 0.5), (1.0 / 0.25, 0.0)])
+
+
+@pytest.mark.parametrize("cloud", ["grid-65", "past-block"])
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("name", ["rescaled", "linear", "mixed"])
+def test_stacked_members_keep_the_bits_of_their_own_runs(name, backward, rows, cloud, monkeypatch):
+    # one kernels.rk4 run over every member's live points side by side;
+    # at each segment end each member's coordinates and value rows have
+    # the bits of the member's own kernels.rk4_points run
+    members, values = _stack(name)
+    times = 0.6 - np.array(SEGMENT_TIMES) if backward else 0.3 + np.array(SEGMENT_TIMES)
+    if cloud == "grid-65":
+        pts = square_grid(65).node_points().reshape(-1, 2)
+    else:
+        pts = _cloud_past_one_block(3)
+
+    def member(H, value):
+        value = value if rows == 3 else None
+        return ([_rk4_segment(H, t0, t1, 1e-2, value) for t0, t1 in zip(times[:-1], times[1:])],
+                H.support_radius)
+
+    stack = [member(H, v) for H, v in zip(members, values)]
+    widths = [np.arange(len(pts))[kernels.live_points(pts, kernels.reach(*m))].size for m in stack]
+    runs = []
+    rk4 = kernels.rk4
+
+    def recorded(segments, z):
+        runs.append(z.shape)
+        return rk4(segments, z)
+
+    monkeypatch.setattr(kernels, "rk4", recorded)
+    got = [z.copy() for z in kernels.rk4_points(pts, stack, rows)]
+    assert runs == [(rows, sum(widths))]
+    assert (sum(widths) > kernels.BLOCK) == (cloud == "past-block")
+    assert len(got) == len(times) - 1
+    for i, (H, v) in enumerate(zip(members, values)):
+        alone = [z.copy() for (z,) in kernels.rk4_points(pts, [member(H, v)], rows)]
+        assert len(alone) == len(got)
+        for g, w in zip(got, alone):
+            assert g.shape == (len(members), rows, len(pts))
+            assert g[i].tobytes() == w.tobytes()
+        assert np.max(np.abs(alone[-1][:2] - pts.T)) > 1e-3
+        if rows == 3:
+            assert np.max(np.abs(alone[-1][2])) > 1e-4
+
+
+def test_a_stack_needs_bump_fields_with_one_m_and_one_segment_structure():
+    pts = square_grid(33).node_points().reshape(-1, 2)
+    bump = radial_bump(amp=0.2)
+
+    def member(H, t1=0.1, dt=1e-2):
+        return [_rk4_segment(H, 0.0, t1, dt)], H.support_radius
+
+    with pytest.raises(ValueError, match="step"):
+        list(kernels.rk4_points(pts, [member(bump), member(bump, dt=2e-2)]))
+    with pytest.raises(ValueError):
+        list(kernels.rk4_points(pts, [member(bump), ([], bump.support_radius)]))
+    with pytest.raises(ValueError, match="share m"):
+        list(kernels.rk4_points(pts, [member(bump), member(radial_bump(amp=0.2, m=3))]))
+    with pytest.raises(TypeError, match="bump field"):
+        list(kernels.rk4_points(pts, [member(bump), member(_segment_field("spline"))]))
+    rows = [[_rk4_segment(bump, 0.0, 0.1, 1e-2, value)] for value in (None, (1.0, 0.0))]
+    with pytest.raises(ValueError, match="value row"):
+        list(kernels.rk4_points(pts, [(r, bump.support_radius) for r in rows], 3))
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_the_moving_lift_freezes_the_nodes_beyond_its_reach(n, monkeypatch):
+    # E4's moving bump (rho 0.25, center on the circle of radius 0.3,
+    # declared support 0.8) moves no node past 0.55: the runner steps only
+    # the nodes inside that reach, and its lift has the bits of a run of
+    # every node inside the declared support
+    F = moving_bump()
+    nodes = square_grid(n).node_points().reshape(-1, 2)
+    segments = [_rk4_segment(F, 0.0, 1.0, 1e-2, (1.0, -0.5))]
+    radius = kernels.reach(segments, F.support_radius)
+    assert radius == pytest.approx(0.55, rel=1e-8) and radius > 0.55
+    r = np.hypot(nodes[:, 0], nodes[:, 1])
+    inside = r < F.support_radius
+    runs = []
+    rk4 = kernels.rk4
+
+    def recorded(segments, z):
+        runs.append(z.shape)
+        return rk4(segments, z)
+
+    monkeypatch.setattr(kernels, "rk4", recorded)
+    (got,) = kernels.rk4_points(nodes, [(segments, F.support_radius)], 3)
+    monkeypatch.undo()
+    assert runs == [(3, np.count_nonzero(r < radius))]
+    if n == 65:
+        assert runs == [(3, 877)] and np.count_nonzero(inside) == 1877
+    full = np.zeros((3, np.count_nonzero(inside)))
+    full[:2] = nodes[inside].T
+    (full,) = kernels.rk4(segments, full)
+    assert got[0][:, inside].tobytes() == full.tobytes()
+    assert got[0][:2, ~inside].tobytes() == nodes[~inside].T.tobytes()
+    assert np.max(np.abs(full[2])) > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +798,21 @@ def test_map_call_matches_flow(bump_map_257):
 def test_map_is_identity_outside_support(bump_map_257):
     pts = np.array([[0.9, 0.1], [0.0, 1.01]])
     assert np.array_equal(bump_map_257(pts), pts)
+
+
+@pytest.mark.parametrize("point", [[1.2, 0.0], [0.0, -1.06], [np.nan, 0.0]],
+                         ids=["right", "below", "nan"])
+def test_map_refuses_points_off_the_extent_outside_the_support(bump_map_129, point):
+    # the map is fixed outside the support, and the spline runs only
+    # inside it, but every point is still checked against the extent
+    lo, hi = bump_map_129.template.extent
+    assert hi[0] == -lo[0] == pytest.approx(1.05)
+    pts = np.array([[0.3, -0.4], [0.9, 0.1], point])
+    assert np.array_equal(bump_map_129(pts[1:2]), pts[1:2])
+    with pytest.raises(ValueError, match="extent"):
+        bump_map_129(pts)
+    with pytest.raises(ValueError, match="extent"):
+        bump_map_129(np.array(point))
 
 
 def test_newton_inverse_round_trip(bump_map_257):

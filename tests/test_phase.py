@@ -19,14 +19,14 @@ from disclab.grids import SPHERE_VOLUME, square_grid
 
 
 def test_basic_generating_of_zero_field():
-    gs = ph.basic_generating(radial_bump(amp=0.0), grid=square_grid(65))
+    (gs,) = ph.basic_generating([radial_bump(amp=0.0)], grid=square_grid(65))
     assert np.max(np.abs(gs.h)) == 0.0
     assert np.max(np.abs(gs.p)) == 0.0
     assert np.array_equal(gs.q, gs.seeds)
     # the action row is the bump kernel's: a field that is not a
     # SeparableBump has none
     with pytest.raises(TypeError, match="SeparableBump"):
-        ph.basic_generating(zero_field(), grid=square_grid(65))
+        ph.basic_generating([zero_field()], grid=square_grid(65))
 
 
 def exactness_defect(gs):
@@ -48,12 +48,12 @@ def exactness_defect(gs):
 
 def test_basic_generating_exactness(bump):
     # the action is a generating function of the graph: dh = p . dq
-    gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3)
+    (gs,) = ph.basic_generating([bump], grid=square_grid(129), dt=1e-3)
     assert exactness_defect(gs) < 5e-4
 
 
 def test_basic_generating_identity_region_value(bump, grid257):
-    gs = ph.basic_generating(bump, grid=square_grid(129), dt=1e-3)
+    (gs,) = ph.basic_generating([bump], grid=square_grid(129), dt=1e-3)
     cal = cal_path(bump, grid257)
     # seeds outside the support never move; their chord action is the
     # normalization constant integral = Cal / vol
@@ -112,7 +112,7 @@ def test_basic_generating_matches_the_radial_closed_form():
     amp, rho, m = 0.05, 0.8, 4
     F = radial_bump(amp=amp, rho=rho, m=m)
     grid = square_grid(65)
-    gs = ph.basic_generating(F, grid=grid, dt=1e-2)
+    (gs,) = ph.basic_generating([F], grid=grid, dt=1e-2)
     y = gs.seeds.reshape(-1, 2)
     x = F.exact_flow(0.0, 1.0, y)
     r2 = y[:, 0] ** 2 + y[:, 1] ** 2
@@ -134,14 +134,14 @@ def test_basic_generating_matches_the_richardson_moving_bump_action():
     fine = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=801)
     coarse = _head_basic_generating(F, grid=grid, dt=1.25e-3, nu=401)
     want = (4.0 * fine - coarse) / 3.0
-    got = ph.basic_generating(F, grid=grid, dt=1e-2).h
-    assert np.max(np.abs(got - want)) < 1e-7
+    (gs,) = ph.basic_generating([F], grid=grid, dt=1e-2)
+    assert np.max(np.abs(gs.h - want)) < 1e-7
 
 
 @pytest.mark.parametrize("tau", [None, lambda t: 1.0 + t], ids=["autonomous", "ramp"])
 def test_frozen_seeds_share_the_trapezoid_offset_integral(tau, grid65):
     F = SeparableBump(amp=0.05, rho=0.8, m=4, tau=tau)
-    gs = ph.basic_generating(F, grid=grid65, dt=1e-2)
+    (gs,) = ph.basic_generating([F], grid=grid65, dt=1e-2)
     flat = gs.seeds.reshape(-1, 2)
     frozen = np.ones(len(flat), dtype=bool)
     frozen[kernels.live_points(flat, F.support_radius)] = False
@@ -167,7 +167,7 @@ def test_basic_generating_normalizes_before_the_lift(monkeypatch):
     runs = []
     monkeypatch.setattr(kernels, "rk4", lambda segments, z: runs.append(z.shape))
     with pytest.raises(ValueError, match="reaches the grid boundary"):
-        ph.basic_generating(radial_bump(amp=0.05, rho=0.8, m=4),
+        ph.basic_generating([radial_bump(amp=0.05, rho=0.8, m=4)],
                             grid=square_grid(65, extent=0.8), dt=1e-2)
     assert runs == []
 
@@ -185,7 +185,7 @@ def test_the_lift_time_one_map_is_the_flow_map(name, grid65):
     # the value row never feeds back into the seeds: the lift's node
     # images are flow_map's, and frozen seeds keep x = y
     F = E4_BUMPS[name]
-    gs = ph.basic_generating(F, grid=grid65, dt=1e-2)
+    (gs,) = ph.basic_generating([F], grid=grid65, dt=1e-2)
     phi = flow_map(F, 1.0, grid=grid65, dt=1e-2)
     for got, want in zip(gs.phi.node_images(), phi.node_images()):
         assert got.tobytes() == want.tobytes()
@@ -197,7 +197,7 @@ def test_the_lift_time_one_map_is_the_flow_map(name, grid65):
 def test_the_lift_phase_function_is_phase_function_graphical(name, grid65):
     # E4's route: the phase function of the lift's map and value
     F = E4_BUMPS[name]
-    gs = ph.basic_generating(F, grid=grid65, dt=1e-2)
+    (gs,) = ph.basic_generating([F], grid=grid65, dt=1e-2)
     f = ph.phase_function_of_map(gs.phi, gs.value)
     f_ref, v_ref = ph.phase_function_graphical(F, grid=grid65, dt=1e-2)
     assert gs.value == v_ref

@@ -9,7 +9,7 @@ import disclab
 
 ROOT = Path(__file__).resolve().parents[1]
 
-KERNEL_ROWS = ("random", "grid-65", "grid-513", "spline-1000", "spline-grid-129", "lift")
+KERNEL_ROWS = ("random", "grid-65", "stack", "grid-513", "spline-1000", "spline-grid-129", "lift")
 
 
 def test_benchmark_kernels_prints_one_line_per_row():
